@@ -8,20 +8,14 @@ per-bone transforms against a T-pose template, and evaluates accuracy with
 
 from .geometry import (
     CameraParams,
-    ConvexRegion,
     NonPositiveDepth,
-    backproject,
-    convex_hull,
-    cube_projection_region,
     project,
     project_points,
-    region_contains,
 )
 from .metrics import ErrorReport, avg_2d_err, mean_abs_3d_err, sequence_mean
 from .retarget import (
     BoneTransformSet,
     DegenerateParallel,
-    chain_rotations,
     frame_from_bone,
     retarget_frame,
     retarget_sequence,
@@ -43,7 +37,6 @@ from .voxel import (
     JointEstimate,
     JointObservation,
     JointObservationFrame,
-    count_votes,
     estimate_joint,
     estimate_skeleton,
 )

@@ -14,17 +14,18 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import io as mio
-from .geometry import NonPositiveDepth, project
+from .geometry import CameraParams, NonPositiveDepth, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
 from .skeleton import default_template, default_topology
-from .synth import UnknownPreset, generate_scene, render_observations
-from .voxel import Cube, EstimatorConfig, estimate_skeleton
+from .synth import generate_scene, render_observations
+from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton
 
 
 class FrameMismatch(ValueError):
@@ -50,16 +51,18 @@ class RunConfig:
     volume_edges: tuple[float, float, float] = (4000.0, 3000.0, 4000.0)
     volume_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     min_confidence: float = 0.1
-    overlay: bool = False
     timing: bool = False
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            sigma=self.sigma,
-            delta=self.delta,
-            initial_volume=Cube(center=np.asarray(self.volume_center), edges=self.volume_edges),
-            min_confidence=self.min_confidence,
-        )
+        try:
+            return EstimatorConfig(
+                sigma=self.sigma,
+                delta=self.delta,
+                initial_volume=Cube(center=np.asarray(self.volume_center), edges=self.volume_edges),
+                min_confidence=self.min_confidence,
+            )
+        except ValueError as exc:
+            raise mio.InputParseError(f"invalid estimator settings: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,8 +136,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         scene = generate_scene(
             preset=args.preset,
@@ -143,9 +144,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             dropout=args.dropout,
             seed=args.seed,
         )
-    except UnknownPreset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise mio.InputParseError(str(exc)) from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     mio.save_cameras(out_dir / "calib.json", scene.cameras)
     mio.write_keypoints(out_dir / "keypoints.jsonl", render_observations(scene))
     mio.write_skeletons(out_dir / "truth.jsonl", scene.truth)
@@ -157,6 +159,16 @@ def _require(cfg: RunConfig, *fields: str) -> None:
     missing = [f"--{name}" for name in fields if not getattr(cfg, name)]
     if missing:
         raise mio.InputParseError(f"missing required input(s): {', '.join(missing)}")
+
+
+def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[JointObservationFrame]:
+    """Keypoint frames from path; InputParseError on a view missing from the calibration."""
+    known_views = {c.id for c in cameras}
+    for frame in mio.read_keypoints(path):
+        unknown = set(frame.views) - known_views
+        if unknown:
+            raise mio.InputParseError(f"{path}: frame {frame.frame} references uncalibrated views {sorted(unknown)}")
+        yield frame
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -177,18 +189,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    known_views = {c.id for c in cameras}
-    reader = mio.read_keypoints(cfg.keypoints)
+    reader = _calibrated_frames(cfg.keypoints, cameras)
     with open(cfg.out, "w", encoding="utf-8") as out:
         while True:
             t0 = time.perf_counter()
             frame = next(reader, None)  # JSON decoding happens here
-            if frame is not None:
-                unknown = set(frame.views) - known_views
-                if unknown:
-                    raise mio.InputParseError(
-                        f"{cfg.keypoints}: frame {frame.frame} references uncalibrated views {sorted(unknown)}"
-                    )
             timing.add("parse_inputs", (time.perf_counter() - t0) * 1e3)
             if frame is None:
                 break
@@ -260,7 +265,7 @@ def _per_view_2d(cfg: RunConfig, estimated) -> dict[int, float]:
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     skeletons = {s.frame: s for s in estimated}
-    for obs_frame in mio.read_keypoints(cfg.keypoints):
+    for obs_frame in _calibrated_frames(cfg.keypoints, cameras.values()):
         skel = skeletons.get(obs_frame.frame)
         if skel is None:
             raise FrameMismatch(f"keypoints frame {obs_frame.frame} missing from estimated stream")
@@ -314,7 +319,7 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     skeletons = {s.frame: s for s in mio.read_skeletons(cfg.skeleton)}
     count = 0
-    for obs_frame in mio.read_keypoints(cfg.keypoints):
+    for obs_frame in _calibrated_frames(cfg.keypoints, cameras.values()):
         skel = skeletons.get(obs_frame.frame)
         if skel is None:
             raise FrameMismatch(f"keypoints frame {obs_frame.frame} missing from skeleton stream")

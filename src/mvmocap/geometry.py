@@ -1,4 +1,4 @@
-"""Pinhole projection and 2D convex-region predicates.
+"""Pinhole cameras and perspective projection.
 
 Coordinate conventions used throughout the package:
 
@@ -10,8 +10,7 @@ Coordinate conventions used throughout the package:
   Projected points may lie outside the image rectangle.
 
 Calibrations are assumed pre-undistorted; no lens-distortion model is
-applied. Polygon orientation is counter-clockwise in (u, v) treated as a
-plain Cartesian plane (positive shoelace area).
+applied.
 """
 
 from __future__ import annotations
@@ -25,18 +24,7 @@ class NonPositiveDepth(ValueError):
     """A world point (or cube vertex) lies on or behind the camera plane."""
 
 
-# Boundary tolerance for containment tests, in pixels of perpendicular
-# distance. Containment is boundary-inclusive.
-CONTAINS_TOL = 1e-9
-
 _ROTATION_TOL = 1e-9
-
-
-def _cross2(a, b):
-    """z-component of the cross product of 2D vectors (broadcasts)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 @dataclass(frozen=True)
@@ -79,30 +67,6 @@ class CameraParams:
         object.__setattr__(self, "resolution", (int(w), int(h)))
 
 
-@dataclass(frozen=True)
-class ConvexRegion:
-    """Convex polygon in pixel coordinates, vertices ordered CCW.
-
-    Degenerate regions with one vertex (point) or two vertices (segment)
-    are allowed.
-    """
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.array(self.vertices, dtype=float))
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
-            raise ValueError("vertices must be an (N, 2) array with N >= 1")
-        if v.shape[0] >= 3:
-            # All consecutive edge-pair cross products must share one sign
-            # (zero allowed): convex and consistently oriented.
-            e = np.roll(v, -1, axis=0) - v
-            cr = _cross2(e, np.roll(e, -1, axis=0))
-            if np.any(cr < -CONTAINS_TOL) and np.any(cr > CONTAINS_TOL):
-                raise ValueError("vertices do not form a convex polygon")
-        object.__setattr__(self, "vertices", v)
-
-
 def project(point: np.ndarray, cam: CameraParams) -> np.ndarray:
     """Perspective projection of one world point into pixel coordinates.
 
@@ -123,77 +87,3 @@ def project_points(points: np.ndarray, cam: CameraParams) -> np.ndarray:
         raise NonPositiveDepth(f"{int(np.sum(p_cam[:, 2] <= 0))} points behind camera {cam.id}")
     img = p_cam @ cam.intrinsic.T
     return img[:, :2] / img[:, 2:3]
-
-
-def backproject(pixel: np.ndarray, depth: float, cam: CameraParams) -> np.ndarray:
-    """World point on the pixel's viewing ray at the given camera depth."""
-    if depth <= 0.0:
-        raise NonPositiveDepth("backprojection depth must be positive")
-    u, v = np.asarray(pixel, dtype=float)
-    p_cam = depth * np.linalg.solve(cam.intrinsic, np.array([u, v, 1.0]))
-    return cam.rotation.T @ (p_cam - cam.translation)
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull of 2D points via monotone chain, CCW order.
-
-    Collinear interior points are dropped. Degenerate inputs yield a
-    single point or a two-point segment.
-    """
-    pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-
-    def build(chain_pts):
-        out: list[np.ndarray] = []
-        for p in chain_pts:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] < 3:  # all points collinear
-        return np.array([pts[0], pts[-1]])
-    return hull
-
-
-def cube_projection_region(cube, cam: CameraParams) -> ConvexRegion:
-    """Convex hull of the eight projected vertices of a sample cube.
-
-    `cube` is any object exposing vertices() -> (8, 3) world points.
-    Raises NonPositiveDepth if any vertex fails the depth test; callers
-    treat such a view as non-voting.
-    """
-    pix = project_points(cube.vertices(), cam)
-    return ConvexRegion(convex_hull(pix))
-
-
-def region_contains(region: ConvexRegion, pixel: np.ndarray, tol: float = CONTAINS_TOL) -> bool:
-    """Boundary-inclusive containment test for a convex region."""
-    p = np.asarray(pixel, dtype=float)
-    v = region.vertices
-    if v.shape[0] == 1:
-        return bool(np.linalg.norm(p - v[0]) <= tol)
-    if v.shape[0] == 2:
-        return _segment_distance(p, v[0], v[1]) <= tol
-    nxt = np.roll(v, -1, axis=0)
-    edges = nxt - v
-    lengths = np.linalg.norm(edges, axis=1)
-    rel = p - v
-    signed = _cross2(edges, rel)
-    keep = lengths > 0.0
-    # Signed perpendicular distance; positive on the interior side for CCW.
-    dist = signed[keep] / lengths[keep]
-    return bool(np.all(dist >= -tol))
-
-
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))

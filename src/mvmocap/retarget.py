@@ -23,6 +23,7 @@ import numpy as np
 
 from .mathutil import rotation_about_axis
 from .skeleton import (
+    STATUS_OK,
     MissingJoint,
     Skeleton3D,
     SkeletonTopology,
@@ -31,7 +32,6 @@ from .skeleton import (
     bone_vector,
 )
 
-STATUS_OK = "ok"
 STATUS_FELL_BACK = "fell_back"
 
 # Below this cross-product norm two axes are treated as parallel.
@@ -137,41 +137,6 @@ def to_global(local: np.ndarray, frame_class: str, template: TPoseTemplate) -> n
     """Conjugate a local-frame rotation into global coordinates."""
     rc = template.frame_rotation[frame_class]
     return rc @ local @ rc.T
-
-
-def chain_rotations(
-    skeleton: Skeleton3D,
-    topology: SkeletonTopology,
-    template: TPoseTemplate,
-) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Accumulated per-bone rotations in each bone's local frame.
-
-    For every bone the observed direction is expressed in the parent's
-    posed frame, the local rotation is computed there, and the result is
-    accumulated parent-then-local. Bones with missing or degenerate
-    endpoints fall back to the identity and report status "fell_back".
-    """
-    accumulated: dict[str, np.ndarray] = {}
-    statuses: dict[str, str] = {}
-    global_acc: dict[str, np.ndarray] = {}
-    for bone in topology.bones_topological():
-        g_parent = global_acc.get(bone.parent_bone, np.eye(3)) if bone.parent_bone else np.eye(3)
-        rc = template.frame_rotation[bone.frame_class]
-        try:
-            direction = bone_vector(skeleton, bone.name, topology)
-        except (MissingJoint, ZeroLengthBone):
-            statuses[bone.name] = STATUS_FELL_BACK
-            accumulated[bone.name] = np.eye(3)
-            global_acc[bone.name] = np.eye(3)
-            continue
-        pulled_back = g_parent.T @ direction
-        x_local = rc.T @ pulled_back
-        local = frame_from_bone(x_local, _X, secondary=_Y)
-        acc = rc.T @ g_parent @ rc @ local
-        accumulated[bone.name] = acc
-        statuses[bone.name] = STATUS_OK
-        global_acc[bone.name] = rc @ acc @ rc.T
-    return accumulated, statuses
 
 
 def retarget_frame(

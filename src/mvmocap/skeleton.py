@@ -18,9 +18,7 @@ points along the bone at rest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -260,54 +258,6 @@ def bone_vector(skeleton: Skeleton3D, bone_name: str, topology: SkeletonTopology
     if np.linalg.norm(d) < 1e-6:
         raise ZeroLengthBone(f"bone {bone_name} endpoints coincide")
     return unit(d)
-
-
-def topology_from_dict(data: dict) -> SkeletonTopology:
-    """Build a topology from the JSON override schema (alternate rigs)."""
-    joints = tuple((int(i), str(n)) for i, n in data["joints"])
-    bones = tuple(
-        Bone(
-            name=str(b["name"]),
-            parent_joint=int(b["parent_joint"]),
-            child_joint=int(b["child_joint"]),
-            parent_bone=b.get("parent_bone"),
-            frame_class=str(b["frame_class"]),
-        )
-        for b in data["bones"]
-    )
-    return SkeletonTopology(joints=joints, bones=bones)
-
-
-def template_from_dict(data: dict) -> TPoseTemplate:
-    rest = {str(k): unit(np.asarray(v, dtype=float)) for k, v in data["rest_direction"].items()}
-    frames = {str(k): np.asarray(v, dtype=float) for k, v in data["frame_rotation"].items()}
-    return TPoseTemplate(rest_direction=rest, frame_rotation=frames)
-
-
-def topology_to_dict(topology: SkeletonTopology) -> dict:
-    return {
-        "joints": [[i, n] for i, n in topology.joints],
-        "bones": [
-            {
-                "name": b.name,
-                "parent_joint": b.parent_joint,
-                "child_joint": b.child_joint,
-                "parent_bone": b.parent_bone,
-                "frame_class": b.frame_class,
-            }
-            for b in topology.bones
-        ],
-    }
-
-
-def load_topology(path) -> SkeletonTopology:
-    """Read an alternate-rig topology override from a JSON file."""
-    return topology_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def load_template(path) -> TPoseTemplate:
-    """Read an alternate-rig template override from a JSON file."""
-    return template_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def tpose_positions(stature_mm: float = T_POSE_STATURE_MM) -> dict[int, np.ndarray]:

@@ -1,17 +1,20 @@
 """3D joint estimation by iterative subdivision of a sampling volume.
 
 For a single joint, a work queue starts from one large axis-aligned cube.
-Each cube is projected into every usable view; a view votes for the cube
-when its detected 2D joint falls inside the convex hull of the cube's
-eight projected vertices (views where any vertex fails the depth test do
-not vote). Cubes with fewer than `sigma` votes are pruned. Cubes that keep
+A view votes for a cube when the viewing ray of its detected 2D joint hits
+the cube and the whole cube lies in front of the camera. For a cube in
+front of the camera that is the same as the pixel lying inside the convex
+hull of the cube's eight projected vertices, but it needs only a slab test
+against the box (Williams et al., "An efficient and robust ray-box
+intersection algorithm", JGT 2005). Each view's ray is computed once per
+joint. Cubes with fewer than `sigma` votes are pruned. Cubes that keep
 consensus while all edges have shrunk below `delta` become candidates;
 everything else splits into eight half-size children. The joint position
 is the linear least-squares triangulation over the supporting views
-(those whose detection lies in some candidate's projection), clamped to
-the bounding box of the candidate cubes; the mean of candidate centers is
-kept only where that solve is degenerate. Because the solve uses the rays
-themselves, the noiseless error does not depend on `delta`.
+(those whose ray hits some candidate), clamped to the bounding box of the
+candidate cubes; the mean of candidate centers is kept only where that
+solve is degenerate. Because the solve uses the rays themselves, the
+noiseless error does not depend on `delta`.
 
 Because every cube at a given depth shares the same edge lengths, the
 queue is processed one depth level at a time and each level is evaluated
@@ -39,8 +42,10 @@ from .skeleton import (
 # Unit corner signs of an axis-aligned cube, in a fixed canonical order.
 _CORNER_SIGNS = np.array(sorted(itertools.product((-1.0, 1.0), repeat=3)))
 
-# Tolerance on the angular-gap containment test, radians.
-_GAP_TOL = 1e-12
+# Containment is boundary-inclusive. Noiseless joints on a grid plane of
+# the volume project onto cube edges up to rounding, so the slab test pads
+# every box by this much, in mm.
+_BOX_PAD = 1e-7
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,6 @@ class Cube:
     def vertices(self) -> np.ndarray:
         """The eight corners, (8, 3), canonical corner order."""
         return self.center + _CORNER_SIGNS * (np.asarray(self.edges) / 2.0)
-
-    def children(self) -> list["Cube"]:
-        """Eight sub-cubes with exactly halved edges."""
-        half = tuple(e / 2.0 for e in self.edges)
-        offs = _CORNER_SIGNS * (np.asarray(self.edges) / 4.0)
-        return [Cube(self.center + o, half) for o in offs]
 
 
 def _default_volume() -> Cube:
@@ -162,56 +161,42 @@ def _camera_arrays(cameras: list[CameraParams]) -> tuple[np.ndarray, np.ndarray,
     return K, R, t
 
 
+def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World-frame viewing rays (V, 3): camera centers -R^T t and directions R^T K^-1 [u, v, 1]."""
+    homog = np.concatenate([pixels, np.ones((pixels.shape[0], 1))], axis=1)
+    cam_dirs = np.linalg.solve(K, homog[:, :, None])[:, :, 0]
+    origins = -np.einsum("vji,vj->vi", R, t)
+    directions = np.einsum("vji,vj->vi", R, cam_dirs)
+    return origins, directions
+
+
 def _views_containing(
     centers: np.ndarray,
     edges: np.ndarray,
-    K: np.ndarray,
     R: np.ndarray,
     t: np.ndarray,
-    pixels: np.ndarray,
+    origins: np.ndarray,
+    directions: np.ndarray,
 ) -> np.ndarray:
-    """Vote matrix (V, M): does view v's pixel lie in cube m's projection?
+    """Vote matrix (V, M): does view v's ray hit cube m?
 
-    Containment uses the angular-gap test: the pixel is inside the convex
-    hull of the eight projected vertices iff the directions from the pixel
-    to those vertices leave no angular gap larger than pi (boundary
-    inclusive), or the pixel coincides with a vertex. Views where any
-    vertex has non-positive depth do not vote.
+    A slab test against each box padded by _BOX_PAD, boundary inclusive.
+    An axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
+    origin lies on a face plane; the reductions skip NaN, so such a ray
+    crosses that slab iff lo <= 0 <= hi. Views where the cube is not wholly
+    in front of the camera do not vote: the nearest vertex has depth
+    R[2]·c + t_z - sum_i |R[2, i]| h_i.
     """
-    verts = centers[:, None, :] + _CORNER_SIGNS[None, :, :] * (edges / 2.0)  # (M, 8, 3)
-    cam = np.einsum("vij,mkj->vmki", R, verts) + t[:, None, None, :]  # (V, M, 8, 3)
-    z = cam[..., 2]
-    valid = np.all(z > 0.0, axis=2)  # (V, M)
-    zsafe = np.where(z > 0.0, z, 1.0)
-    img = np.einsum("vij,vmkj->vmki", K, cam)
-    uv = img[..., :2] / zsafe[..., None]
-
-    d = uv - pixels[:, None, None, :]  # (V, M, 8, 2)
-    touches_vertex = np.any(np.einsum("vmki,vmki->vmk", d, d) <= 1e-18, axis=-1)
-    ang = np.sort(np.arctan2(d[..., 1], d[..., 0]), axis=-1)
-    gaps = np.diff(ang, axis=-1)
-    wrap = 2.0 * np.pi - (ang[..., -1] - ang[..., 0])
-    max_gap = np.maximum(gaps.max(axis=-1), wrap)
-    inside = (max_gap <= np.pi + _GAP_TOL) | touches_vertex
-    return inside & valid
-
-
-def count_votes(
-    cube: Cube,
-    observations: list[JointObservation],
-    cameras: list[CameraParams],
-    min_confidence: float = 0.1,
-) -> int:
-    """Number of views whose detection falls inside the cube's projection."""
-    by_id = {c.id: c for c in cameras}
-    usable = [o for o in observations if o.confidence >= min_confidence]
-    if not usable:
-        return 0
-    cams = [by_id[o.view_id] for o in usable]
-    K, R, t = _camera_arrays(cams)
-    pixels = np.stack([o.pixel for o in usable])
-    inside = _views_containing(cube.center[None, :], np.asarray(cube.edges, dtype=float), K, R, t, pixels)
-    return int(inside[:, 0].sum())
+    half = edges / 2.0
+    in_front = (centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0).T  # (V, M)
+    rel = centers[None, :, :] - origins[:, None, :]  # (V, M, 3)
+    d = directions[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (rel - (half + _BOX_PAD)) / d
+        t_hi = (rel + (half + _BOX_PAD)) / d
+    near = np.fmax.reduce(np.minimum(t_lo, t_hi), axis=2)
+    far = np.fmin.reduce(np.maximum(t_lo, t_hi), axis=2)
+    return in_front & (near <= far)
 
 
 def estimate_joint(
@@ -239,6 +224,7 @@ def estimate_joint(
     view_ids = [o.view_id for o in usable]
     K, R, t = _camera_arrays([by_id[v] for v in view_ids])
     pixels = np.stack([o.pixel for o in usable])
+    origins, directions = _rays(K, R, t, pixels)
 
     delta = np.asarray(config.delta, dtype=float)
     centers = config.initial_volume.center[None, :].copy()
@@ -249,7 +235,7 @@ def estimate_joint(
 
     while centers.shape[0]:
         nodes += centers.shape[0]
-        inside = _views_containing(centers, edges, K, R, t, pixels)
+        inside = _views_containing(centers, edges, R, t, origins, directions)
         votes = inside.sum(axis=0)
         keep = votes >= config.sigma
         if not keep.any():

@@ -150,6 +150,52 @@ def test_unknown_view_id_exits_2(tmp_path):
     ]) == EXIT_PARSE
 
 
+def _drop_camera_4(scene):
+    """Rewrite calib.json without camera 4, which the keypoints still name."""
+    calib = scene / "calib.json"
+    mio.save_cameras(calib, [c for c in mio.load_cameras(calib) if c.id != 4])
+    return calib
+
+
+def test_eval_unknown_view_id_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    calib = _drop_camera_4(scene)
+    assert main([
+        "eval", "--skeleton", str(scene / "truth.jsonl"), "--truth", str(scene / "truth.jsonl"),
+        "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(tmp_path / "r"),
+    ]) == EXIT_PARSE
+    assert "uncalibrated views [4]" in capsys.readouterr().err
+
+
+def test_overlay_unknown_view_id_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    calib = _drop_camera_4(scene)
+    assert main([
+        "render-overlay", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--skeleton", str(scene / "truth.jsonl"), "--out", str(tmp_path / "ov"),
+    ]) == EXIT_PARSE
+    assert "uncalibrated views [4]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--sigma", "1"], ["--delta", "0x10x10"], ["--volume", "5x3000x4000"], ["--min-conf", "2"]]
+)
+def test_invalid_estimator_settings_exit_2(tmp_path, capsys, flags):
+    scene = run_synth(tmp_path, frames=1)
+    assert main([
+        "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--out", str(tmp_path / "o.jsonl"), *flags,
+    ]) == EXIT_PARSE
+    assert "invalid estimator settings" in capsys.readouterr().err
+
+
+def test_synth_zero_frames_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--preset", "walk", "--frames", "0", "--out", str(out)]) == EXIT_PARSE
+    assert "frames must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _circles(svg_text, color):
     pts = []
     for m in re.finditer(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="\d+" fill="%s"/>' % color, svg_text):

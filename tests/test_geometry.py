@@ -1,21 +1,15 @@
-"""Projection and convex-region tests, each checked against an independent
-hand-rolled oracle where the expected value is not obvious."""
+"""Projection and cube-containment tests, each checked against an
+independent oracle where the expected value is not obvious. Containment is
+the estimator's ray-box predicate; its oracle is scipy's convex hull of the
+projected cube vertices."""
 
 import numpy as np
 import pytest
+from oracles import hull_contains, slab_votes
 from scipy.spatial import ConvexHull as ScipyHull
 
-from mvmocap.geometry import (
-    CameraParams,
-    ConvexRegion,
-    NonPositiveDepth,
-    backproject,
-    convex_hull,
-    cube_projection_region,
-    project,
-    region_contains,
-)
-from mvmocap.voxel import Cube
+from mvmocap.geometry import CameraParams, NonPositiveDepth, project, project_points
+from mvmocap.voxel import _BOX_PAD, Cube, _camera_arrays, _rays, _subdivide
 
 
 def simple_camera(f=800.0, cx=640.0, cy=360.0):
@@ -36,14 +30,8 @@ def random_camera(rng):
     return CameraParams(id=0, intrinsic=K, rotation=R, translation=t, resolution=(1920, 1080))
 
 
-class PointRegionCube:
-    """Degenerate stand-in whose eight vertices coincide at one point."""
-
-    def __init__(self, center):
-        self.center = np.asarray(center, dtype=float)
-
-    def vertices(self):
-        return np.tile(self.center, (8, 1))
+def contains(cube, cam, pixel) -> bool:
+    return bool(slab_votes(cube.center, cube.edges, [cam], pixel)[0])
 
 
 # -- project -----------------------------------------------------------------
@@ -72,116 +60,113 @@ def test_project_matches_matrix_oracle(rng):
 
 
 def test_backprojection_roundtrip(rng):
+    """The viewing ray of a projected point passes through the point, at its camera depth."""
     for _ in range(100):
         cam = random_camera(rng)
         p = rng.uniform(-500, 500, size=3)
         depth = (cam.rotation @ p + cam.translation)[2]
-        assert np.allclose(backproject(project(p, cam), depth, cam), p, atol=1e-6)
+        K, R, t = _camera_arrays([cam])
+        origins, directions = _rays(K, R, t, project(p, cam)[None, :])
+        assert np.allclose(origins[0] + depth * directions[0], p, atol=1e-6)
 
 
-# -- cube projection region ----------------------------------------------------
+# -- cube containment ------------------------------------------------------------
 
 
 def test_fronto_parallel_cube_projects_to_square():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 2000.0]), edges=(300.0, 300.0, 300.0))
-    region = cube_projection_region(cube, cam)
-    assert region.vertices.shape == (4, 2)
+    pix = project_points(cube.vertices(), cam)
+    hull = pix[ScipyHull(pix).vertices]
+    assert hull.shape == (4, 2)
     # Symmetric about the principal point.
-    assert np.allclose(region.vertices.mean(axis=0), [640.0, 360.0], atol=1e-9)
+    assert np.allclose(hull.mean(axis=0), [640.0, 360.0], atol=1e-9)
+    assert contains(cube, cam, [640.0, 360.0])
 
 
 def test_degenerate_cube_projects_to_point():
+    """A zero-size box holds its own projection and nothing a thousandth of a pixel away."""
     cam = simple_camera()
     center = np.array([100.0, -50.0, 1500.0])
-    region = cube_projection_region(PointRegionCube(center), cam)
-    assert region.vertices.shape == (1, 2)
-    assert np.allclose(region.vertices[0], project(center, cam), atol=1e-12)
-    assert region_contains(region, project(center, cam))
+    pixel = project(center, cam)
+    assert slab_votes(center, np.zeros(3), [cam], pixel)[0]
+    assert not slab_votes(center, np.zeros(3), [cam], pixel + [1e-3, 0.0])[0]
+
+
+def test_ray_in_a_face_plane_is_inside():
+    """An axis-parallel ray lying exactly in a face plane of the padded box
+    crosses that slab: the 0/0 of its slab bound must not reject it."""
+    cam = simple_camera()  # camera center at the origin, principal ray along +z
+    half = 150.0
+    center = np.array([half + _BOX_PAD, 0.0, 2000.0])
+    assert slab_votes(center, np.full(3, 2.0 * half), [cam], [640.0, 360.0])[0]
+    assert not slab_votes(center + [1e-3, 0.0, 0.0], np.full(3, 2.0 * half), [cam], [640.0, 360.0])[0]
 
 
 def test_vertex_behind_camera_raises():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 100.0]), edges=(500.0, 500.0, 500.0))
     with pytest.raises(NonPositiveDepth):
-        cube_projection_region(cube, cam)
-
-
-def test_hull_area_matches_scipy_oracle(rng):
-    for _ in range(60):
-        cam = random_camera(rng)
-        cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
-        pix = np.array([project(v, cam) for v in cube.vertices()])
-        region = cube_projection_region(cube, cam)
-        ours = _shoelace(region.vertices)
-        oracle = ScipyHull(pix).volume  # 2D hull "volume" is the area
-        assert ours == pytest.approx(oracle, abs=1e-6)
-
-
-def _shoelace(v):
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
+        project_points(cube.vertices(), cam)
+    # The principal ray hits the cube, but a cube not wholly in front gets no vote.
+    assert not contains(cube, cam, [640.0, 360.0])
 
 
 def test_subcube_region_inside_parent_region(rng):
     cam = simple_camera()
     cube = Cube(center=np.array([50.0, -80.0, 2500.0]), edges=(400.0, 300.0, 350.0))
-    parent = cube_projection_region(cube, cam)
-    for child in cube.children():
-        child_region = cube_projection_region(child, cam)
-        for v in child_region.vertices:
-            assert region_contains(parent, v)
-
-
-# -- region containment -----------------------------------------------------
+    half = tuple(e / 2.0 for e in cube.edges)
+    children = [Cube(c, half) for c in _subdivide(cube.center[None, :], np.asarray(cube.edges))]
+    for pixel in rng.uniform([500.0, 200.0], [800.0, 500.0], size=(300, 2)):
+        if any(contains(child, cam, pixel) for child in children):
+            assert contains(cube, cam, pixel)
 
 
 def test_centroid_inside_far_point_outside():
-    region = ConvexRegion(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]]))
-    centroid = region.vertices.mean(axis=0)
-    assert region_contains(region, centroid)
-    diameter = 2 * np.max(np.linalg.norm(region.vertices - centroid, axis=1))
-    assert not region_contains(region, centroid + np.array([10 * diameter, 0.0]))
+    cam = simple_camera()
+    cube = Cube(center=np.array([120.0, 40.0, 2200.0]), edges=(200.0, 160.0, 240.0))
+    pix = project_points(cube.vertices(), cam)
+    centroid = pix.mean(axis=0)
+    assert contains(cube, cam, centroid)
+    diameter = 2 * np.max(np.linalg.norm(pix - centroid, axis=1))
+    assert not contains(cube, cam, centroid + np.array([10 * diameter, 0.0]))
 
 
 def test_containment_matches_half_plane_oracle(rng):
-    pts = rng.uniform(0, 100, size=(8, 2))
-    region = ConvexRegion(convex_hull(pts))
-
-    def oracle(p):
-        v = region.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            e = b - a
-            if (e[0] * (p - a)[1] - e[1] * (p - a)[0]) / np.linalg.norm(e) < -1e-9:
-                return False
-        return True
-
-    for _ in range(1000):
-        p = rng.uniform(-20, 120, size=2)
-        assert region_contains(region, p) == oracle(p)
+    for _ in range(60):
+        cam = random_camera(rng)
+        cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
+        pix = project_points(cube.vertices(), cam)
+        lo, hi = pix.min(axis=0), pix.max(axis=0)
+        for pixel in rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), size=(40, 2)):
+            assert contains(cube, cam, pixel) == hull_contains(cube, cam, pixel)
 
 
-def test_containment_invariant_under_vertex_rotation(rng):
-    pts = rng.uniform(0, 50, size=(8, 2))
-    hull = convex_hull(pts)
-    probes = rng.uniform(-10, 60, size=(200, 2))
-    base = [region_contains(ConvexRegion(hull), p) for p in probes]
-    for k in range(1, len(hull)):
-        rotated = ConvexRegion(np.roll(hull, k, axis=0))
-        assert [region_contains(rotated, p) for p in probes] == base
-
-
-def test_boundary_points_are_inside():
-    region = ConvexRegion(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
-    assert region_contains(region, np.array([2.0, 0.0]))  # edge midpoint
-    assert region_contains(region, np.array([4.0, 4.0]))  # vertex
+def test_boundary_points_are_inside(rng):
+    """Hull vertices and hull-edge midpoints are inside; a step outward is not."""
+    for _ in range(60):
+        cam = random_camera(rng)
+        cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
+        pix = project_points(cube.vertices(), cam)
+        hull = ScipyHull(pix)
+        ring = pix[hull.vertices]
+        for a, b in zip(ring, np.roll(ring, -1, axis=0)):
+            assert contains(cube, cam, a)
+            assert contains(cube, cam, (a + b) / 2.0)
+        for (i, j), eq in zip(hull.simplices, hull.equations):
+            assert not contains(cube, cam, (pix[i] + pix[j]) / 2.0 + 1e-3 * eq[:2])
 
 
 def test_segment_region_containment():
-    region = ConvexRegion(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    assert region_contains(region, np.array([5.0, 0.0]))
-    assert not region_contains(region, np.array([5.0, 1.0]))
+    """A box flat in two axes holds exactly its projected segment."""
+    cam = simple_camera()
+    center = np.array([0.0, 0.0, 2000.0])
+    edges = np.array([300.0, 0.0, 0.0])
+    mid = project(center, cam)
+    assert slab_votes(center, edges, [cam], mid)[0]
+    assert slab_votes(center, edges, [cam], project(center + [100.0, 0.0, 0.0], cam))[0]
+    assert not slab_votes(center, edges, [cam], mid + [0.0, 1.0])[0]
+    assert not slab_votes(center, edges, [cam], project(center + [200.0, 0.0, 0.0], cam))[0]
 
 
 # -- validation ---------------------------------------------------------------
@@ -199,8 +184,3 @@ def test_camera_params_validation():
         CameraParams(id=0, intrinsic=bad_k, rotation=np.eye(3), translation=np.zeros(3), resolution=(10, 10))
     with pytest.raises(ValueError):
         CameraParams(id=0, intrinsic=K, rotation=np.eye(3), translation=np.zeros(3), resolution=(0, 10))
-
-
-def test_convex_region_rejects_nonconvex():
-    with pytest.raises(ValueError):
-        ConvexRegion(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 1.0], [0.0, 4.0]]))

@@ -9,7 +9,6 @@ from mvmocap.retarget import (
     STATUS_FELL_BACK,
     STATUS_OK,
     DegenerateParallel,
-    chain_rotations,
     frame_from_bone,
     retarget_frame,
     retarget_sequence,
@@ -61,15 +60,15 @@ def test_frame_action_and_orthonormality(rng):
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
 
 
-# -- chain_rotations -------------------------------------------------------------
+# -- accumulated rotations -------------------------------------------------------
 
 
 def test_tpose_accumulates_identity(topology, template):
     skel = Skeleton3D.from_positions(0, tpose_positions())
-    accumulated, statuses = chain_rotations(skel, topology, template)
-    assert set(statuses.values()) == {STATUS_OK}
-    for name, acc in accumulated.items():
-        assert np.allclose(acc, np.eye(3), atol=1e-9), name
+    ts = retarget_frame(skel, topology, template)
+    assert set(ts.statuses.values()) == {STATUS_OK}
+    for name in ts.transforms:
+        assert np.allclose(ts.rotation(name), np.eye(3), atol=1e-9), name
 
 
 def test_bent_elbow_is_pure_z_rotation(topology, template):
@@ -77,20 +76,20 @@ def test_bent_elbow_is_pure_z_rotation(topology, template):
     # Bend the left elbow 90 degrees about template z: hand moves straight up.
     positions[7] = positions[6] + np.array([0.0, 260.0, 0.0])
     skel = Skeleton3D.from_positions(0, positions)
-    accumulated, _ = chain_rotations(skel, topology, template)
-    assert np.allclose(accumulated["l_upper_arm"], np.eye(3), atol=1e-9)
-    assert np.allclose(accumulated["l_lower_arm"], rotation_about_axis(Z, np.pi / 2), atol=1e-9)
+    ts = retarget_frame(skel, topology, template)
+    # The left frame class is the identity, so global rotations are the local ones.
+    assert np.allclose(ts.rotation("l_upper_arm"), np.eye(3), atol=1e-9)
+    assert np.allclose(ts.rotation("l_lower_arm"), rotation_about_axis(Z, np.pi / 2), atol=1e-9)
 
 
 def test_chain_fk_reproduces_bone_directions(topology, template):
     for preset in ("walk", "wave", "squat"):
         scene = generate_scene(preset, frames=8, seed=13)
         for skel in scene.truth:
-            accumulated, statuses = chain_rotations(skel, topology, template)
+            ts = retarget_frame(skel, topology, template)
             for bone in topology.bones:
-                assert statuses[bone.name] == STATUS_OK
-                rc = template.frame_rotation[bone.frame_class]
-                fk = rc @ accumulated[bone.name] @ rc.T @ template.rest_direction[bone.name]
+                assert ts.statuses[bone.name] == STATUS_OK
+                fk = ts.rotation(bone.name) @ template.rest_direction[bone.name]
                 assert np.allclose(fk, bone_vector(skel, bone.name, topology), atol=1e-6)
 
 

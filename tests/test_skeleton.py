@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,9 @@ from mvmocap.skeleton import (
     ROOT_JOINT,
     MissingJoint,
     Skeleton3D,
+    SkeletonTopology,
     ZeroLengthBone,
     bone_vector,
-    template_from_dict,
-    topology_from_dict,
-    topology_to_dict,
     tpose_positions,
 )
 
@@ -130,25 +130,7 @@ def test_skeleton_positions_must_match_statuses():
         Skeleton3D(frame=0, positions={0: np.zeros(3)}, statuses={0: "no_consensus"})
 
 
-def test_topology_round_trips_through_dict(topology):
-    rebuilt = topology_from_dict(topology_to_dict(topology))
-    assert rebuilt == topology
-
-
-def test_template_from_dict(template):
-    data = {
-        "rest_direction": {k: list(v) for k, v in template.rest_direction.items()},
-        "frame_rotation": {k: [list(r) for r in v] for k, v in template.frame_rotation.items()},
-    }
-    rebuilt = template_from_dict(data)
-    for name in template.rest_direction:
-        assert np.allclose(rebuilt.rest_direction[name], template.rest_direction[name])
-
-
 def test_topology_rejects_two_roots(topology):
-    data = topology_to_dict(topology)
-    for b in data["bones"]:
-        if b["name"] == "head":
-            b["parent_bone"] = None
+    bones = tuple(replace(b, parent_bone=None) if b.name == "head" else b for b in topology.bones)
     with pytest.raises(ValueError):
-        topology_from_dict(data)
+        SkeletonTopology(joints=topology.joints, bones=bones)

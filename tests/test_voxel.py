@@ -1,18 +1,19 @@
-"""Subdivision estimator tests against brute-force and DLT oracles."""
+"""Subdivision estimator tests against convex-hull and DLT oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hull_contains, slab_votes
 
-from mvmocap.geometry import NonPositiveDepth, cube_projection_region, project, region_contains
+from mvmocap.geometry import project
 from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.synth import dlt_triangulate, generate_scene, render_observations
 from mvmocap.voxel import (
     Cube,
     EstimatorConfig,
     JointObservation,
-    count_votes,
+    _subdivide,
     estimate_joint,
     estimate_skeleton,
 )
@@ -32,44 +33,49 @@ def observe_point(point, cameras, noise=0.0, rng=None, skip_views=()):
     return obs
 
 
-# -- count_votes ---------------------------------------------------------------
+def votes(cube, observations, cameras) -> int:
+    """Views whose detection falls inside the cube's projection, by the estimator's predicate."""
+    by_id = {c.id: c for c in cameras}
+    cams = [by_id[o.view_id] for o in observations]
+    return int(slab_votes(cube.center, cube.edges, cams, [o.pixel for o in observations]).sum())
+
+
+def hull_votes(cube, observations, cameras) -> int:
+    by_id = {c.id: c for c in cameras}
+    return sum(hull_contains(cube, by_id[o.view_id], o.pixel) for o in observations)
+
+
+# -- votes ----------------------------------------------------------------------
 
 
 def test_perfect_consensus_counts_all_views(ring):
     point = np.array([120.0, 250.0, -90.0])
     cube = Cube(center=point + 5.0, edges=(80.0, 80.0, 80.0))
-    assert count_votes(cube, observe_point(point, ring), ring) == 5
+    assert votes(cube, observe_point(point, ring), ring) == 5
 
 
-def test_empty_observations_count_zero(ring):
-    cube = Cube(center=np.zeros(3), edges=(100.0, 100.0, 100.0))
-    assert count_votes(cube, [], ring) == 0
+def test_empty_observations_count_zero(ring, config):
+    est = estimate_joint([], ring, config)
+    assert est.status == STATUS_NO_CONSENSUS
+    assert est.candidate_count == 0 and est.nodes_visited == 0
 
 
-def test_low_confidence_observations_ignored(ring):
-    point = np.array([0.0, 100.0, 0.0])
-    obs = observe_point(point, ring)
+def test_low_confidence_observations_ignored(ring, config):
+    obs = observe_point(np.array([0.0, 100.0, 0.0]), ring)
+    assert estimate_joint(obs, ring, config).status == STATUS_OK
     weak = [JointObservation(o.view_id, o.pixel, 0.05) for o in obs]
-    cube = Cube(center=point, edges=(100.0, 100.0, 100.0))
-    assert count_votes(cube, weak, ring) == 0
+    est = estimate_joint(weak, ring, config)
+    assert est.status == STATUS_NO_CONSENSUS
+    assert est.nodes_visited == 0
 
 
-def test_count_votes_matches_brute_force(ring, rng):
-    """Oracle: per-view hull construction plus containment test."""
+def test_votes_match_hull_oracle(ring, rng):
+    """Oracle: per-view convex hull of the projected vertices plus a half-plane test."""
     for _ in range(120):
         cube = Cube(center=rng.uniform(-800, 800, size=3), edges=tuple(rng.uniform(20, 500, size=3)))
         target = rng.uniform(-900, 900, size=3)
         obs = observe_point(target, ring, noise=rng.uniform(0, 40), rng=rng)
-        expected = 0
-        for o in obs:
-            cam = next(c for c in ring if c.id == o.view_id)
-            try:
-                region = cube_projection_region(cube, cam)
-            except NonPositiveDepth:
-                continue
-            if region_contains(region, o.pixel):
-                expected += 1
-        assert count_votes(cube, obs, ring) == expected
+        assert votes(cube, obs, ring) == hull_votes(cube, obs, ring)
 
 
 # -- estimate_joint -------------------------------------------------------------
@@ -113,6 +119,21 @@ def test_noisy_estimate_tracks_dlt(ring, config, rng):
     assert consensus >= 5
 
 
+def test_least_squares_point_is_clamped_to_candidates():
+    """A noisy walk joint whose least-squares point lies 1.9 mm outside the
+    candidates' bounding box is placed on that box."""
+    scene = generate_scene("walk", frames=11, noise_px=1.0, seed=11)
+    obs = render_observations(scene)[10].observations_for(9)
+    est = estimate_joint(obs, scene.cameras, EstimatorConfig(delta=(20.0, 20.0, 20.0)))
+    assert est.status == STATUS_OK
+    half = np.asarray(est.terminal_edges) / 2.0
+    lo, hi = est.candidates.min(axis=0) - half, est.candidates.max(axis=0) + half
+    unclamped = dlt_triangulate([o for o in obs if o.view_id in est.supporting_views], scene.cameras)
+    assert np.any((unclamped < lo - 1.0) | (unclamped > hi + 1.0))
+    assert np.all((est.position >= lo) & (est.position <= hi))
+    assert np.allclose(est.position, np.clip(unclamped, lo, hi), atol=1e-6)
+
+
 def test_pruning_soundness(ring, config, rng):
     """Every emitted candidate cube really has at least sigma votes."""
     point = rng.uniform(-500, 500, size=3)
@@ -121,7 +142,7 @@ def test_pruning_soundness(ring, config, rng):
     assert est.candidates is not None
     for center in est.candidates:
         cube = Cube(center=center, edges=est.terminal_edges)
-        assert count_votes(cube, obs, ring) >= config.sigma
+        assert hull_votes(cube, obs, ring) >= config.sigma
 
 
 def test_resolution_bound_on_candidates(ring, config, rng):
@@ -254,9 +275,10 @@ def test_config_validation():
 
 
 def test_cube_children_halve_edges():
+    """Subdivision yields the centers of the eight half-size cubes that tile the parent."""
     cube = Cube(center=np.array([10.0, 20.0, 30.0]), edges=(100.0, 80.0, 60.0))
-    kids = cube.children()
-    assert len(kids) == 8
+    kids = _subdivide(cube.center[None, :], np.asarray(cube.edges))
+    assert kids.shape == (8, 3)
+    assert len({tuple(k) for k in kids}) == 8
     for k in kids:
-        assert k.edges == (50.0, 40.0, 30.0)
-        assert np.all(np.abs(k.center - cube.center) == [25.0, 20.0, 15.0])
+        assert np.all(np.abs(k - cube.center) == [25.0, 20.0, 15.0])
