@@ -162,11 +162,18 @@ def _camera_arrays(cameras: list[CameraParams]) -> tuple[np.ndarray, np.ndarray,
 
 
 def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame viewing rays (V, 3): camera centers -R^T t and directions R^T K^-1 [u, v, 1]."""
+    """World-frame viewing rays (V, 3): camera centers -R^T t and directions R^T K^-1 [u, v, 1].
+
+    A view whose direction is not finite (an inf or NaN pixel) gets an
+    all-NaN ray, which hits no cube.
+    """
     homog = np.concatenate([pixels, np.ones((pixels.shape[0], 1))], axis=1)
     cam_dirs = np.linalg.solve(K, homog[:, :, None])[:, :, 0]
     origins = -np.einsum("vji,vj->vi", R, t)
     directions = np.einsum("vji,vj->vi", R, cam_dirs)
+    bad = ~np.isfinite(directions).all(axis=1)
+    origins[bad] = np.nan
+    directions[bad] = np.nan
     return origins, directions
 
 

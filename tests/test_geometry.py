@@ -30,10 +30,6 @@ def random_camera(rng):
     return CameraParams(id=0, intrinsic=K, rotation=R, translation=t, resolution=(1920, 1080))
 
 
-def contains(cube, cam, pixel) -> bool:
-    return bool(slab_votes(cube.center, cube.edges, [cam], pixel)[0])
-
-
 # -- project -----------------------------------------------------------------
 
 
@@ -81,7 +77,7 @@ def test_fronto_parallel_cube_projects_to_square():
     assert hull.shape == (4, 2)
     # Symmetric about the principal point.
     assert np.allclose(hull.mean(axis=0), [640.0, 360.0], atol=1e-9)
-    assert contains(cube, cam, [640.0, 360.0])
+    assert slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]
 
 
 def test_degenerate_cube_projects_to_point():
@@ -109,7 +105,7 @@ def test_vertex_behind_camera_raises():
     with pytest.raises(NonPositiveDepth):
         project_points(cube.vertices(), cam)
     # The principal ray hits the cube, but a cube not wholly in front gets no vote.
-    assert not contains(cube, cam, [640.0, 360.0])
+    assert not slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]
 
 
 def test_subcube_region_inside_parent_region(rng):
@@ -118,8 +114,8 @@ def test_subcube_region_inside_parent_region(rng):
     half = tuple(e / 2.0 for e in cube.edges)
     children = [Cube(c, half) for c in _subdivide(cube.center[None, :], np.asarray(cube.edges))]
     for pixel in rng.uniform([500.0, 200.0], [800.0, 500.0], size=(300, 2)):
-        if any(contains(child, cam, pixel) for child in children):
-            assert contains(cube, cam, pixel)
+        if any(slab_votes(child.center, child.edges, [cam], pixel)[0] for child in children):
+            assert slab_votes(cube.center, cube.edges, [cam], pixel)[0]
 
 
 def test_centroid_inside_far_point_outside():
@@ -127,9 +123,9 @@ def test_centroid_inside_far_point_outside():
     cube = Cube(center=np.array([120.0, 40.0, 2200.0]), edges=(200.0, 160.0, 240.0))
     pix = project_points(cube.vertices(), cam)
     centroid = pix.mean(axis=0)
-    assert contains(cube, cam, centroid)
+    assert slab_votes(cube.center, cube.edges, [cam], centroid)[0]
     diameter = 2 * np.max(np.linalg.norm(pix - centroid, axis=1))
-    assert not contains(cube, cam, centroid + np.array([10 * diameter, 0.0]))
+    assert not slab_votes(cube.center, cube.edges, [cam], centroid + np.array([10 * diameter, 0.0]))[0]
 
 
 def test_containment_matches_half_plane_oracle(rng):
@@ -139,7 +135,7 @@ def test_containment_matches_half_plane_oracle(rng):
         pix = project_points(cube.vertices(), cam)
         lo, hi = pix.min(axis=0), pix.max(axis=0)
         for pixel in rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), size=(40, 2)):
-            assert contains(cube, cam, pixel) == hull_contains(cube, cam, pixel)
+            assert slab_votes(cube.center, cube.edges, [cam], pixel)[0] == hull_contains(cube, cam, pixel)
 
 
 def test_boundary_points_are_inside(rng):
@@ -151,10 +147,10 @@ def test_boundary_points_are_inside(rng):
         hull = ScipyHull(pix)
         ring = pix[hull.vertices]
         for a, b in zip(ring, np.roll(ring, -1, axis=0)):
-            assert contains(cube, cam, a)
-            assert contains(cube, cam, (a + b) / 2.0)
+            assert slab_votes(cube.center, cube.edges, [cam], a)[0]
+            assert slab_votes(cube.center, cube.edges, [cam], (a + b) / 2.0)[0]
         for (i, j), eq in zip(hull.simplices, hull.equations):
-            assert not contains(cube, cam, (pix[i] + pix[j]) / 2.0 + 1e-3 * eq[:2])
+            assert not slab_votes(cube.center, cube.edges, [cam], (pix[i] + pix[j]) / 2.0 + 1e-3 * eq[:2])[0]
 
 
 def test_segment_region_containment():

@@ -69,6 +69,25 @@ def test_low_confidence_observations_ignored(ring, config):
     assert est.nodes_visited == 0
 
 
+@pytest.mark.parametrize("axis,value", [(0, np.inf), (1, np.inf), (0, -np.inf), (1, np.nan)])
+@pytest.mark.parametrize("sigma", [2, 4])
+def test_non_finite_pixel_gets_no_vote(ring, axis, value, sigma):
+    """A view with a non-finite pixel counts as if it were absent."""
+    point = np.array([120.0, 250.0, -90.0])
+    obs = observe_point(point, ring)
+    pixel = obs[0].pixel.copy()
+    pixel[axis] = value
+    corrupt = [JointObservation(obs[0].view_id, pixel, 1.0), *obs[1:]]
+    cfg = EstimatorConfig(sigma=sigma)
+    for cube in (cfg.initial_volume, Cube(center=point + 5.0, edges=(80.0, 80.0, 80.0))):
+        assert votes(cube, corrupt, ring) == votes(cube, obs[1:], ring)
+    want, got = estimate_joint(obs[1:], ring, cfg), estimate_joint(corrupt, ring, cfg)
+    assert got.status == want.status == STATUS_OK
+    assert got.supporting_views == want.supporting_views == frozenset(range(1, 5))
+    assert (got.candidate_count, got.nodes_visited) == (want.candidate_count, want.nodes_visited)
+    assert np.array_equal(got.position, want.position)
+
+
 def test_votes_match_hull_oracle(ring, rng):
     """Oracle: per-view convex hull of the projected vertices plus a half-plane test."""
     for _ in range(120):
