@@ -20,7 +20,6 @@ from .retarget import (
     retarget_frame,
     retarget_sequence,
     spin_correct,
-    to_global,
 )
 from .skeleton import (
     Skeleton3D,

@@ -113,8 +113,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
-            cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+            cfg = RunConfig.from_dict(mio.DECODER.decode(Path(args.config).read_text(encoding="utf-8")))
+        except (OSError, TypeError, ValueError) as exc:
             raise mio.InputParseError(f"{args.config}: bad config file: {exc}") from exc
     for name in ("calib", "keypoints", "truth", "skeleton", "out"):
         value = getattr(args, name.replace("-", "_"), None)

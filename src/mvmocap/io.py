@@ -14,12 +14,14 @@ Formats:
                (the "p" entry is omitted for joints without consensus)
   transforms   one line per frame:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
-All matrices are row-major.
+All matrices are row-major. Readers reject NaN and Infinity tokens; record
+numbers must be finite and positions and matrices of the stated length.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -33,6 +35,25 @@ from .voxel import JointObservation, JointObservationFrame
 
 class InputParseError(ValueError):
     """Malformed input file; message carries file and line context."""
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+# Rejects the NaN, Infinity and -Infinity tokens that json accepts by default.
+DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+# What converting a malformed record raises. OverflowError comes from int()
+# of a number that json read as infinity, such as 1e400.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _finite_vector(value, n: int) -> np.ndarray:
+    """A list of exactly n finite numbers as an array; ValueError otherwise."""
+    if len(value) != n or not all(map(math.isfinite, value)):
+        raise ValueError(f"expected {n} finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def _fmt(x: float) -> str:
@@ -67,8 +88,8 @@ def save_cameras(path: str | Path, cameras: list[CameraParams]) -> None:
 def load_cameras(path: str | Path) -> list[CameraParams]:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = DECODER.decode(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise InputParseError(f"{path}: cannot parse calibration: {exc}") from exc
     cameras = []
     try:
@@ -82,7 +103,7 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
                     resolution=(int(entry["width"]), int(entry["height"])),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _RECORD_ERRORS as exc:
         raise InputParseError(f"{path}: invalid camera entry: {exc}") from exc
     return cameras
 
@@ -131,20 +152,19 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
     path = Path(path)
     for lineno, raw in enumerate(_read_lines(path), start=1):
         try:
-            rec = json.loads(raw)
+            rec = DECODER.decode(raw)
             views: dict[int, dict[int, JointObservation]] = {}
             for view in rec["views"]:
                 view_id = int(view["view_id"])
                 joints = {}
                 for j in view["joints"]:
-                    joints[int(j["idx"])] = JointObservation(
-                        view_id=view_id,
-                        pixel=np.array([float(j["u"]), float(j["v"])]),
-                        confidence=float(j["c"]),
-                    )
+                    u, v, c = float(j["u"]), float(j["v"]), float(j["c"])
+                    if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(c)):
+                        raise ValueError(f"non-finite number in joint {j!r}")
+                    joints[int(j["idx"])] = JointObservation(view_id=view_id, pixel=np.array([u, v]), confidence=c)
                 views[view_id] = joints
             yield JointObservationFrame(frame=int(rec["frame"]), views=views)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad keypoint record: {exc}") from exc
 
 
@@ -172,16 +192,16 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
     path = Path(path)
     for lineno, raw in enumerate(_read_lines(path), start=1):
         try:
-            rec = json.loads(raw)
+            rec = DECODER.decode(raw)
             positions: dict[int, np.ndarray] = {}
             statuses: dict[int, str] = {}
             for j in rec["joints"]:
                 idx = int(j["idx"])
                 statuses[idx] = str(j["status"])
                 if j["status"] == STATUS_OK:
-                    positions[idx] = np.asarray(j["p"], dtype=float)
+                    positions[idx] = _finite_vector(j["p"], 3)
             yield Skeleton3D(frame=int(rec["frame"]), positions=positions, statuses=statuses)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc
 
 
@@ -207,14 +227,17 @@ def read_transforms(path: str | Path) -> Iterator[BoneTransformSet]:
     path = Path(path)
     for lineno, raw in enumerate(_read_lines(path), start=1):
         try:
-            rec = json.loads(raw)
+            rec = DECODER.decode(raw)
             transforms = {}
             statuses = {}
             for b in rec["bones"]:
-                transforms[str(b["name"])] = np.asarray(b["T"], dtype=float)
+                T = b["T"]
+                if len(T) != 4:
+                    raise ValueError(f"expected 4 rows, got {T!r}")
+                transforms[str(b["name"])] = np.array([_finite_vector(row, 4) for row in T])
                 statuses[str(b["name"])] = str(b["status"])
             yield BoneTransformSet(frame=int(rec["frame"]), transforms=transforms, statuses=statuses)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad transform record: {exc}") from exc
 
 

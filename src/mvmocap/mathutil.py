@@ -26,12 +26,3 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     skew = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
     return c * np.eye(3) + (1.0 - c) * np.outer(k, k) + s * skew
 
-
-def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when `m` is orthonormal with determinant +1 within `tol`."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        return False
-    if not np.allclose(m @ m.T, np.eye(3), atol=tol):
-        return False
-    return abs(np.linalg.det(m) - 1.0) <= tol

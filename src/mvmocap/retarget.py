@@ -1,18 +1,20 @@
 """Bone rotation construction from 3D skeletons.
 
-Each bone's observed direction is pulled back through its parent's
-accumulated rotation, expressed in the bone's local rest frame, and turned
-into the rotation that carries the local x-axis onto it. Walking the tree
-in topological order and composing parent-then-local yields accumulated
-rotations whose action on the rest directions reproduces every observed
-bone direction exactly.
+Everything happens in world coordinates. Walking the tree in topological
+order, each bone's rest frame is first carried along by its parent's
+rotation: q = g_parent @ rc, where rc is the bone's class frame, so q's
+x-axis is where the bone would point had it not moved relative to its
+parent. The minimal rotation that swings q's x-axis onto the observed
+bone direction, applied to q, gives the bone's posed frame; its action on
+the rest direction reproduces the observed direction exactly.
 
 Two endpoints leave the roll about the bone axis unconstrained. The spin
-corrector removes it by rolling the frame about its x-axis until the
-frame's y-axis lies in the plane spanned by the bone axis and the parent
-frame's y-axis. Finally each rotation is conjugated by its class frame so
-the emitted 4x4 transform acts in global coordinates; translations are
-always zero because rigs carry their own bone offsets.
+corrector removes it by one Gram-Schmidt step: it keeps the frame's
+x-axis and takes as y-axis the part of q's y-axis orthogonal to it, so y
+lies in the plane spanned by the bone axis and the parent-carried y-axis.
+Right-multiplying by rc.T turns the frame back into a rotation of the
+rest pose, emitted as a 4x4 transform whose translation is always zero
+because rigs carry their own bone offsets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import rotation_about_axis
 from .skeleton import (
     STATUS_OK,
     MissingJoint,
@@ -36,9 +37,6 @@ STATUS_FELL_BACK = "fell_back"
 
 # Below this cross-product norm two axes are treated as parallel.
 PARALLEL_TOL = 1e-6
-
-_X = np.array([1.0, 0.0, 0.0])
-_Y = np.array([0.0, 1.0, 0.0])
 
 
 class DegenerateParallel(ValueError):
@@ -98,45 +96,22 @@ def frame_from_bone(
 def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
     """Remove free roll about the bone axis.
 
-    Measures the dihedral angle between the plane (bone x-axis, parent
-    frame y-axis) and the plane (bone x-axis, frame y-axis), rolls the
-    frame about its x-axis by plus or minus that angle, and keeps the
-    candidate whose y-axis lands in the reference plane. The bone axis is
-    the rotation axis, so it is preserved exactly.
+    Keeps the bone x-axis and replaces the y-axis by the parent frame's
+    y-axis made orthogonal to it (one Gram-Schmidt step), so the corrected
+    y-axis lies in the plane of the bone axis and the parent's y-axis and
+    points to the same side as the parent's. The bone axis is preserved
+    exactly.
 
-    Returns the input unchanged when the angle is zero or when the bone
-    axis is parallel to the parent's y-axis (no reference plane exists).
+    Returns the input unchanged when the bone axis is parallel to the
+    parent's y-axis (no reference plane exists).
     """
     x_axis = rotation[:, 0]
     y_ref = parent_frame[:, 1]
-    n_ref = np.cross(x_axis, y_ref)
-    norm_ref = np.linalg.norm(n_ref)
-    if norm_ref < PARALLEL_TOL:
+    if np.linalg.norm(np.cross(x_axis, y_ref)) < PARALLEL_TOL:
         return rotation
-    n_ref = n_ref / norm_ref
-    n_cur = np.cross(x_axis, rotation[:, 1])  # unit: y is orthogonal to x
-    # Dihedral angle via atan2: well conditioned near zero.
-    theta = float(np.arctan2(np.linalg.norm(np.cross(n_cur, n_ref)), np.dot(n_cur, n_ref)))
-    if theta < 1e-12:
-        return rotation
-
-    best = None
-    best_resid = None
-    for sign in (1.0, -1.0):
-        y_cand = rotation_about_axis(x_axis, sign * theta) @ rotation[:, 1]
-        cand = np.column_stack([x_axis, y_cand, np.cross(x_axis, y_cand)])
-        resid = abs(np.dot(y_cand, n_ref))
-        if best is None or resid < best_resid - 1e-9:
-            best, best_resid = cand, resid
-        elif abs(resid - best_resid) <= 1e-9 and np.dot(cand[:, 1], y_ref) > np.dot(best[:, 1], y_ref):
-            best = cand
-    return best
-
-
-def to_global(local: np.ndarray, frame_class: str, template: TPoseTemplate) -> np.ndarray:
-    """Conjugate a local-frame rotation into global coordinates."""
-    rc = template.frame_rotation[frame_class]
-    return rc @ local @ rc.T
+    y = y_ref - np.dot(y_ref, x_axis) * x_axis
+    y = y / np.linalg.norm(y)
+    return np.column_stack([x_axis, y, np.cross(x_axis, y)])
 
 
 def retarget_frame(
@@ -145,20 +120,20 @@ def retarget_frame(
     template: TPoseTemplate,
     previous: BoneTransformSet | None = None,
 ) -> BoneTransformSet:
-    """Full per-frame composition ending in 4x4 transforms.
+    """Per-frame bone rotations as 4x4 transforms, parents before children.
 
-    Bone directions -> local rotation -> chained accumulation -> spin
-    correction -> global conjugation. Bones lacking endpoint data hold the
-    previous frame's rotation when one is supplied, otherwise the
-    identity, and report status "fell_back". Translations are zero and the
-    bottom row is exactly (0, 0, 0, 1).
+    For each bone with both endpoints: carry the class frame by the
+    parent's rotation (q = g_parent @ rc), swing q's x-axis onto the
+    observed direction, spin-correct against q, and map back to the rest
+    pose with @ rc.T. Bones lacking endpoint data hold the previous
+    frame's rotation when one is supplied, otherwise the identity, and
+    report status "fell_back". Translations are zero and the bottom row is
+    exactly (0, 0, 0, 1).
     """
     transforms: dict[str, np.ndarray] = {}
     statuses: dict[str, str] = {}
     global_rot: dict[str, np.ndarray] = {}
-    for bone in topology.bones_topological():
-        g_parent = global_rot.get(bone.parent_bone, np.eye(3)) if bone.parent_bone else np.eye(3)
-        rc = template.frame_rotation[bone.frame_class]
+    for bone in topology.bones:
         try:
             direction = bone_vector(skeleton, bone.name, topology)
         except (MissingJoint, ZeroLengthBone):
@@ -168,13 +143,9 @@ def retarget_frame(
                 rot = np.eye(3)
             statuses[bone.name] = STATUS_FELL_BACK
         else:
-            pulled_back = g_parent.T @ direction
-            x_local = rc.T @ pulled_back
-            local = frame_from_bone(x_local, _X, secondary=_Y)
-            acc = rc.T @ g_parent @ rc @ local
-            parent_local = rc.T @ g_parent @ rc
-            acc = spin_correct(acc, parent_local)
-            rot = rc @ acc @ rc.T
+            rc = template.frame_rotation[bone.frame_class]
+            q = global_rot[bone.parent_bone] @ rc if bone.parent_bone else rc
+            rot = spin_correct(frame_from_bone(direction, q[:, 0], secondary=q[:, 1]) @ q, q) @ rc.T
             statuses[bone.name] = STATUS_OK
         global_rot[bone.name] = rot
         T = np.eye(4)

@@ -109,57 +109,37 @@ T_POSE_POSITIONS = {
 
 @dataclass(frozen=True)
 class SkeletonTopology:
-    """Joint index/name table plus the bone tree rooted at the torso."""
+    """Joint index/name table plus the bone tree rooted at the torso.
+
+    Bones are listed parents first, so iterating `bones` visits every
+    parent before its children.
+    """
 
     joints: tuple[tuple[int, str], ...]
     bones: tuple[Bone, ...]
 
     def __post_init__(self):
-        by_name = {b.name: b for b in self.bones}
         joint_ids = {idx for idx, _ in self.joints}
         roots = [b for b in self.bones if b.parent_bone is None]
         if len(roots) != 1:
             raise ValueError("bone tree must have exactly one root bone")
+        by_name: dict[str, Bone] = {}
         for b in self.bones:
             if b.parent_joint not in joint_ids or b.child_joint not in joint_ids:
                 raise ValueError(f"bone {b.name} references an unknown joint")
+            # Parents come first: this also rules out cycles and unknown parents.
             if b.parent_bone is not None and b.parent_bone not in by_name:
-                raise ValueError(f"bone {b.name} references unknown parent {b.parent_bone}")
+                raise ValueError(f"bone {b.name} is listed before its parent {b.parent_bone}, or the parent is unknown")
             if b.frame_class not in FRAME_CLASSES:
                 raise ValueError(f"bone {b.name} has unknown frame class {b.frame_class}")
-            # Every parent chain must reach the root in a few hops.
-            seen = set()
-            cur = b
-            while cur.parent_bone is not None:
-                if cur.name in seen or len(seen) > len(self.bones):
-                    raise ValueError("bone parentage contains a cycle")
-                seen.add(cur.name)
-                cur = by_name[cur.parent_bone]
-        ordered: list[Bone] = []
-        emitted: set[str] = set()
-        pending = list(self.bones)
-        while pending:
-            progressed = False
-            for b in list(pending):
-                if b.parent_bone is None or b.parent_bone in emitted:
-                    ordered.append(b)
-                    emitted.add(b.name)
-                    pending.remove(b)
-                    progressed = True
-            if not progressed:
-                raise ValueError("bone parentage is not a tree")
+            by_name[b.name] = b
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_topological", tuple(ordered))
 
     def bone(self, name: str) -> Bone:
         try:
             return self._by_name[name]
         except KeyError:
             raise KeyError(name) from None
-
-    def bones_topological(self) -> tuple[Bone, ...]:
-        """Bones ordered so every parent precedes its children."""
-        return self._topological
 
     @property
     def detected_joint_indices(self) -> tuple[int, ...]:

@@ -98,7 +98,7 @@ def _pose_from_rotations(
     positions = {ROOT_JOINT: template[ROOT_JOINT] + root_offset}
     for hip in (8, 11):
         positions[hip] = positions[ROOT_JOINT] + torso_rot @ (template[hip] - template[ROOT_JOINT])
-    for bone in topology.bones_topological():
+    for bone in topology.bones:
         rot = bone_rotations.get(bone.name, np.eye(3))
         offset = template[bone.child_joint] - template[bone.parent_joint]
         positions[bone.child_joint] = positions[bone.parent_joint] + rot @ offset
@@ -168,6 +168,10 @@ def generate_scene(
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {PRESETS}")
     if frames < 1:
         raise ValueError("frames must be at least 1")
+    if not (np.isfinite(noise_px) and noise_px >= 0.0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise_px}")
+    if not 0.0 <= dropout <= 1.0:
+        raise ValueError(f"dropout must lie in [0, 1], got {dropout}")
     motion = _MOTIONS[preset]
     period = 40.0
     truth = []

@@ -1,14 +1,20 @@
-"""Containment helpers shared by the geometry and estimator tests.
+"""Reference implementations shared by the tests.
 
-`hull_contains` is the independent oracle: scipy's convex hull of the
-projected cube vertices. `slab_votes` runs the estimator's own ray-box
-predicate on one cube.
+`hull_contains` is the independent containment oracle: scipy's convex hull
+of the projected cube vertices. `slab_votes` runs the estimator's own
+ray-box predicate on one cube. `class_frame_retarget` is the bone
+rotation chain written in each bone's class frame: pull-back through the
+parent, conjugations by the class rotation and a plus-or-minus angle roll
+search, against which the world-frame retarget is checked.
 """
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap.geometry import NonPositiveDepth, project_points
+from mvmocap.mathutil import rotation_about_axis
+from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, frame_from_bone
+from mvmocap.skeleton import STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
 from mvmocap.voxel import _camera_arrays, _rays, _views_containing
 
 # Boundary tolerance of the oracle, pixels of perpendicular distance.
@@ -32,3 +38,70 @@ def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
     origins, directions = _rays(K, R, t, np.atleast_2d(np.asarray(pixels, dtype=float)))
     center = np.asarray(center, dtype=float)[None, :]
     return _views_containing(center, np.asarray(edges, dtype=float), R, t, origins, directions)[:, 0]
+
+
+_X = np.array([1.0, 0.0, 0.0])
+_Y = np.array([0.0, 1.0, 0.0])
+
+
+def is_rotation(m, tol: float = 1e-9) -> bool:
+    """True when `m` is orthonormal with determinant +1 within `tol`."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        return False
+    if not np.allclose(m @ m.T, np.eye(3), atol=tol):
+        return False
+    return abs(np.linalg.det(m) - 1.0) <= tol
+
+
+def roll_search_spin_correct(rotation, parent_frame):
+    """Roll the frame about its x-axis by plus or minus the dihedral angle
+    between the planes (x, parent y) and (x, frame y), keeping the
+    candidate whose y-axis lands in the reference plane."""
+    x_axis = rotation[:, 0]
+    y_ref = parent_frame[:, 1]
+    n_ref = np.cross(x_axis, y_ref)
+    norm_ref = np.linalg.norm(n_ref)
+    if norm_ref < PARALLEL_TOL:
+        return rotation
+    n_ref = n_ref / norm_ref
+    n_cur = np.cross(x_axis, rotation[:, 1])
+    theta = float(np.arctan2(np.linalg.norm(np.cross(n_cur, n_ref)), np.dot(n_cur, n_ref)))
+    if theta < 1e-12:
+        return rotation
+    best = None
+    best_resid = None
+    for sign in (1.0, -1.0):
+        y_cand = rotation_about_axis(x_axis, sign * theta) @ rotation[:, 1]
+        cand = np.column_stack([x_axis, y_cand, np.cross(x_axis, y_cand)])
+        resid = abs(np.dot(y_cand, n_ref))
+        if best is None or resid < best_resid - 1e-9:
+            best, best_resid = cand, resid
+        elif abs(resid - best_resid) <= 1e-9 and np.dot(cand[:, 1], y_ref) > np.dot(best[:, 1], y_ref):
+            best = cand
+    return best
+
+
+def class_frame_retarget(skeletons, topology, template):
+    """Per-frame (rotations, statuses) dicts from the class-frame chain,
+    holding a bone's previous rotation across gaps."""
+    previous: dict = {}
+    for skeleton in skeletons:
+        rotations, statuses = {}, {}
+        for bone in topology.bones:
+            g_parent = rotations[bone.parent_bone] if bone.parent_bone else np.eye(3)
+            rc = template.frame_rotation[bone.frame_class]
+            try:
+                direction = bone_vector(skeleton, bone.name, topology)
+            except (MissingJoint, ZeroLengthBone):
+                rotations[bone.name] = previous.get(bone.name, np.eye(3))
+                statuses[bone.name] = STATUS_FELL_BACK
+                continue
+            x_local = rc.T @ (g_parent.T @ direction)
+            local = frame_from_bone(x_local, _X, secondary=_Y)
+            parent_local = rc.T @ g_parent @ rc
+            acc = roll_search_spin_correct(parent_local @ local, parent_local)
+            rotations[bone.name] = rc @ acc @ rc.T  # back to global coordinates
+            statuses[bone.name] = STATUS_OK
+        previous = rotations
+        yield rotations, statuses

@@ -196,6 +196,59 @@ def test_synth_zero_frames_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--noise", "-1"], "noise must be a finite number >= 0"),
+        (["--noise", "inf"], "noise must be a finite number >= 0"),
+        (["--dropout", "2"], "dropout must lie in [0, 1]"),
+        (["--dropout", "-1"], "dropout must lie in [0, 1]"),
+    ],
+)
+def test_synth_invalid_noise_or_dropout_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "x"
+    assert main(["synth", "--preset", "walk", "--frames", "2", *flags, "--out", str(out)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _corrupt_line_2(path, pattern, repl):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1], n = re.subn(pattern, repl, lines[1], count=1)
+    assert n == 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "stream, pattern, repl, command",
+    [
+        ("truth.jsonl", r'"p": \[[^,]+', '"p": [NaN', "retarget"),
+        ("truth.jsonl", r'"p": \[[^,]+', '"p": [NaN', "eval"),
+        ("keypoints.jsonl", r'"frame": 1,', '"frame": 1e400,', "reconstruct"),
+        ("truth.jsonl", r'"p": \[([^,]+), ([^,]+), [^\]]+\]', r'"p": [\1, \2]', "retarget"),
+    ],
+    ids=["nan-position-retarget", "nan-position-eval", "overflowing-frame", "two-number-position"],
+)
+def test_malformed_numbers_exit_2_with_line(tmp_path, capsys, stream, pattern, repl, command):
+    scene = run_synth(tmp_path, frames=2)
+    path = scene / stream
+    _corrupt_line_2(path, pattern, repl)
+    inputs = {
+        "retarget": ["--skeleton", str(path)],
+        "eval": ["--skeleton", str(path), "--truth", str(scene / "truth.jsonl")],
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(path), "--delta", "100x100x100"],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"error: {path}:2:" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"min_confidence": NaN}', encoding="utf-8")
+    assert main(["retarget", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert f"error: {cfg_path}: bad config file" in capsys.readouterr().err
+
+
 def _circles(svg_text, color):
     pts = []
     for m in re.finditer(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="\d+" fill="%s"/>' % color, svg_text):

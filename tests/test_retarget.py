@@ -1,10 +1,13 @@
 """Rotation construction tests: action oracles, forward-kinematics round
-trips, and spin injection/recovery."""
+trips, spin injection/recovery, and equivalence with the class-frame
+chain in tests/oracles.py."""
 
 import numpy as np
 import pytest
 
-from mvmocap.mathutil import is_rotation, rotation_about_axis
+from oracles import class_frame_retarget, is_rotation
+
+from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import (
     STATUS_FELL_BACK,
     STATUS_OK,
@@ -13,10 +16,10 @@ from mvmocap.retarget import (
     retarget_frame,
     retarget_sequence,
     spin_correct,
-    to_global,
 )
 from mvmocap.skeleton import Skeleton3D, bone_vector, tpose_positions
-from mvmocap.synth import generate_scene
+from mvmocap.synth import generate_scene, render_observations
+from mvmocap.voxel import EstimatorConfig, estimate_skeleton
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -136,27 +139,6 @@ def test_degenerate_reference_plane_returns_input():
     assert spin_correct(M, np.eye(3)) is M
 
 
-# -- to_global --------------------------------------------------------------------
-
-
-def test_identity_conjugates_to_identity(template):
-    for cls in ("left", "right", "up", "down"):
-        assert np.allclose(to_global(np.eye(3), cls, template), np.eye(3), atol=1e-12)
-
-
-def test_identity_class_frame_passes_through(template, rng):
-    local = frame_from_bone(random_unit(rng), X, secondary=Y)
-    assert np.allclose(to_global(local, "left", template), local, atol=1e-12)
-
-
-def test_conjugation_preserves_trace(template, rng):
-    for _ in range(100):
-        local = frame_from_bone(random_unit(rng), X, secondary=Y)
-        for cls in ("left", "right", "up", "down"):
-            out = to_global(local, cls, template)
-            assert np.trace(out) == pytest.approx(np.trace(local), abs=1e-9)
-
-
 # -- retarget_frame -----------------------------------------------------------------
 
 
@@ -225,3 +207,46 @@ def test_spin_free_invariant_on_animated_poses(topology, template):
             if norm < 1e-6:
                 continue
             assert abs(np.dot(acc[:, 1], n / norm)) < 1e-6
+
+
+# -- equivalence with the class-frame chain -------------------------------------------
+
+
+def _assert_matches_class_frame_chain(skeletons, topology, template):
+    skeletons = list(skeletons)
+    sets = list(retarget_sequence(skeletons, topology, template))
+    for ts, (rotations, statuses) in zip(sets, class_frame_retarget(skeletons, topology, template), strict=True):
+        assert ts.statuses == statuses
+        for name, rot in rotations.items():
+            assert np.max(np.abs(ts.rotation(name) - rot)) <= 1e-12, (ts.frame, name)
+
+
+def _bent_elbow():
+    positions = dict(tpose_positions())
+    positions[7] = positions[6] + np.array([0.0, 260.0, 0.0])
+    return Skeleton3D.from_positions(0, positions)
+
+
+def test_matches_class_frame_chain_on_truth(topology, template):
+    for preset in ("walk", "wave", "squat"):
+        _assert_matches_class_frame_chain(generate_scene(preset, frames=40, seed=61).truth, topology, template)
+    _assert_matches_class_frame_chain([_bent_elbow()], topology, template)
+
+
+def test_matches_class_frame_chain_on_noisy_reconstruction(topology, template, ring):
+    scene = generate_scene("walk", frames=30, noise_px=1.0, dropout=0.05, seed=62)
+    config = EstimatorConfig(delta=(20.0, 20.0, 20.0))
+    skeletons = [estimate_skeleton(f, ring, config, topology) for f in render_observations(scene)]
+    assert any(s != STATUS_OK for skel in skeletons for s in skel.statuses.values())
+    _assert_matches_class_frame_chain(skeletons, topology, template)
+
+
+def test_matches_class_frame_chain_on_random_gappy_skeletons(topology, template, rng):
+    joint_ids = [idx for idx, _ in topology.joints]
+    skeletons = []
+    for f in range(300):
+        positions = {i: rng.uniform(-800, 800, size=3) for i in joint_ids if rng.random() > 0.15}
+        if rng.random() < 0.2 and 1 in positions and 0 in positions:
+            positions[0] = positions[1].copy()  # zero-length head bone
+        skeletons.append(Skeleton3D.from_positions(f, positions))
+    _assert_matches_class_frame_chain(skeletons, topology, template)

@@ -54,7 +54,7 @@ def test_bone_tree_rooted_at_torso(topology):
 
 def test_topological_order_parents_first(topology):
     seen = set()
-    for bone in topology.bones_topological():
+    for bone in topology.bones:
         if bone.parent_bone is not None:
             assert bone.parent_bone in seen
         seen.add(bone.name)
@@ -134,3 +134,12 @@ def test_topology_rejects_two_roots(topology):
     bones = tuple(replace(b, parent_bone=None) if b.name == "head" else b for b in topology.bones)
     with pytest.raises(ValueError):
         SkeletonTopology(joints=topology.joints, bones=bones)
+
+
+def test_topology_rejects_child_before_parent(topology):
+    bones = list(topology.bones)
+    upper = next(i for i, b in enumerate(bones) if b.name == "l_upper_arm")
+    lower = next(i for i, b in enumerate(bones) if b.name == "l_lower_arm")
+    bones[upper], bones[lower] = bones[lower], bones[upper]
+    with pytest.raises(ValueError):
+        SkeletonTopology(joints=topology.joints, bones=tuple(bones))
