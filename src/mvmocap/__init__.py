@@ -37,6 +37,7 @@ from .voxel import (
     JointObservation,
     JointObservationFrame,
     estimate_joint,
+    estimate_joints,
     estimate_skeleton,
 )
 

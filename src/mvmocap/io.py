@@ -15,7 +15,9 @@ Formats:
   transforms   one line per frame:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
 All matrices are row-major. Readers reject NaN and Infinity tokens; record
-numbers must be finite and positions and matrices of the stated length.
+and calibration numbers must be finite and positions and matrices of the
+stated length. A keypoint frame lists each view once and a view each joint
+once; a skeleton status is "ok" or "no_consensus".
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .geometry import CameraParams
 from .retarget import BoneTransformSet
-from .skeleton import STATUS_OK, Skeleton3D
+from .skeleton import STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from .voxel import JointObservation, JointObservationFrame
 
 
@@ -56,8 +58,18 @@ def _finite_vector(value, n: int) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def _finite_matrix(value, n: int) -> np.ndarray:
+    """An n x n list of finite numbers as an array; ValueError otherwise."""
+    if len(value) != n:
+        raise ValueError(f"expected {n} rows, got {value!r}")
+    return np.array([_finite_vector(row, n) for row in value])
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".6f")
+    text = format(float(x), ".6f")
+    # Values in (-5e-7, 0] round to zero; writing them all alike keeps the
+    # bytes independent of the sign of rounding noise.
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -97,9 +109,9 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
             cameras.append(
                 CameraParams(
                     id=int(entry["id"]),
-                    intrinsic=np.asarray(entry["K"], dtype=float),
-                    rotation=_snap_rotation(np.asarray(entry["R"], dtype=float)),
-                    translation=np.asarray(entry["t"], dtype=float),
+                    intrinsic=_finite_matrix(entry["K"], 3),
+                    rotation=_snap_rotation(_finite_matrix(entry["R"], 3)),
+                    translation=_finite_vector(entry["t"], 3),
                     resolution=(int(entry["width"]), int(entry["height"])),
                 )
             )
@@ -115,8 +127,6 @@ def _snap_rotation(r: np.ndarray) -> np.ndarray:
     orthonormality checks. Matrices further than 1e-4 from orthonormal are
     rejected as genuinely invalid.
     """
-    if r.shape != (3, 3):
-        raise ValueError("R must be 3x3")
     if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-4 or np.linalg.det(r) < 0:
         raise ValueError("R is not a rotation matrix")
     u, _, vt = np.linalg.svd(r)
@@ -156,12 +166,17 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
             views: dict[int, dict[int, JointObservation]] = {}
             for view in rec["views"]:
                 view_id = int(view["view_id"])
+                if view_id in views:
+                    raise ValueError(f"view {view_id} listed twice")
                 joints = {}
                 for j in view["joints"]:
+                    idx = int(j["idx"])
+                    if idx in joints:
+                        raise ValueError(f"joint {idx} listed twice in view {view_id}")
                     u, v, c = float(j["u"]), float(j["v"]), float(j["c"])
                     if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(c)):
                         raise ValueError(f"non-finite number in joint {j!r}")
-                    joints[int(j["idx"])] = JointObservation(view_id=view_id, pixel=np.array([u, v]), confidence=c)
+                    joints[idx] = JointObservation(view_id=view_id, pixel=np.array([u, v]), confidence=c)
                 views[view_id] = joints
             yield JointObservationFrame(frame=int(rec["frame"]), views=views)
         except _RECORD_ERRORS as exc:
@@ -197,8 +212,11 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
             statuses: dict[int, str] = {}
             for j in rec["joints"]:
                 idx = int(j["idx"])
-                statuses[idx] = str(j["status"])
-                if j["status"] == STATUS_OK:
+                status = j["status"]
+                if status not in (STATUS_OK, STATUS_NO_CONSENSUS):
+                    raise ValueError(f"unknown status {status!r}")
+                statuses[idx] = status
+                if status == STATUS_OK:
                     positions[idx] = _finite_vector(j["p"], 3)
             yield Skeleton3D(frame=int(rec["frame"]), positions=positions, statuses=statuses)
         except _RECORD_ERRORS as exc:
@@ -231,10 +249,7 @@ def read_transforms(path: str | Path) -> Iterator[BoneTransformSet]:
             transforms = {}
             statuses = {}
             for b in rec["bones"]:
-                T = b["T"]
-                if len(T) != 4:
-                    raise ValueError(f"expected 4 rows, got {T!r}")
-                transforms[str(b["name"])] = np.array([_finite_vector(row, 4) for row in T])
+                transforms[str(b["name"])] = _finite_matrix(b["T"], 4)
                 statuses[str(b["name"])] = str(b["status"])
             yield BoneTransformSet(frame=int(rec["frame"]), transforms=transforms, statuses=statuses)
         except _RECORD_ERRORS as exc:

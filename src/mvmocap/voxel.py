@@ -1,6 +1,6 @@
 """3D joint estimation by iterative subdivision of a sampling volume.
 
-For a single joint, a work queue starts from one large axis-aligned cube.
+For each joint, the search starts from one large axis-aligned cube.
 A view votes for a cube when the viewing ray of its detected 2D joint hits
 the cube and the whole cube lies in front of the camera. For a cube in
 front of the camera that is the same as the pixel lying inside the convex
@@ -16,10 +16,13 @@ candidate cubes; the mean of candidate centers is kept only where that
 solve is degenerate. Because the solve uses the rays themselves, the
 noiseless error does not depend on `delta`.
 
-Because every cube at a given depth shares the same edge lengths, the
-queue is processed one depth level at a time and each level is evaluated
-as a single vectorized batch. Results are independent of observation
-order: votes are integer counts, candidates are sorted canonically and
+Every joint starts from the same volume and every cube at a given depth
+has the same edge lengths, so all joints of a frame share one frontier:
+cube centers plus a joint-id column, processed one depth level at a time,
+each level a single vectorized batch over every joint's cubes and every
+calibrated view. Results are independent of observation order and of
+which other joints share the search: votes are integer counts per row,
+the runaway cap and the candidates are per joint in canonical order, and
 the triangulation stacks its rows in view-id order.
 """
 
@@ -179,30 +182,35 @@ def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tu
 
 def _views_containing(
     centers: np.ndarray,
+    jid: np.ndarray,
     edges: np.ndarray,
     R: np.ndarray,
     t: np.ndarray,
     origins: np.ndarray,
     directions: np.ndarray,
 ) -> np.ndarray:
-    """Vote matrix (V, M): does view v's ray hit cube m?
+    """Vote matrix (N, V): does view v's ray of joint jid[n] hit cube n?
 
-    A slab test against each box padded by _BOX_PAD, boundary inclusive.
-    An axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
+    origins and directions are (J, V, 3), one ray per joint and view. A
+    slab test against each box padded by _BOX_PAD, boundary inclusive. An
+    axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
     origin lies on a face plane; the reductions skip NaN, so such a ray
-    crosses that slab iff lo <= 0 <= hi. Views where the cube is not wholly
-    in front of the camera do not vote: the nearest vertex has depth
-    R[2]·c + t_z - sum_i |R[2, i]| h_i.
+    crosses that slab iff lo <= 0 <= hi. An all-NaN ray hits nothing. Views
+    where the cube is not wholly in front of the camera do not vote: the
+    nearest vertex has depth R[2]·c + t_z - sum_i |R[2, i]| h_i.
     """
     half = edges / 2.0
-    in_front = (centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0).T  # (V, M)
-    rel = centers[None, :, :] - origins[:, None, :]  # (V, M, 3)
-    d = directions[:, None, :]
+    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
+    rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
+    d = directions[jid]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (rel - (half + _BOX_PAD)) / d
         t_hi = (rel + (half + _BOX_PAD)) / d
-    near = np.fmax.reduce(np.minimum(t_lo, t_hi), axis=2)
-    far = np.fmin.reduce(np.maximum(t_lo, t_hi), axis=2)
+    lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    # Pairwise over the three axes; np.fmax.reduce over a length-3 axis is
+    # many times slower.
+    near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
+    far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
     return in_front & (near <= far)
 
 
@@ -211,70 +219,102 @@ def estimate_joint(
     cameras: list[CameraParams],
     config: EstimatorConfig,
 ) -> JointEstimate:
-    """Locate one 3D joint from multi-view detections.
+    """Locate one 3D joint from multi-view detections; see estimate_joints."""
+    return estimate_joints([observations], cameras, config)[0]
 
-    The subdivision search selects the candidate cubes and the views that
-    support them; the position is the linear least-squares triangulation
-    over those views, clamped to the candidates' bounding box. Returns
-    status "no_consensus" when fewer than sigma views ever agree,
-    including the case where the search volume is exhausted.
+
+def estimate_joints(
+    observations: list[list[JointObservation]],
+    cameras: list[CameraParams],
+    config: EstimatorConfig,
+) -> list[JointEstimate]:
+    """Locate several 3D joints, one per observation list, in one search.
+
+    The subdivision search selects each joint's candidate cubes and the
+    views that support them; its position is the linear least-squares
+    triangulation over those views, clamped to the candidates' bounding
+    box. A joint gets status "no_consensus" when it has fewer than sigma
+    usable views or when fewer than sigma views ever agree, including the
+    case where the search volume is exhausted. Each joint's result is the
+    one it would get searched alone. Raises ValueError when one joint's
+    list holds two observations from the same view.
     """
     by_id = {c.id: c for c in cameras}
-    # View-id order keeps the triangulation independent of observation order.
-    usable = sorted(
-        (o for o in observations if o.confidence >= config.min_confidence),
-        key=lambda o: o.view_id,
-    )
-    if len(usable) < config.sigma:
-        return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS)
+    view_ids = sorted(by_id)
+    column = {v: i for i, v in enumerate(view_ids)}
+    # One column per calibrated view in view-id order; a view that is
+    # missing or below min_confidence keeps a NaN pixel, whose ray votes
+    # for no cube.
+    pixels = np.full((len(observations), len(view_ids), 2), np.nan)
+    usable = np.zeros(len(observations), dtype=int)
+    for j, joint_obs in enumerate(observations):
+        if len({o.view_id for o in joint_obs}) != len(joint_obs):
+            raise ValueError(f"joint {j} has two observations from one view")
+        for o in joint_obs:
+            if o.confidence >= config.min_confidence:
+                pixels[j, column[o.view_id]] = o.pixel
+                usable[j] += 1
+    results = [JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS) for _ in observations]
+    active = np.flatnonzero(usable >= config.sigma)
+    if not active.size:
+        return results
 
-    view_ids = [o.view_id for o in usable]
+    n_active, n_views = active.size, len(view_ids)
     K, R, t = _camera_arrays([by_id[v] for v in view_ids])
-    pixels = np.stack([o.pixel for o in usable])
-    origins, directions = _rays(K, R, t, pixels)
+    origins, directions = _rays(
+        np.tile(K, (n_active, 1, 1)),
+        np.tile(R, (n_active, 1, 1)),
+        np.tile(t, (n_active, 1)),
+        pixels[active].reshape(-1, 2),
+    )
+    origins = origins.reshape(n_active, n_views, 3)
+    directions = directions.reshape(n_active, n_views, 3)
 
+    # The frontier of every active joint, one row per cube: all joints
+    # start from the same volume and halve together, so each depth level
+    # is one batch and shares its edge lengths.
     delta = np.asarray(config.delta, dtype=float)
-    centers = config.initial_volume.center[None, :].copy()
     edges = np.asarray(config.initial_volume.edges, dtype=float)
-    nodes = 0
-    candidates: np.ndarray | None = None
-    support = np.zeros(len(usable), dtype=bool)
-
-    while centers.shape[0]:
-        nodes += centers.shape[0]
-        inside = _views_containing(centers, edges, R, t, origins, directions)
-        votes = inside.sum(axis=0)
-        keep = votes >= config.sigma
-        if not keep.any():
-            break
-        centers = centers[keep]
-        inside = inside[:, keep]
-        if np.all(edges < delta):
-            candidates = centers
-            support = inside.any(axis=1)
+    centers = np.repeat(config.initial_volume.center[None, :], n_active, axis=0)
+    jid = np.arange(n_active)
+    nodes = np.zeros(n_active, dtype=int)
+    while True:
+        nodes += np.bincount(jid, minlength=n_active)
+        inside = _views_containing(centers, jid, edges, R, t, origins, directions)
+        keep = inside.sum(axis=1) >= config.sigma
+        centers, jid, inside = centers[keep], jid[keep], inside[keep]
+        if not jid.size or np.all(edges < delta):
             break
         centers = _subdivide(centers, edges)
+        jid = np.repeat(jid, 8)
         edges = edges / 2.0
-        if centers.shape[0] > config.max_candidates:
-            # Runaway guard: cap the working frontier deterministically.
-            centers = _canonical_order(centers)[: config.max_candidates]
+        centers, jid = _cap_frontier(centers, jid, config.max_candidates)
 
-    if candidates is None or candidates.shape[0] == 0:
-        return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=nodes)
+    for a, j in enumerate(active):
+        results[j] = JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=int(nodes[a]))
+    if not jid.size:
+        return results
 
-    candidates = _canonical_order(candidates)[: config.max_candidates]
-    sel = np.flatnonzero(support)
-    position = _refine(candidates, edges / 2.0, K[sel], R[sel], t[sel], pixels[sel])
-    views = frozenset(view_ids[i] for i in sel)
-    return JointEstimate(
-        position=position,
-        candidate_count=int(candidates.shape[0]),
-        supporting_views=views,
-        status=STATUS_OK,
-        nodes_visited=nodes,
-        candidates=candidates,
-        terminal_edges=tuple(edges),
-    )
+    # Survivors exist only at the terminal level: they are the candidates.
+    order = _by_joint(centers, jid)
+    centers, jid, inside = centers[order], jid[order], inside[order]
+    counts = np.bincount(jid, minlength=n_active)
+    ends = np.cumsum(counts)
+    for a in np.flatnonzero(counts):
+        rows = slice(ends[a] - counts[a], ends[a])
+        candidates = centers[rows]
+        sel = np.flatnonzero(inside[rows].any(axis=0))
+        position = _refine(candidates, edges / 2.0, K[sel], R[sel], t[sel], pixels[active[a], sel])
+        results[active[a]] = JointEstimate(
+            position=position,
+            candidate_count=int(counts[a]),
+            supporting_views=frozenset(view_ids[i] for i in sel),
+            status=STATUS_OK,
+            nodes_visited=int(nodes[a]),
+            candidates=candidates,
+            terminal_edges=tuple(edges),
+        )
+    return results
 
 
 def _refine(
@@ -310,9 +350,21 @@ def _subdivide(centers: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return (centers[:, None, :] + offs[None, :, :]).reshape(-1, 3)
 
 
-def _canonical_order(centers: np.ndarray) -> np.ndarray:
-    order = np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0]))
-    return centers[order]
+def _by_joint(centers: np.ndarray, jid: np.ndarray) -> np.ndarray:
+    """Row order that groups rows by joint, canonical (x, y, z) order within each."""
+    return np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0], jid))
+
+
+def _cap_frontier(centers: np.ndarray, jid: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runaway guard: keep each joint's first `limit` cubes in canonical order."""
+    counts = np.bincount(jid)
+    if counts.max() <= limit:
+        return centers, jid
+    order = _by_joint(centers, jid)
+    centers, jid = centers[order], jid[order]
+    rank = np.arange(jid.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = rank < limit
+    return centers[keep], jid[keep]
 
 
 def estimate_skeleton(
@@ -329,8 +381,9 @@ def estimate_skeleton(
     """
     positions: dict[int, np.ndarray] = {}
     statuses: dict[int, str] = {}
-    for idx in topology.detected_joint_indices:
-        est = estimate_joint(frame.observations_for(idx), cameras, config)
+    indices = topology.detected_joint_indices
+    estimates = estimate_joints([frame.observations_for(idx) for idx in indices], cameras, config)
+    for idx, est in zip(indices, estimates):
         statuses[idx] = est.status
         if est.status == STATUS_OK:
             positions[idx] = est.position

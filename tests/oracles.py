@@ -2,7 +2,9 @@
 
 `hull_contains` is the independent containment oracle: scipy's convex hull
 of the projected cube vertices. `slab_votes` runs the estimator's own
-ray-box predicate on one cube. `class_frame_retarget` is the bone
+ray-box predicate on one cube. `estimate_joint_alone` is the per-joint
+subdivision search, one work queue per joint, against which the shared
+frontier of `estimate_joints` is checked. `class_frame_retarget` is the bone
 rotation chain written in each bone's class frame: pull-back through the
 parent, conjugations by the class rotation and a plus-or-minus angle roll
 search, against which the world-frame retarget is checked.
@@ -14,8 +16,8 @@ from scipy.spatial import ConvexHull
 from mvmocap.geometry import NonPositiveDepth, project_points
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, frame_from_bone
-from mvmocap.skeleton import STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
-from mvmocap.voxel import _camera_arrays, _rays, _views_containing
+from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
+from mvmocap.voxel import JointEstimate, _camera_arrays, _refine, _rays, _subdivide, _views_containing
 
 # Boundary tolerance of the oracle, pixels of perpendicular distance.
 HULL_TOL_PX = 1e-9
@@ -32,12 +34,78 @@ def hull_contains(cube, cam, pixel) -> bool:
     return bool(np.all(eq[:, :2] @ np.asarray(pixel, dtype=float) + eq[:, 2] <= HULL_TOL_PX))
 
 
+def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
+    """Vote matrix (V, M) of one joint's rays against M boxes."""
+    jid = np.zeros(centers.shape[0], dtype=int)
+    return _views_containing(centers, jid, edges, R, t, origins[None], directions[None]).T
+
+
 def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
     """Per-view votes of the estimator's predicate for one box, (V,) bool."""
     K, R, t = _camera_arrays(list(cameras))
     origins, directions = _rays(K, R, t, np.atleast_2d(np.asarray(pixels, dtype=float)))
     center = np.asarray(center, dtype=float)[None, :]
-    return _views_containing(center, np.asarray(edges, dtype=float), R, t, origins, directions)[:, 0]
+    return _one_joint_votes(center, np.asarray(edges, dtype=float), R, t, origins, directions)[:, 0]
+
+
+def _canonical_order(centers):
+    return centers[np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0]))]
+
+
+def estimate_joint_alone(observations, cameras, config) -> JointEstimate:
+    """One joint's subdivision search over its own usable views only."""
+    by_id = {c.id: c for c in cameras}
+    usable = sorted(
+        (o for o in observations if o.confidence >= config.min_confidence),
+        key=lambda o: o.view_id,
+    )
+    if len(usable) < config.sigma:
+        return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS)
+
+    view_ids = [o.view_id for o in usable]
+    K, R, t = _camera_arrays([by_id[v] for v in view_ids])
+    pixels = np.stack([o.pixel for o in usable])
+    origins, directions = _rays(K, R, t, pixels)
+
+    delta = np.asarray(config.delta, dtype=float)
+    centers = config.initial_volume.center[None, :].copy()
+    edges = np.asarray(config.initial_volume.edges, dtype=float)
+    nodes = 0
+    candidates = None
+    support = np.zeros(len(usable), dtype=bool)
+
+    while centers.shape[0]:
+        nodes += centers.shape[0]
+        inside = _one_joint_votes(centers, edges, R, t, origins, directions)
+        keep = inside.sum(axis=0) >= config.sigma
+        if not keep.any():
+            break
+        centers = centers[keep]
+        inside = inside[:, keep]
+        if np.all(edges < delta):
+            candidates = centers
+            support = inside.any(axis=1)
+            break
+        centers = _subdivide(centers, edges)
+        edges = edges / 2.0
+        if centers.shape[0] > config.max_candidates:
+            centers = _canonical_order(centers)[: config.max_candidates]
+
+    if candidates is None:
+        return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=nodes)
+
+    candidates = _canonical_order(candidates)
+    sel = np.flatnonzero(support)
+    position = _refine(candidates, edges / 2.0, K[sel], R[sel], t[sel], pixels[sel])
+    return JointEstimate(
+        position=position,
+        candidate_count=int(candidates.shape[0]),
+        supporting_views=frozenset(view_ids[i] for i in sel),
+        status=STATUS_OK,
+        nodes_visited=nodes,
+        candidates=candidates,
+        terminal_edges=tuple(edges),
+    )
 
 
 _X = np.array([1.0, 0.0, 0.0])

@@ -242,6 +242,56 @@ def test_malformed_numbers_exit_2_with_line(tmp_path, capsys, stream, pattern, r
     assert f"error: {path}:2:" in capsys.readouterr().err
 
 
+def _edit_record_2(path, edit):
+    """Apply edit to the parsed record on line 2 of path and write it back."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "stream, edit, message, command",
+    [
+        ("keypoints.jsonl", lambda rec: rec["views"].append(rec["views"][0]), "view 0 listed twice", "reconstruct"),
+        (
+            "keypoints.jsonl",
+            lambda rec: rec["views"][0]["joints"].append(rec["views"][0]["joints"][0]),
+            "joint 0 listed twice in view 0",
+            "reconstruct",
+        ),
+        ("truth.jsonl", lambda rec: rec["joints"][3].update(status="bogus"), "unknown status 'bogus'", "retarget"),
+    ],
+    ids=["duplicate-view", "duplicate-joint", "unknown-status"],
+)
+def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
+    scene = run_synth(tmp_path, frames=2)
+    path = scene / stream
+    _edit_record_2(path, edit)
+    inputs = {
+        "retarget": ["--skeleton", str(path)],
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(path), "--delta", "100x100x100"],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {path}:2:" in err and message in err
+
+
+@pytest.mark.parametrize("field", ["K", "R", "t"])
+def test_overflowing_calibration_number_exits_2(tmp_path, capsys, field):
+    scene = run_synth(tmp_path, frames=1)
+    calib = scene / "calib.json"
+    text, n = re.subn(r'("%s": \[+)[^,]+' % field, r"\g<1>1e400", calib.read_text(encoding="utf-8"), count=1)
+    assert n == 1
+    calib.write_text(text, encoding="utf-8")
+    assert main([
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "50x50x50", "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert f"error: {calib}: invalid camera entry" in capsys.readouterr().err
+
+
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text('{"min_confidence": NaN}', encoding="utf-8")

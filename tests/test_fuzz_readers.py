@@ -3,10 +3,11 @@
 Each example takes a valid line of a synthetic scene's keypoints, skeleton
 or transform stream and breaks one field: drops a key, gives a value the
 wrong type, writes a non-finite token or a number too large for a double,
-or changes the length of a position or matrix. Keypoints and skeletons go
-through `cli.main`, which must exit 2 with `error: <path>:<line>:`. No
-subcommand reads transforms, so that reader is called directly and must
-raise InputParseError with the same `<path>:<line>:` prefix.
+changes the length of a position or matrix, or gives a skeleton joint an
+unknown status. Keypoints and skeletons go through `cli.main`, which must
+exit 2 with `error: <path>:<line>:`. No subcommand reads transforms, so
+that reader is called directly and must raise InputParseError with the
+same `<path>:<line>:` prefix.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from mvmocap.cli import EXIT_PARSE, main
 HUGE = "__huge__"
 
 NUMBER_RETYPES = ("x", None, {}, [])
+STATUS_RETYPES = (None, 1, {}, [])
 LIST_RETYPES = ("x", None, 5)
 ARRAY_RETYPES = ("x", None, 5, {}, [])
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -60,7 +62,7 @@ def _sites(stream, rec):
             for j in item["joints"]:
                 sites += [(j, key, "number") for key in ("idx", "u", "v", "c")]
         elif stream == "skeletons":
-            sites += [(item, "idx", "number"), (item, "status", "text"), (item, "p", "vector")]
+            sites += [(item, "idx", "number"), (item, "status", "status"), (item, "p", "vector")]
         else:
             sites += [(item, "name", "text"), (item, "status", "text"), (item, "T", "matrix")]
     return sites
@@ -80,14 +82,18 @@ def _mutate(draw, stream, rec):
         actions.append("bad number")
     if kind in ("vector", "matrix"):
         actions += ["bad element", "wrong length"]
+    if kind == "status":
+        actions.append("unknown status")
     action = draw(st.sampled_from(actions))
     if action == "drop":
         del container[key]
     elif action == "retype":
-        retypes = {"number": NUMBER_RETYPES, "list": LIST_RETYPES}.get(kind, ARRAY_RETYPES)
+        retypes = {"number": NUMBER_RETYPES, "list": LIST_RETYPES, "status": STATUS_RETYPES}.get(kind, ARRAY_RETYPES)
         container[key] = draw(st.sampled_from(retypes))
     elif action == "bad number":
         container[key] = _bad_number(draw)
+    elif action == "unknown status":
+        container[key] = draw(st.text().filter(lambda s: s not in ("ok", "no_consensus")))
     else:
         target = container[key]
         if kind == "matrix" and draw(st.booleans()):

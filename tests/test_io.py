@@ -67,6 +67,13 @@ def test_floats_serialized_with_fixed_precision(tmp_path):
     assert '"p": [1.000000, 0.500000, -2.000000]' in line
 
 
+def test_negative_zero_is_written_as_zero():
+    for x in (-0.0, -1e-12, -4.9e-7):
+        assert mio._fmt(x) == "0.000000"
+    assert mio._fmt(-6e-7) == "-0.000001"
+    assert mio._fmt(4.9e-7) == "0.000000"
+
+
 def test_parse_error_carries_file_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame": 0, "joints": []}\nnot json\n', encoding="utf-8")

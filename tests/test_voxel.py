@@ -1,10 +1,10 @@
-"""Subdivision estimator tests against convex-hull and DLT oracles."""
+"""Subdivision estimator tests against convex-hull, DLT and per-joint search oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hull_contains, slab_votes
+from oracles import estimate_joint_alone, hull_contains, slab_votes
 
 from mvmocap.geometry import project
 from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
@@ -15,6 +15,7 @@ from mvmocap.voxel import (
     JointObservation,
     _subdivide,
     estimate_joint,
+    estimate_joints,
     estimate_skeleton,
 )
 
@@ -217,6 +218,67 @@ def test_node_count_decreases_as_delta_grows(ring, rng):
         nodes.append(est.nodes_visited)
     assert nodes == sorted(nodes, reverse=True)
     assert len(set(nodes)) == len(nodes)  # strictly decreasing
+
+
+# -- shared frontier ---------------------------------------------------------------
+
+
+def _fields(est):
+    """Every JointEstimate field, arrays as bytes."""
+    return (
+        est.status,
+        None if est.position is None else est.position.tobytes(),
+        est.candidate_count,
+        est.supporting_views,
+        est.nodes_visited,
+        None if est.candidates is None else est.candidates.tobytes(),
+        est.terminal_edges,
+    )
+
+
+@pytest.mark.parametrize(
+    "frames, noise, dropout, delta, max_candidates",
+    [
+        (6, 0.0, 0.0, 10.0, 100_000),
+        (20, 1.0, 0.05, 20.0, 100_000),
+        (6, 2.0, 0.0, 60.0, 100_000),
+        (4, 2.0, 0.0, 60.0, 16),
+    ],
+    ids=["clean-d10", "1px-dropout-d20", "2px-d60", "2px-d60-capped"],
+)
+def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropout, delta, max_candidates):
+    """Each joint's result from the shared frontier is bit-identical to its own search."""
+    scene = generate_scene("walk", frames=frames, noise_px=noise, dropout=dropout, seed=101)
+    config = EstimatorConfig(delta=(delta, delta, delta), max_candidates=max_candidates)
+    uncapped = EstimatorConfig(delta=config.delta)
+    indices = topology.detected_joint_indices
+    outcomes, cut = [], False
+    for frame in render_observations(scene):
+        lists = [frame.observations_for(idx) for idx in indices]
+        want = [estimate_joint_alone(obs, scene.cameras, config) for obs in lists]
+        got = [_fields(e) for e in estimate_joints(lists, scene.cameras, config)]
+        assert got == [_fields(e) for e in want]
+        skel = estimate_skeleton(frame, scene.cameras, config, topology)
+        for idx, est in zip(indices, want):
+            assert skel.statuses[idx] == est.status
+            assert est.position is None or skel.positions[idx].tobytes() == est.position.tobytes()
+        outcomes += [(e.status, e.nodes_visited) for e in want]
+        if max_candidates < uncapped.max_candidates:
+            cut |= got != [_fields(e) for e in estimate_joints(lists, scene.cameras, uncapped)]
+    assert any(s == STATUS_OK for s, _ in outcomes)
+    if dropout:
+        # Joints short-circuited for having fewer than sigma views, and
+        # joints that lost consensus partway, are both covered.
+        assert (STATUS_NO_CONSENSUS, 0) in outcomes
+        assert any(s == STATUS_NO_CONSENSUS and n > 0 for s, n in outcomes)
+    if max_candidates < uncapped.max_candidates:
+        assert cut, "the per-joint cap never cut a frontier"
+
+
+def test_duplicate_view_in_one_joint_raises(ring, config):
+    obs = observe_point(np.array([0.0, 100.0, 0.0]), ring)
+    with pytest.raises(ValueError, match="two observations from one view"):
+        estimate_joints([obs, [*obs, obs[2]]], ring, config)
 
 
 # -- estimate_skeleton -----------------------------------------------------------
