@@ -15,8 +15,6 @@ from .geometry import (
 from .metrics import ErrorReport, avg_2d_err, mean_abs_3d_err, sequence_mean
 from .retarget import (
     BoneTransformSet,
-    DegenerateParallel,
-    frame_from_bone,
     retarget_frame,
     retarget_sequence,
     spin_correct,
@@ -29,7 +27,7 @@ from .skeleton import (
     default_template,
     default_topology,
 )
-from .synth import SyntheticScene, dlt_triangulate, generate_scene, render_observations
+from .synth import SyntheticScene, generate_scene, render_observations
 from .voxel import (
     Cube,
     EstimatorConfig,

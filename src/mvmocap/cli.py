@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,9 +64,6 @@ class RunConfig:
         except ValueError as exc:
             raise mio.InputParseError(f"invalid estimator settings: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         kwargs = dict(data)
@@ -88,24 +85,19 @@ class TimingReport:
         self.phases[phase] = self.phases.get(phase, 0.0) + ms
 
 
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
-    parts = text.lower().split("x")
+def _parse_triple(text: str, flag: str, sep: str = "x", form: str = "WxHxL") -> tuple[float, float, float]:
+    parts = text.lower().split(sep)
     if len(parts) != 3:
-        raise mio.InputParseError(f"{flag} expects WxHxL, got {text!r}")
+        raise mio.InputParseError(f"{flag} expects {form}, got {text!r}")
     try:
         return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise mio.InputParseError(f"{flag} expects numeric WxHxL, got {text!r}") from exc
+        raise mio.InputParseError(f"{flag} expects numeric {form}, got {text!r}") from exc
 
 
 def _parse_volume(text: str) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    if "@" in text:
-        size_part, center_part = text.split("@", 1)
-        center = tuple(float(x) for x in center_part.split(","))
-        if len(center) != 3:
-            raise mio.InputParseError(f"--volume center expects X,Y,Z, got {center_part!r}")
-    else:
-        size_part, center = text, (0.0, 0.0, 0.0)
+    size_part, at, center_part = text.partition("@")
+    center = _parse_triple(center_part, "--volume center", ",", "X,Y,Z") if at else (0.0, 0.0, 0.0)
     return _parse_triple(size_part, "--volume"), center
 
 

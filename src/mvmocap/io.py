@@ -12,12 +12,13 @@ Formats:
   skeletons    one line per frame:
                {"frame": F, "joints": [{"idx": I, "status": S, "p": [x, y, z]}, ...]}
                (the "p" entry is omitted for joints without consensus)
-  transforms   one line per frame:
+  transforms   one line per frame (written only):
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
 All matrices are row-major. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite and positions and matrices of the
-stated length. A keypoint frame lists each view once and a view each joint
-once; a skeleton status is "ok" or "no_consensus".
+stated length. A calibration lists each camera id once, a keypoint frame
+each view once and a view each joint once; a skeleton status is "ok" or
+"no_consensus".
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
                     resolution=(int(entry["width"]), int(entry["height"])),
                 )
             )
+            if cameras[-1].id in {c.id for c in cameras[:-1]}:
+                raise ValueError(f"duplicate id {cameras[-1].id}")
     except _RECORD_ERRORS as exc:
         raise InputParseError(f"{path}: invalid camera entry: {exc}") from exc
     return cameras
@@ -239,21 +242,6 @@ def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None
     with open(path, "w", encoding="utf-8") as fh:
         for tset in sets:
             fh.write(transform_line(tset) + "\n")
-
-
-def read_transforms(path: str | Path) -> Iterator[BoneTransformSet]:
-    path = Path(path)
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        try:
-            rec = DECODER.decode(raw)
-            transforms = {}
-            statuses = {}
-            for b in rec["bones"]:
-                transforms[str(b["name"])] = _finite_matrix(b["T"], 4)
-                statuses[str(b["name"])] = str(b["status"])
-            yield BoneTransformSet(frame=int(rec["frame"]), transforms=transforms, statuses=statuses)
-        except _RECORD_ERRORS as exc:
-            raise InputParseError(f"{path}:{lineno}: bad transform record: {exc}") from exc
 
 
 def _read_lines(path: Path) -> Iterator[str]:

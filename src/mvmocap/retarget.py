@@ -4,14 +4,15 @@ Everything happens in world coordinates. Walking the tree in topological
 order, each bone's rest frame is first carried along by its parent's
 rotation: q = g_parent @ rc, where rc is the bone's class frame, so q's
 x-axis is where the bone would point had it not moved relative to its
-parent. The minimal rotation that swings q's x-axis onto the observed
-bone direction, applied to q, gives the bone's posed frame; its action on
-the rest direction reproduces the observed direction exactly.
-
-Two endpoints leave the roll about the bone axis unconstrained. The spin
-corrector removes it by one Gram-Schmidt step: it keeps the frame's
-x-axis and takes as y-axis the part of q's y-axis orthogonal to it, so y
-lies in the plane spanned by the bone axis and the parent-carried y-axis.
+parent. The posed frame is the right-handed basis [d, y, d x y] on the
+observed bone direction d, with y the part of q's y-axis orthogonal to d
+(one Gram-Schmidt step). Its action on the rest direction reproduces d
+exactly, and the roll about the bone axis, which two endpoints leave
+free, is the one that keeps y in the plane of d and the parent-carried
+y-axis. This is the swing-twist split (Dobrowolski, arXiv 1506.05481)
+with the twist taken from q. When d is parallel to q's y-axis that plane
+does not exist, and y is taken as the unit q_z x d instead, which is the
+frame the minimal swing of q's x-axis onto d would give.
 Right-multiplying by rc.T turns the frame back into a rotation of the
 rest pose, emitted as a 4x4 transform whose translation is always zero
 because rigs carry their own bone offsets.
@@ -39,10 +40,6 @@ STATUS_FELL_BACK = "fell_back"
 PARALLEL_TOL = 1e-6
 
 
-class DegenerateParallel(ValueError):
-    """Bone direction is (anti)parallel to the reference axis."""
-
-
 @dataclass
 class BoneTransformSet:
     """Per-bone 4x4 transforms for one frame; translation blocks are zero."""
@@ -55,42 +52,20 @@ class BoneTransformSet:
         return self.transforms[bone_name][:3, :3]
 
 
-def _frame_about(x_axis: np.ndarray, y_hint: np.ndarray) -> np.ndarray:
-    """Right-handed basis with the given x-axis and y nearest to y_hint."""
-    y = y_hint - np.dot(y_hint, x_axis) * x_axis
-    n = np.linalg.norm(y)
-    if n < PARALLEL_TOL:
-        raise DegenerateParallel("secondary axis is parallel to the bone axis")
-    y = y / n
-    return np.column_stack([x_axis, y, np.cross(x_axis, y)])
+def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Right-handed frame [d, y, d x y] on the unit direction d, y nearest to q's y-axis.
 
-
-def frame_from_bone(
-    x_prime: np.ndarray,
-    x_ref: np.ndarray,
-    secondary: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rotation carrying the unit reference axis x_ref onto x_prime.
-
-    Both input frames share the perpendicular y' = x_prime x x_ref, so the
-    result is the rotation about y' by the angle between the two axes. It
-    satisfies R @ x_ref == x_prime and is orthonormal with det +1.
-
-    When the axes are parallel the shared perpendicular vanishes; with a
-    `secondary` hint the frames are completed from it (an aligned bone then
-    maps to the identity), otherwise DegenerateParallel is raised.
+    y is q[:, 1] made orthogonal to d. When the two are parallel it is the
+    unit q[:, 2] x d, the y-axis that the minimal swing of q's x-axis onto d
+    would give.
     """
-    x_prime = np.asarray(x_prime, dtype=float)
-    x_ref = np.asarray(x_ref, dtype=float)
-    cross = np.cross(x_prime, x_ref)
-    n = np.linalg.norm(cross)
+    y = q[:, 1] - np.dot(q[:, 1], direction) * direction
+    n = np.linalg.norm(y)  # equals |d x q[:, 1]|
     if n < PARALLEL_TOL:
-        if secondary is None:
-            raise DegenerateParallel("bone direction is parallel to the reference axis")
-        y_hint = np.asarray(secondary, dtype=float)
-    else:
-        y_hint = cross / n
-    return _frame_about(x_prime, y_hint) @ _frame_about(x_ref, y_hint).T
+        y = np.cross(q[:, 2], direction)
+        n = np.linalg.norm(y)
+    y = y / n
+    return np.column_stack([direction, y, np.cross(direction, y)])
 
 
 def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
@@ -105,13 +80,10 @@ def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
     Returns the input unchanged when the bone axis is parallel to the
     parent's y-axis (no reference plane exists).
     """
-    x_axis = rotation[:, 0]
-    y_ref = parent_frame[:, 1]
-    if np.linalg.norm(np.cross(x_axis, y_ref)) < PARALLEL_TOL:
+    x_axis, y_ref = rotation[:, 0], parent_frame[:, 1]
+    if np.linalg.norm(y_ref - np.dot(y_ref, x_axis) * x_axis) < PARALLEL_TOL:
         return rotation
-    y = y_ref - np.dot(y_ref, x_axis) * x_axis
-    y = y / np.linalg.norm(y)
-    return np.column_stack([x_axis, y, np.cross(x_axis, y)])
+    return _posed_frame(x_axis, parent_frame)
 
 
 def retarget_frame(
@@ -123,8 +95,8 @@ def retarget_frame(
     """Per-frame bone rotations as 4x4 transforms, parents before children.
 
     For each bone with both endpoints: carry the class frame by the
-    parent's rotation (q = g_parent @ rc), swing q's x-axis onto the
-    observed direction, spin-correct against q, and map back to the rest
+    parent's rotation (q = g_parent @ rc), build the posed frame on the
+    observed direction from q (see _posed_frame), and map back to the rest
     pose with @ rc.T. Bones lacking endpoint data hold the previous
     frame's rotation when one is supplied, otherwise the identity, and
     report status "fell_back". Translations are zero and the bottom row is
@@ -145,7 +117,7 @@ def retarget_frame(
         else:
             rc = template.frame_rotation[bone.frame_class]
             q = global_rot[bone.parent_bone] @ rc if bone.parent_bone else rc
-            rot = spin_correct(frame_from_bone(direction, q[:, 0], secondary=q[:, 1]) @ q, q) @ rc.T
+            rot = _posed_frame(direction, q) @ rc.T
             statuses[bone.name] = STATUS_OK
         global_rot[bone.name] = rot
         T = np.eye(4)

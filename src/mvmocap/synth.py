@@ -1,4 +1,4 @@
-"""Synthetic scenes with known ground truth, plus an independent DLT oracle.
+"""Synthetic scenes with known ground truth.
 
 Scenes stand in for a physical capture rig: five 1920x1080 cameras on a
 ring around the origin, plus parametric body motion built by rotating
@@ -41,10 +41,6 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 class UnknownPreset(ValueError):
     """Requested motion preset does not exist."""
-
-
-class RankDeficient(ValueError):
-    """Triangulation geometry does not pin down a unique point."""
 
 
 @dataclass
@@ -214,31 +210,3 @@ def render_observations(scene: SyntheticScene) -> list[JointObservationFrame]:
             views[cam.id] = joints
         frames.append(JointObservationFrame(frame=skel.frame, views=views))
     return frames
-
-
-def dlt_triangulate(observations: list[JointObservation], cameras: list[CameraParams]) -> np.ndarray:
-    """Linear least-squares triangulation from stacked projection rows.
-
-    Each observation contributes the two classic direct-linear-transform
-    constraints u*P3 - P1 and v*P3 - P2; the homogeneous solution is the
-    smallest right singular vector. Raises RankDeficient for fewer than
-    two views or collinear ray geometry.
-    """
-    if len(observations) < 2:
-        raise RankDeficient("triangulation needs at least two views")
-    by_id = {c.id: c for c in cameras}
-    rows = []
-    for obs in observations:
-        cam = by_id[obs.view_id]
-        P = cam.intrinsic @ np.hstack([cam.rotation, cam.translation[:, None]])
-        u, v = obs.pixel
-        rows.append(u * P[2] - P[0])
-        rows.append(v * P[2] - P[1])
-    A = np.stack(rows)
-    _, s, vt = np.linalg.svd(A)
-    if s[2] <= 1e-9 * s[0]:
-        raise RankDeficient("observation rays are collinear")
-    X = vt[-1]
-    if abs(X[3]) <= 1e-12 * np.linalg.norm(X[:3]):
-        raise RankDeficient("triangulated point is at infinity")
-    return X[:3] / X[3]

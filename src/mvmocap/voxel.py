@@ -61,14 +61,12 @@ class Cube:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(3)
         e = tuple(float(x) for x in self.edges)
-        if any(x <= 0 for x in e):
-            raise ValueError("cube edges must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("cube center must be finite")
+        if not all(0.0 < x < np.inf for x in e):
+            raise ValueError("cube edges must be finite and positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "edges", e)
-
-    def vertices(self) -> np.ndarray:
-        """The eight corners, (8, 3), canonical corner order."""
-        return self.center + _CORNER_SIGNS * (np.asarray(self.edges) / 2.0)
 
 
 def _default_volume() -> Cube:
@@ -98,8 +96,8 @@ class EstimatorConfig:
         if self.sigma < 2:
             raise ValueError("sigma must be at least 2 (two perspectives fix a point)")
         d = tuple(float(x) for x in self.delta)
-        if any(x <= 0 for x in d):
-            raise ValueError("delta components must be positive")
+        if not all(0.0 < x < np.inf for x in d):
+            raise ValueError("delta components must be finite and positive")
         if any(e < dv for e, dv in zip(self.initial_volume.edges, d)):
             raise ValueError("initial volume must be at least delta in every axis")
         if not 0.0 <= self.min_confidence <= 1.0:

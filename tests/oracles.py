@@ -1,33 +1,51 @@
-"""Reference implementations shared by the tests.
+"""Reference implementations and readers shared by the tests.
 
 `hull_contains` is the independent containment oracle: scipy's convex hull
 of the projected cube vertices. `slab_votes` runs the estimator's own
 ray-box predicate on one cube. `estimate_joint_alone` is the per-joint
 subdivision search, one work queue per joint, against which the shared
-frontier of `estimate_joints` is checked. `class_frame_retarget` is the bone
-rotation chain written in each bone's class frame: pull-back through the
-parent, conjugations by the class rotation and a plus-or-minus angle roll
-search, against which the world-frame retarget is checked.
+frontier of `estimate_joints` is checked. `dlt_triangulate` is the
+independent least-squares triangulation of acceptance criterion 2.
+`class_frame_retarget` is the bone rotation chain written in each bone's
+class frame: pull-back through the parent, the minimal swing
+`frame_from_bone`, conjugations by the class rotation and a plus-or-minus
+angle roll search, against which the world-frame retarget is checked.
+`read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
 """
+
+import json
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap.geometry import NonPositiveDepth, project_points
 from mvmocap.mathutil import rotation_about_axis
-from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, frame_from_bone
+from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
-from mvmocap.voxel import JointEstimate, _camera_arrays, _refine, _rays, _subdivide, _views_containing
+from mvmocap.voxel import (
+    _CORNER_SIGNS,
+    JointEstimate,
+    _camera_arrays,
+    _refine,
+    _rays,
+    _subdivide,
+    _views_containing,
+)
 
 # Boundary tolerance of the oracle, pixels of perpendicular distance.
 HULL_TOL_PX = 1e-9
+
+
+def cube_vertices(cube) -> np.ndarray:
+    """The eight corners of a Cube, (8, 3), canonical corner order."""
+    return cube.center + _CORNER_SIGNS * (np.asarray(cube.edges) / 2.0)
 
 
 def hull_contains(cube, cam, pixel) -> bool:
     """Pixel inside the hull of the cube's projected vertices (boundary
     inclusive); False when any vertex is not in front of the camera."""
     try:
-        verts = project_points(cube.vertices(), cam)
+        verts = project_points(cube_vertices(cube), cam)
     except NonPositiveDepth:
         return False
     eq = ConvexHull(verts).equations  # unit outward normal n, offset b: n.x + b <= 0 inside
@@ -108,8 +126,78 @@ def estimate_joint_alone(observations, cameras, config) -> JointEstimate:
     )
 
 
+class RankDeficient(ValueError):
+    """Triangulation geometry does not pin down a unique point."""
+
+
+def dlt_triangulate(observations, cameras) -> np.ndarray:
+    """Linear least-squares triangulation from stacked projection rows.
+
+    Each observation contributes the two classic direct-linear-transform
+    constraints u*P3 - P1 and v*P3 - P2; the homogeneous solution is the
+    smallest right singular vector. Raises RankDeficient for fewer than
+    two views or collinear ray geometry.
+    """
+    if len(observations) < 2:
+        raise RankDeficient("triangulation needs at least two views")
+    by_id = {c.id: c for c in cameras}
+    rows = []
+    for obs in observations:
+        cam = by_id[obs.view_id]
+        P = cam.intrinsic @ np.hstack([cam.rotation, cam.translation[:, None]])
+        u, v = obs.pixel
+        rows.append(u * P[2] - P[0])
+        rows.append(v * P[2] - P[1])
+    A = np.stack(rows)
+    _, s, vt = np.linalg.svd(A)
+    if s[2] <= 1e-9 * s[0]:
+        raise RankDeficient("observation rays are collinear")
+    X = vt[-1]
+    if abs(X[3]) <= 1e-12 * np.linalg.norm(X[:3]):
+        raise RankDeficient("triangulated point is at infinity")
+    return X[:3] / X[3]
+
+
 _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
+
+
+class DegenerateParallel(ValueError):
+    """Bone direction is (anti)parallel to the reference axis."""
+
+
+def _frame_about(x_axis, y_hint):
+    """Right-handed basis with the given x-axis and y nearest to y_hint."""
+    y = y_hint - np.dot(y_hint, x_axis) * x_axis
+    n = np.linalg.norm(y)
+    if n < PARALLEL_TOL:
+        raise DegenerateParallel("secondary axis is parallel to the bone axis")
+    y = y / n
+    return np.column_stack([x_axis, y, np.cross(x_axis, y)])
+
+
+def frame_from_bone(x_prime, x_ref, secondary=None):
+    """Rotation carrying the unit reference axis x_ref onto x_prime.
+
+    Both input frames share the perpendicular y' = x_prime x x_ref, so the
+    result is the rotation about y' by the angle between the two axes. It
+    satisfies R @ x_ref == x_prime and is orthonormal with det +1.
+
+    When the axes are parallel the shared perpendicular vanishes; with a
+    `secondary` hint the frames are completed from it (an aligned bone then
+    maps to the identity), otherwise DegenerateParallel is raised.
+    """
+    x_prime = np.asarray(x_prime, dtype=float)
+    x_ref = np.asarray(x_ref, dtype=float)
+    cross = np.cross(x_prime, x_ref)
+    n = np.linalg.norm(cross)
+    if n < PARALLEL_TOL:
+        if secondary is None:
+            raise DegenerateParallel("bone direction is parallel to the reference axis")
+        y_hint = np.asarray(secondary, dtype=float)
+    else:
+        y_hint = cross / n
+    return _frame_about(x_prime, y_hint) @ _frame_about(x_ref, y_hint).T
 
 
 def is_rotation(m, tol: float = 1e-9) -> bool:
@@ -173,3 +261,15 @@ def class_frame_retarget(skeletons, topology, template):
             statuses[bone.name] = STATUS_OK
         previous = rotations
         yield rotations, statuses
+
+
+def read_transforms(path):
+    """One BoneTransformSet per line of an `anim.jsonl` file."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            yield BoneTransformSet(
+                frame=rec["frame"],
+                transforms={b["name"]: np.array(b["T"], dtype=float) for b in rec["bones"]},
+                statuses={b["name"]: b["status"] for b in rec["bones"]},
+            )

@@ -10,6 +10,7 @@ over smallest below 2x).
 import time
 
 import numpy as np
+from oracles import dlt_triangulate
 
 from mvmocap.cli import main
 from mvmocap.geometry import project
@@ -23,7 +24,7 @@ from mvmocap.skeleton import (
     tpose_positions,
 )
 from mvmocap.mathutil import rotation_about_axis
-from mvmocap.synth import dlt_triangulate, generate_scene, render_observations
+from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import Cube, EstimatorConfig, JointObservation, estimate_joint, estimate_skeleton
 
 TERMINAL_BOUND_MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm: half-diagonal of a 10 mm cube

@@ -2,9 +2,11 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import read_transforms
 
 from mvmocap import io as mio
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, RunConfig, main
@@ -61,7 +63,7 @@ def test_full_pipeline(tmp_path):
         footprint = cam.intrinsic[0, 0] * 10.0 * np.sqrt(3) / depth
         assert data["per_view_2d_px"][str(cam.id)] < footprint
 
-    transforms = list(mio.read_transforms(anim))
+    transforms = list(read_transforms(anim))
     assert len(transforms) == 4 and len(transforms[0].transforms) == 12
     assert len(list(overlays.glob("frame_*_view_*.svg"))) == 4 * 5
 
@@ -82,9 +84,9 @@ def test_sigma_above_camera_count_warns_and_degrades(tmp_path, capsys):
 
 def test_config_round_trip_is_identity():
     cfg = RunConfig()
-    rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    rebuilt = RunConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
     assert rebuilt == cfg
-    assert RunConfig.from_dict(json.loads(json.dumps(rebuilt.to_dict()))) == rebuilt
+    assert RunConfig.from_dict(json.loads(json.dumps(asdict(rebuilt)))) == rebuilt
 
 
 def test_eval_truth_against_itself_is_zero(tmp_path):
@@ -178,7 +180,16 @@ def test_overlay_unknown_view_id_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--sigma", "1"], ["--delta", "0x10x10"], ["--volume", "5x3000x4000"], ["--min-conf", "2"]]
+    "flags",
+    [
+        ["--sigma", "1"],
+        ["--delta", "0x10x10"],
+        ["--volume", "5x3000x4000"],
+        ["--min-conf", "2"],
+        ["--delta", "nanx10x10"],
+        ["--volume", "nanx3000x4000"],
+        ["--volume", "4000x3000x4000@nan,0,0"],
+    ],
 )
 def test_invalid_estimator_settings_exit_2(tmp_path, capsys, flags):
     scene = run_synth(tmp_path, frames=1)
@@ -187,6 +198,48 @@ def test_invalid_estimator_settings_exit_2(tmp_path, capsys, flags):
         "--out", str(tmp_path / "o.jsonl"), *flags,
     ]) == EXIT_PARSE
     assert "invalid estimator settings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--delta", "nanx10x10"], "delta components must be finite and positive"),
+        (["--volume", "nanx3000x4000"], "cube edges must be finite and positive"),
+        (["--volume", "4000x3000x4000@nan,0,0"], "cube center must be finite"),
+        (["--volume", "4000x3000x4000@a,0,0"], "--volume center expects numeric X,Y,Z, got 'a,0,0'"),
+    ],
+)
+def test_non_finite_estimator_settings_exit_2(tmp_path, capsys, flags, message):
+    scene = run_synth(tmp_path, frames=1)
+    assert main([
+        "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--out", str(tmp_path / "o.jsonl"), *flags,
+    ]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_overflowing_config_volume_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"volume_center": [1e400, 0, 0]}', encoding="utf-8")
+    assert main([
+        "reconstruct", "--config", str(cfg_path), "--calib", str(scene / "calib.json"),
+        "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert "invalid estimator settings: cube center must be finite" in capsys.readouterr().err
+
+
+def test_duplicate_camera_id_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    calib = scene / "calib.json"
+    entries = json.loads(calib.read_text(encoding="utf-8"))
+    moved = dict(entries[0], t=[x + 500.0 for x in entries[0]["t"]])
+    calib.write_text(json.dumps(entries + [moved]), encoding="utf-8")
+    assert main([
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert f"error: {calib}: invalid camera entry: duplicate id 0" in capsys.readouterr().err
 
 
 def test_synth_zero_frames_exits_2(tmp_path, capsys):
@@ -377,7 +430,7 @@ def test_config_file_with_flag_overrides(tmp_path):
     scene = run_synth(tmp_path, frames=1)
     cfg = RunConfig(calib=str(scene / "calib.json"), keypoints=str(scene / "keypoints.jsonl"), sigma=2)
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    cfg_path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
     skel = tmp_path / "skel.jsonl"
     assert main(["reconstruct", "--config", str(cfg_path), "--sigma", "4", "--out", str(skel)]) == EXIT_OK
     assert len(list(mio.read_skeletons(skel))) == 1

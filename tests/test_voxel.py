@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import estimate_joint_alone, hull_contains, slab_votes
+from oracles import dlt_triangulate, estimate_joint_alone, hull_contains, slab_votes
 
 from mvmocap.geometry import project
 from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
-from mvmocap.synth import dlt_triangulate, generate_scene, render_observations
+from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import (
     Cube,
     EstimatorConfig,
