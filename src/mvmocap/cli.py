@@ -1,9 +1,13 @@
 """Command-line pipeline: synth, reconstruct, retarget, eval, render-overlay.
 
 Frames stream through JSON-lines files end to end so long sequences never
-require whole-run memory residency. Exit codes: 0 on success, 2 for input
-or parse errors, 3 for frame mismatches between streams. Warnings go to
-stderr.
+require whole-run memory residency. Streams given together (estimated and
+truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
+`render-overlay`) are read in lockstep, so they must list the same frames in
+the same order, as `reconstruct` writes them. `eval` takes `--calib` and
+`--keypoints` together or not at all. Exit codes: 0 on success, 2 for input
+or parse errors, 3 at the first frame where streams read together disagree
+or one ends early. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,13 +28,13 @@ from .geometry import CameraParams, NonPositiveDepth, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import default_template, default_topology
+from .skeleton import Skeleton3D, default_template, default_topology
 from .synth import generate_scene, render_observations
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton
 
 
 class FrameMismatch(ValueError):
-    """Estimated and truth streams disagree on frame indices."""
+    """Streams read together disagree on frame indices or on length."""
 
 
 EXIT_OK = 0
@@ -66,11 +71,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = dict(data)
-        for key in ("delta", "volume_edges", "volume_center"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(x) for x in kwargs[key])
+        """A config from a decoded JSON object; TypeError on an unknown key or a mistyped value."""
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {data!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for key, value in data.items():
+            if key not in defaults:
+                raise TypeError(f"unknown field {key!r}")
+            kwargs[key] = _typed(key, value, defaults[key])
         return cls(**kwargs)
+
+
+def _typed(key: str, value, default):
+    """value as the type of default: a number as float, a list of numbers as a tuple, else unchanged."""
+    if isinstance(default, tuple):
+        if isinstance(value, list) and len(value) == len(default) and all(type(x) in (int, float) for x in value):
+            return tuple(float(x) for x in value)
+        kind = f"a list of {len(default)} numbers"
+    elif isinstance(default, float):
+        if type(value) in (int, float):
+            return float(value)
+        kind = "a number"
+    elif type(value) is type(default):
+        return value
+    else:
+        kind = {str: "a string", int: "an integer", bool: "true or false"}[type(default)]
+    raise TypeError(f"{key} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -106,7 +133,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             cfg = RunConfig.from_dict(mio.DECODER.decode(Path(args.config).read_text(encoding="utf-8")))
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, OverflowError) as exc:
             raise mio.InputParseError(f"{args.config}: bad config file: {exc}") from exc
     for name in ("calib", "keypoints", "truth", "skeleton", "out"):
         value = getattr(args, name.replace("-", "_"), None)
@@ -216,66 +243,64 @@ def cmd_retarget(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
+    """One record from each named (name, records) stream per step, all of one frame.
+
+    Raises FrameMismatch at the first step where the records' frame indices
+    differ or some streams have ended while others have not.
+    """
+    names = [name for name, _ in streams]
+    for records in zip_longest(*(recs for _, recs in streams)):
+        if any(r is None for r in records) or len({r.frame for r in records}) > 1:
+            state = ", ".join(f"{n} {'ended' if r is None else f'frame {r.frame}'}" for n, r in zip(names, records))
+            raise FrameMismatch(f"streams out of step: {state}")
+        yield records
+
+
+def _reproject(skel: Skeleton3D, joints: Iterable[int], cam: CameraParams) -> dict[int, np.ndarray]:
+    """Pixels in cam of those listed joints that are ok in skel and lie in front of the camera plane."""
+    pixels = {}
+    for idx in joints:
+        point = skel.positions.get(idx)  # present exactly where the status is ok
+        if point is None:
+            continue
+        try:
+            pixels[idx] = project(point, cam)
+        except NonPositiveDepth:
+            continue
+    return pixels
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _require(cfg, "skeleton", "truth", "out")
-    estimated = list(mio.read_skeletons(cfg.skeleton))
-    truth = list(mio.read_skeletons(cfg.truth))
-    if len(estimated) != len(truth):
-        raise FrameMismatch(f"estimated stream has {len(estimated)} frames, truth has {len(truth)}")
-    for est, tru in zip(estimated, truth):
-        if est.frame != tru.frame:
-            raise FrameMismatch(f"frame index mismatch: estimated {est.frame} vs truth {tru.frame}")
+    streams = [("estimated", mio.read_skeletons(cfg.skeleton)), ("truth", mio.read_skeletons(cfg.truth))]
+    if cfg.calib or cfg.keypoints:
+        _require(cfg, "calib", "keypoints")
+        cameras = {c.id: c for c in mio.load_cameras(cfg.calib)}
+        streams.append(("keypoints", _calibrated_frames(cfg.keypoints, cameras.values())))
 
     per_frame = []
     frames_used = []
     total_joints = 0
-    for est, tru in zip(estimated, truth):
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for est, tru, *obs in _lockstep(*streams):
         try:
             d3 = mean_abs_3d_err(est, tru)
         except NoComparableJoints:
             print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
+        else:
+            per_frame.append(d3)
+            frames_used.append(est.frame)
+            total_joints += sum(1 for i in est.statuses if est.joint_ok(i) and tru.joint_ok(i))
+        if not obs:
             continue
-        per_frame.append(d3)
-        frames_used.append(est.frame)
-        total_joints += sum(1 for i in est.statuses if est.joint_ok(i) and tru.joint_ok(i))
-
-    per_view: dict[int, float] = {}
-    if cfg.keypoints and cfg.calib:
-        per_view = _per_view_2d(cfg, estimated)
-
-    report = ErrorReport.build(per_frame, per_view, total_joints)
-    out_base = Path(cfg.out)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    _write_report(out_base, report, frames_used)
-    print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
-    return EXIT_OK
-
-
-def _per_view_2d(cfg: RunConfig, estimated) -> dict[int, float]:
-    cameras = {c.id: c for c in mio.load_cameras(cfg.calib)}
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    skeletons = {s.frame: s for s in estimated}
-    for obs_frame in _calibrated_frames(cfg.keypoints, cameras.values()):
-        skel = skeletons.get(obs_frame.frame)
-        if skel is None:
-            raise FrameMismatch(f"keypoints frame {obs_frame.frame} missing from estimated stream")
         detected = {}
         reprojected = {}
-        for view_id, joints in obs_frame.views.items():
-            cam = cameras[view_id]
-            det = {}
-            rep = {}
-            for idx, o in joints.items():
-                if not skel.joint_ok(idx):
-                    continue
-                try:
-                    rep[idx] = project(skel.positions[idx], cam)
-                except NonPositiveDepth:
-                    continue
-                det[idx] = o.pixel
-            detected[view_id] = det
+        for view_id, joints in obs[0].views.items():
+            rep = _reproject(est, joints, cameras[view_id])
+            detected[view_id] = {i: joints[i].pixel for i in rep}
             reprojected[view_id] = rep
         try:
             frame_err = avg_2d_err(detected, reprojected)
@@ -284,7 +309,16 @@ def _per_view_2d(cfg: RunConfig, estimated) -> dict[int, float]:
         for view_id, err in frame_err.items():
             sums[view_id] = sums.get(view_id, 0.0) + err
             counts[view_id] = counts.get(view_id, 0) + 1
-    return {v: sums[v] / counts[v] for v in sorted(sums)}
+
+    if not per_frame:
+        raise mio.InputParseError(f"{cfg.skeleton} and {cfg.truth} share no ok joint in any frame; nothing to evaluate")
+    per_view = {v: sums[v] / counts[v] for v in sorted(sums)}
+    report = ErrorReport.build(per_frame, per_view, total_joints)
+    out_base = Path(cfg.out)
+    out_base.parent.mkdir(parents=True, exist_ok=True)
+    _write_report(out_base, report, frames_used)
+    print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
+    return EXIT_OK
 
 
 def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -> None:
@@ -309,21 +343,16 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     topology = default_topology()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    skeletons = {s.frame: s for s in mio.read_skeletons(cfg.skeleton)}
+    frames = _lockstep(
+        ("keypoints", _calibrated_frames(cfg.keypoints, cameras.values())),
+        ("skeleton", mio.read_skeletons(cfg.skeleton)),
+    )
     count = 0
-    for obs_frame in _calibrated_frames(cfg.keypoints, cameras.values()):
-        skel = skeletons.get(obs_frame.frame)
-        if skel is None:
-            raise FrameMismatch(f"keypoints frame {obs_frame.frame} missing from skeleton stream")
+    for obs_frame, skel in frames:
         for view_id in sorted(obs_frame.views):
             cam = cameras[view_id]
             detected = {idx: o.pixel for idx, o in obs_frame.views[view_id].items()}
-            reprojected = {}
-            for idx in sorted(skel.positions):
-                try:
-                    reprojected[idx] = project(skel.positions[idx], cam)
-                except NonPositiveDepth:
-                    continue
+            reprojected = _reproject(skel, skel.positions, cam)
             svg = render_overlay_svg(cam, detected, reprojected, topology)
             (out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg").write_text(svg, encoding="utf-8")
             count += 1

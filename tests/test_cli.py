@@ -121,15 +121,70 @@ def test_eval_uniform_offset_is_exact(tmp_path):
     assert len(csv) == 4
 
 
-def test_eval_frame_mismatch_exits_3(tmp_path):
+def _pick_lines(src, dst, order):
+    """Write the lines of src at the indices in order to dst; returns dst."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    dst.write_text("".join(lines[i] + "\n" for i in order), encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize(
+    "edited, order",
+    [("skeleton", [0, 1]), ("keypoints", [0, 1]), ("keypoints", [1, 0, 2])],
+    ids=["skeleton-short", "keypoints-short", "keypoints-swapped"],
+)
+def test_eval_frame_mismatch_exits_3(tmp_path, edited, order):
     scene = run_synth(tmp_path, frames=3)
-    short = tmp_path / "short.jsonl"
-    lines = (scene / "truth.jsonl").read_text().splitlines()[:2]
-    short.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = {"skeleton": scene / "truth.jsonl", "keypoints": scene / "keypoints.jsonl"}
+    inputs[edited] = _pick_lines(inputs[edited], tmp_path / "edited.jsonl", order)
     assert main([
-        "eval", "--skeleton", str(short), "--truth", str(scene / "truth.jsonl"),
+        "eval", "--skeleton", str(inputs["skeleton"]), "--truth", str(scene / "truth.jsonl"),
+        "--calib", str(scene / "calib.json"), "--keypoints", str(inputs["keypoints"]),
         "--out", str(tmp_path / "r"),
     ]) == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize(
+    "edited, order", [("skeleton", [0, 1]), ("keypoints", [0, 1])], ids=["skeleton-short", "skeleton-long"]
+)
+def test_overlay_frame_mismatch_exits_3(tmp_path, capsys, edited, order):
+    scene = run_synth(tmp_path, frames=3)
+    inputs = {"skeleton": scene / "truth.jsonl", "keypoints": scene / "keypoints.jsonl"}
+    inputs[edited] = _pick_lines(inputs[edited], tmp_path / "edited.jsonl", order)
+    assert main([
+        "render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(inputs["keypoints"]),
+        "--skeleton", str(inputs["skeleton"]), "--out", str(tmp_path / "ov"),
+    ]) == EXIT_MISMATCH
+    state = {"skeleton": "keypoints frame 2, skeleton ended", "keypoints": "keypoints ended, skeleton frame 2"}[edited]
+    assert f"error: streams out of step: {state}" in capsys.readouterr().err
+
+
+def test_eval_with_nothing_to_compare_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=2)
+    skel = tmp_path / "skel.jsonl"
+    assert main([
+        "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--sigma", "6", "--out", str(skel),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert main(["eval", "--skeleton", str(skel), "--truth", str(scene / "truth.jsonl"), "--out", str(report)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {skel} and {scene / 'truth.jsonl'}" in err
+    assert not report.with_suffix(".json").exists() and not report.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("given, missing", [("calib", "keypoints"), ("keypoints", "calib")])
+def test_eval_needs_calib_and_keypoints_together(tmp_path, capsys, given, missing):
+    scene = run_synth(tmp_path, frames=1)
+    path = {"calib": scene / "calib.json", "keypoints": scene / "keypoints.jsonl"}[given]
+    report = tmp_path / "report"
+    assert main([
+        "eval", "--skeleton", str(scene / "truth.jsonl"), "--truth", str(scene / "truth.jsonl"),
+        f"--{given}", str(path), "--out", str(report),
+    ]) == EXIT_PARSE
+    assert f"missing required input(s): --{missing}" in capsys.readouterr().err
+    assert not report.with_suffix(".json").exists()
 
 
 def test_bad_input_exits_2(tmp_path):
@@ -350,6 +405,27 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg_path.write_text('{"min_confidence": NaN}', encoding="utf-8")
     assert main(["retarget", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
     assert f"error: {cfg_path}: bad config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sigma", "4", "sigma must be an integer, got '4'"),
+        ("sigma", 2.5, "sigma must be an integer, got 2.5"),
+        ("calib", 5, "calib must be a string, got 5"),
+        ("min_confidence", "0.1", "min_confidence must be a number, got '0.1'"),
+        ("delta", [10**400, 10, 10], "int too large to convert to float"),
+    ],
+    ids=["string-sigma", "fractional-sigma", "numeric-calib", "string-min-confidence", "overflowing-delta"],
+)
+def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
+    scene = run_synth(tmp_path, frames=1)
+    cfg = {"calib": str(scene / "calib.json"), "keypoints": str(scene / "keypoints.jsonl"), field: value}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["reconstruct", "--config", str(cfg_path), "--delta", "100x100x100", "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {cfg_path}: bad config file" in err and message in err
 
 
 def _circles(svg_text, color):
