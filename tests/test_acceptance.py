@@ -2,7 +2,8 @@
 PASS/FAIL line with the measured values.
 
 Criterion 3 sweeps the terminal cube size over a factor of six and checks
-three trends: node counts strictly decrease, wall times decrease with at
+three trends: node counts strictly decrease, wall times of the searches
+(summed per-frame bests of several interleaved passes) decrease with at
 most one inversion, and the noiseless mean 3D error stays flat (largest
 over smallest below 2x).
 """
@@ -28,6 +29,7 @@ from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import Cube, EstimatorConfig, JointObservation, estimate_joint, estimate_skeleton
 
 TERMINAL_BOUND_MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm: half-diagonal of a 10 mm cube
+TIMING_ROUNDS = 7  # criterion 3: passes per (frame, delta), the fastest counts
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -104,24 +106,32 @@ def test_criterion_3_delta_sweep_trend():
     topology = default_topology()
     volume = Cube(center=np.zeros(3), edges=(3000.0, 3000.0, 3000.0))
 
-    nodes, times, errors = [], [], []
-    for delta in (5.0, 10.0, 20.0, 30.0):
-        config = EstimatorConfig(sigma=4, delta=(delta,) * 3, initial_volume=volume)
-        node_total = 0
-        start = time.perf_counter()
-        per_frame = []
-        for frame, truth in zip(frames, scene.truth):
-            skel_positions = {}
-            for idx in topology.detected_joint_indices:
-                est = estimate_joint(frame.observations_for(idx), scene.cameras, config)
-                node_total += est.nodes_visited
-                if est.status == STATUS_OK:
-                    skel_positions[idx] = est.position
-            skel = Skeleton3D.from_positions(frame.frame, skel_positions)
-            per_frame.append(mean_abs_3d_err(skel, truth))
-        times.append(time.perf_counter() - start)
-        nodes.append(node_total)
-        errors.append(sequence_mean(per_frame))
+    deltas = (5.0, 10.0, 20.0, 30.0)
+    configs = [EstimatorConfig(sigma=4, delta=(d,) * 3, initial_volume=volume) for d in deltas]
+    joints = topology.detected_joint_indices
+    observations = [[frame.observations_for(idx) for idx in joints] for frame in frames]
+
+    # A delta's wall time is that of its estimate_joint calls alone. The
+    # deltas take turns frame by frame, and each (frame, delta) counts with
+    # its fastest of TIMING_ROUNDS passes, so the trend compares the
+    # estimator's cost rather than the host's load while one delta ran. The
+    # searches are deterministic: node counts and errors come from the first
+    # pass.
+    best = np.full((len(frames), len(deltas)), np.inf)
+    nodes = [0] * len(deltas)
+    per_frame = [[] for _ in deltas]
+    for round_ in range(TIMING_ROUNDS):
+        for f, (frame, truth, frame_obs) in enumerate(zip(frames, scene.truth, observations)):
+            for i, config in enumerate(configs):
+                start = time.perf_counter()
+                estimates = [estimate_joint(obs, scene.cameras, config) for obs in frame_obs]
+                best[f, i] = min(best[f, i], time.perf_counter() - start)
+                if round_ == 0:
+                    nodes[i] += sum(est.nodes_visited for est in estimates)
+                    positions = {idx: est.position for idx, est in zip(joints, estimates) if est.status == STATUS_OK}
+                    per_frame[i].append(mean_abs_3d_err(Skeleton3D.from_positions(frame.frame, positions), truth))
+    times = best.sum(axis=0).tolist()
+    errors = [sequence_mean(e) for e in per_frame]
 
     nodes_ok = all(a > b for a, b in zip(nodes, nodes[1:]))
     time_inversions = sum(1 for a, b in zip(times, times[1:]) if a <= b)
