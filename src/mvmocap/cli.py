@@ -147,7 +147,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.volume_edges, cfg.volume_center = _parse_volume(args.volume)
     if getattr(args, "min_conf", None) is not None:
         cfg.min_confidence = args.min_conf
-    cfg.timing = bool(getattr(args, "timing", False))
+    if getattr(args, "timing", False):
+        cfg.timing = True
     return cfg
 
 
@@ -184,7 +185,7 @@ def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[J
     """Keypoint frames from path; InputParseError on a view missing from the calibration."""
     known_views = {c.id for c in cameras}
     for frame in mio.read_keypoints(path):
-        unknown = set(frame.views) - known_views
+        unknown = set(frame.view_ids) - known_views
         if unknown:
             raise mio.InputParseError(f"{path}: frame {frame.frame} references uncalibrated views {sorted(unknown)}")
         yield frame
@@ -298,9 +299,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         detected = {}
         reprojected = {}
-        for view_id, joints in obs[0].views.items():
-            rep = _reproject(est, joints, cameras[view_id])
-            detected[view_id] = {i: joints[i].pixel for i in rep}
+        for r, view_id in enumerate(obs[0].view_ids):
+            rep = _reproject(est, obs[0].detected(r), cameras[view_id])
+            detected[view_id] = {i: obs[0].table[r, i, :2] for i in rep}
             reprojected[view_id] = rep
         try:
             frame_err = avg_2d_err(detected, reprojected)
@@ -349,9 +350,9 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     )
     count = 0
     for obs_frame, skel in frames:
-        for view_id in sorted(obs_frame.views):
+        for r, view_id in enumerate(obs_frame.view_ids):
             cam = cameras[view_id]
-            detected = {idx: o.pixel for idx, o in obs_frame.views[view_id].items()}
+            detected = {idx: obs_frame.table[r, idx, :2] for idx in obs_frame.detected(r)}
             reprojected = _reproject(skel, skel.positions, cam)
             svg = render_overlay_svg(cam, detected, reprojected, topology)
             (out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg").write_text(svg, encoding="utf-8")

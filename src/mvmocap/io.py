@@ -17,8 +17,14 @@ Formats:
 All matrices are row-major. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite and positions and matrices of the
 stated length. A calibration lists each camera id once, a keypoint frame
-each view once and a view each joint once; a skeleton status is "ok" or
-"no_consensus".
+each view once and a view each joint once, by an index in 0-13; a skeleton
+status is "ok" or "no_consensus". Within a keypoint or skeleton stream the
+frame indices strictly increase.
+
+A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
+r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
+(u, v, c) of joint i, all NaN where the view has no detection of it. The
+writer lists views by ascending id and joints by ascending index.
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ import numpy as np
 
 from .geometry import CameraParams
 from .retarget import BoneTransformSet
-from .skeleton import STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
-from .voxel import JointObservation, JointObservationFrame
+from .skeleton import DETECTED_JOINTS, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
+from .voxel import JointObservationFrame
+
+
+# Width of a keypoint table: one row per detected joint index.
+_JOINTS = len(DETECTED_JOINTS)
 
 
 class InputParseError(ValueError):
@@ -144,14 +154,12 @@ def _snap_rotation(r: np.ndarray) -> np.ndarray:
 
 def keypoint_line(frame: JointObservationFrame) -> str:
     view_parts = []
-    for view_id in sorted(frame.views):
+    for r in np.argsort(frame.view_ids):
         joint_parts = []
-        for idx in sorted(frame.views[view_id]):
-            o = frame.views[view_id][idx]
-            joint_parts.append(
-                f'{{"idx": {idx}, "u": {_fmt(o.pixel[0])}, "v": {_fmt(o.pixel[1])}, "c": {_fmt(o.confidence)}}}'
-            )
-        view_parts.append(f'{{"view_id": {view_id}, "joints": [' + ", ".join(joint_parts) + "]}")
+        for idx in frame.detected(r):
+            u, v, c = frame.table[r, idx]
+            joint_parts.append(f'{{"idx": {idx}, "u": {_fmt(u)}, "v": {_fmt(v)}, "c": {_fmt(c)}}}')
+        view_parts.append(f'{{"view_id": {frame.view_ids[r]}, "joints": [' + ", ".join(joint_parts) + "]}")
     return f'{{"frame": {frame.frame}, "views": [' + ", ".join(view_parts) + "]}"
 
 
@@ -163,27 +171,44 @@ def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -
 
 def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
     path = Path(path)
+    last = None
     for lineno, raw in enumerate(_read_lines(path), start=1):
         try:
             rec = DECODER.decode(raw)
-            views: dict[int, dict[int, JointObservation]] = {}
-            for view in rec["views"]:
+            frame = _next_frame(rec, last)
+            views = rec["views"]
+            view_ids: list[int] = []
+            # The table as one flat list, filled cell by cell and converted once.
+            cells = [math.nan] * (len(views) * _JOINTS * 3)
+            for r, view in enumerate(views):
                 view_id = int(view["view_id"])
-                if view_id in views:
+                if view_id in view_ids:
                     raise ValueError(f"view {view_id} listed twice")
-                joints = {}
+                view_ids.append(view_id)
                 for j in view["joints"]:
                     idx = int(j["idx"])
-                    if idx in joints:
+                    if not 0 <= idx < _JOINTS:
+                        raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
+                    at = (r * _JOINTS + idx) * 3
+                    if not math.isnan(cells[at + 2]):
                         raise ValueError(f"joint {idx} listed twice in view {view_id}")
                     u, v, c = float(j["u"]), float(j["v"]), float(j["c"])
                     if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(c)):
                         raise ValueError(f"non-finite number in joint {j!r}")
-                    joints[idx] = JointObservation(view_id=view_id, pixel=np.array([u, v]), confidence=c)
-                views[view_id] = joints
-            yield JointObservationFrame(frame=int(rec["frame"]), views=views)
+                    cells[at : at + 3] = (u, v, c)
+            table = np.array(cells).reshape(len(views), _JOINTS, 3)
+            yield JointObservationFrame(frame=frame, view_ids=view_ids, table=table)
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad keypoint record: {exc}") from exc
+        last = frame
+
+
+def _next_frame(rec: dict, last: int | None) -> int:
+    """The record's frame index; ValueError unless it is greater than last."""
+    frame = int(rec["frame"])
+    if last is not None and frame <= last:
+        raise ValueError(f"frame {frame} does not follow frame {last}")
+    return frame
 
 
 # -- skeletons ------------------------------------------------------------
@@ -208,9 +233,11 @@ def write_skeletons(path: str | Path, skeletons: Iterable[Skeleton3D]) -> None:
 
 def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
     path = Path(path)
+    last = None
     for lineno, raw in enumerate(_read_lines(path), start=1):
         try:
             rec = DECODER.decode(raw)
+            frame = _next_frame(rec, last)
             positions: dict[int, np.ndarray] = {}
             statuses: dict[int, str] = {}
             for j in rec["joints"]:
@@ -221,9 +248,10 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
                 statuses[idx] = status
                 if status == STATUS_OK:
                     positions[idx] = _finite_vector(j["p"], 3)
-            yield Skeleton3D(frame=int(rec["frame"]), positions=positions, statuses=statuses)
+            yield Skeleton3D(frame=frame, positions=positions, statuses=statuses)
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc
+        last = frame
 
 
 # -- bone transforms -------------------------------------------------------

@@ -19,13 +19,14 @@ import numpy as np
 from .geometry import CameraParams, project
 from .mathutil import rotation_about_axis, unit
 from .skeleton import (
+    DETECTED_JOINTS,
     ROOT_JOINT,
     T_POSE_STATURE_MM,
     Skeleton3D,
     default_topology,
     tpose_positions,
 )
-from .voxel import JointObservation, JointObservationFrame
+from .voxel import JointObservationFrame
 
 PRESETS = ("tpose-static", "walk", "wave", "squat")
 
@@ -193,11 +194,11 @@ def render_observations(scene: SyntheticScene) -> list[JointObservationFrame]:
     and per-frame sub-seeding keep the output reproducible.
     """
     frames = []
+    view_ids = [cam.id for cam in scene.cameras]
     for skel in scene.truth:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scene.rng_seed, spawn_key=(skel.frame,)))
-        views: dict[int, dict[int, JointObservation]] = {}
-        for cam in scene.cameras:
-            joints: dict[int, JointObservation] = {}
+        table = np.full((len(scene.cameras), len(DETECTED_JOINTS), 3), np.nan)
+        for r, cam in enumerate(scene.cameras):
             for idx in sorted(skel.positions):
                 if idx == ROOT_JOINT:
                     continue  # the root is synthesized downstream, never detected
@@ -205,8 +206,7 @@ def render_observations(scene: SyntheticScene) -> list[JointObservationFrame]:
                 dropped = scene.dropout > 0 and rng.random() < scene.dropout
                 if dropped:
                     continue
-                pixel = project(skel.positions[idx], cam) + noise
-                joints[idx] = JointObservation(view_id=cam.id, pixel=pixel, confidence=1.0)
-            views[cam.id] = joints
-        frames.append(JointObservationFrame(frame=skel.frame, views=views))
+                table[r, idx, :2] = project(skel.positions[idx], cam) + noise
+                table[r, idx, 2] = 1.0
+        frames.append(JointObservationFrame(frame=skel.frame, view_ids=view_ids, table=table))
     return frames

@@ -3,14 +3,16 @@
 `hull_contains` is the independent containment oracle: scipy's convex hull
 of the projected cube vertices. `slab_votes` runs the estimator's own
 ray-box predicate on one cube. `estimate_joint_alone` is the per-joint
-subdivision search, one work queue per joint, against which the shared
-frontier of `estimate_joints` is checked. `dlt_triangulate` is the
+subdivision search, one work queue per joint and one SVD per refined
+joint (`refine_alone`), against which the shared frontier and the stacked
+refinement of `estimate_joints` are checked. `dlt_triangulate` is the
 independent least-squares triangulation of acceptance criterion 2.
 `class_frame_retarget` is the bone rotation chain written in each bone's
 class frame: pull-back through the parent, the minimal swing
 `frame_from_bone`, conjugations by the class rotation and a plus-or-minus
 angle roll search, against which the world-frame retarget is checked.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
+`view_detections` reads one view's detections out of a keypoint table.
 """
 
 import json
@@ -25,8 +27,8 @@ from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, MissingJoint, ZeroL
 from mvmocap.voxel import (
     _CORNER_SIGNS,
     JointEstimate,
+    JointObservation,
     _camera_arrays,
-    _refine,
     _rays,
     _subdivide,
     _views_containing,
@@ -68,6 +70,24 @@ def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
 
 def _canonical_order(centers):
     return centers[np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0]))]
+
+
+def refine_alone(candidates, half, K, R, t, pixels) -> np.ndarray:
+    """One joint's least-squares triangulation over its supporting views, with its own SVD.
+
+    The estimator's refinement before it was stacked: the two DLT rows
+    u*P3 - P1 and v*P3 - P2 of each view, in the given order, the smallest
+    right singular vector, then the clamp to the candidates' bounding box,
+    or the mean of candidate centers where the solve is degenerate.
+    """
+    P = K @ np.concatenate([R, t[:, :, None]], axis=2)  # (V, 3, 4)
+    A = (pixels[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
+    X = np.linalg.svd(A, full_matrices=False)[2][-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = X[:3] / X[3]
+    if not np.all(np.isfinite(point)):
+        return candidates.mean(axis=0)
+    return np.clip(point, candidates.min(axis=0) - half, candidates.max(axis=0) + half)
 
 
 def estimate_joint_alone(observations, cameras, config) -> JointEstimate:
@@ -114,7 +134,7 @@ def estimate_joint_alone(observations, cameras, config) -> JointEstimate:
 
     candidates = _canonical_order(candidates)
     sel = np.flatnonzero(support)
-    position = _refine(candidates, edges / 2.0, K[sel], R[sel], t[sel], pixels[sel])
+    position = refine_alone(candidates, edges / 2.0, K[sel], R[sel], t[sel], pixels[sel])
     return JointEstimate(
         position=position,
         candidate_count=int(candidates.shape[0]),
@@ -273,3 +293,9 @@ def read_transforms(path):
                 transforms={b["name"]: np.array(b["T"], dtype=float) for b in rec["bones"]},
                 statuses={b["name"]: b["status"] for b in rec["bones"]},
             )
+
+
+def view_detections(frame, view_id) -> dict:
+    """Joint index -> JointObservation for one view of a JointObservationFrame."""
+    r = frame.view_ids.index(view_id)
+    return {idx: JointObservation(view_id, frame.table[r, idx, :2], frame.table[r, idx, 2]) for idx in frame.detected(r)}

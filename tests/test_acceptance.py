@@ -11,7 +11,7 @@ over smallest below 2x).
 import time
 
 import numpy as np
-from oracles import dlt_triangulate
+from oracles import dlt_triangulate, view_detections
 
 from mvmocap.cli import main
 from mvmocap.geometry import project
@@ -162,7 +162,7 @@ def test_criterion_4_reprojection_bound():
         reprojected = {}
         for cam in scene.cameras:
             det, rep = {}, {}
-            for idx, obs in frame.views[cam.id].items():
+            for idx, obs in view_detections(frame, cam.id).items():
                 if skel.joint_ok(idx):
                     det[idx] = obs.pixel
                     rep[idx] = project(skel.positions[idx], cam)

@@ -1,13 +1,18 @@
 """End-to-end command-line pipeline tests on small synthetic scenes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import read_transforms
 
+import mvmocap
 from mvmocap import io as mio
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, RunConfig, main
 from mvmocap.skeleton import STATUS_NO_CONSENSUS
@@ -370,8 +375,32 @@ def _edit_record_2(path, edit):
             "reconstruct",
         ),
         ("truth.jsonl", lambda rec: rec["joints"][3].update(status="bogus"), "unknown status 'bogus'", "retarget"),
+        (
+            "keypoints.jsonl",
+            lambda rec: rec["views"][1]["joints"][2].update(idx=14),
+            "joint index 14 outside 0-13",
+            "reconstruct",
+        ),
+        (
+            "keypoints.jsonl",
+            lambda rec: rec["views"][0]["joints"][0].update(idx=-1),
+            "joint index -1 outside 0-13",
+            "reconstruct",
+        ),
+        ("keypoints.jsonl", lambda rec: rec.update(frame=0), "frame 0 does not follow frame 0", "reconstruct"),
+        ("truth.jsonl", lambda rec: rec.update(frame=0), "frame 0 does not follow frame 0", "retarget"),
+        ("truth.jsonl", lambda rec: rec.update(frame=-3), "frame -3 does not follow frame 0", "eval"),
     ],
-    ids=["duplicate-view", "duplicate-joint", "unknown-status"],
+    ids=[
+        "duplicate-view",
+        "duplicate-joint",
+        "unknown-status",
+        "joint-index-too-large",
+        "joint-index-negative",
+        "repeated-keypoint-frame",
+        "repeated-skeleton-frame",
+        "earlier-skeleton-frame",
+    ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
     scene = run_synth(tmp_path, frames=2)
@@ -379,6 +408,7 @@ def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, messag
     _edit_record_2(path, edit)
     inputs = {
         "retarget": ["--skeleton", str(path)],
+        "eval": ["--skeleton", str(path), "--truth", str(path)],
         "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(path), "--delta", "100x100x100"],
     }[command]
     assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
@@ -463,8 +493,7 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     # Remove joint 0 (head) from every view's detections.
     lines = []
     for frame in mio.read_keypoints(scene / "keypoints.jsonl"):
-        for view in frame.views.values():
-            view.pop(0, None)
+        frame.table[:, 0] = np.nan
         lines.append(frame)
     mio.write_keypoints(scene / "keypoints.jsonl", lines)
 
@@ -485,6 +514,54 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     svg = (overlays / "frame_0000_view_0.svg").read_text()
     assert len(_circles(svg, "red")) == 13
     assert len(_circles(svg, "blue")) == 15
+
+
+@pytest.mark.parametrize("timing", [True, False])
+def test_config_file_timing_field(tmp_path, capsys, timing):
+    """A "timing" field in a --config file prints the timing JSON without --timing."""
+    scene = run_synth(tmp_path, frames=2)
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({"timing": timing}), encoding="utf-8")
+    assert main([
+        "reconstruct", "--config", str(config), "--calib", str(scene / "calib.json"),
+        "--keypoints", str(scene / "keypoints.jsonl"), "--delta", "100x100x100", "--out", str(tmp_path / "s.jsonl"),
+    ]) == EXIT_OK
+    err = capsys.readouterr().err.strip()
+    if timing:
+        assert json.loads(err.splitlines()[-1])["frames"] == 2
+    else:
+        assert err == ""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """reconstruct, eval and render-overlay leave numpy.ma unimported.
+
+    numpy imports numpy.ma on first use of np.unique, which adds about 2 MB
+    to the resident set of every command; a fresh interpreter shows whether
+    a command pulled it in.
+    """
+    scene = run_synth(tmp_path, frames=3)
+    s = lambda name: str(scene / name)
+    skel = str(tmp_path / "skel.jsonl")
+    common = ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl")]
+    argvs = [
+        ["reconstruct", *common, "--delta", "50x50x50", "--out", skel],
+        ["eval", *common, "--skeleton", skel, "--truth", s("truth.jsonl"), "--out", str(tmp_path / "report")],
+        ["render-overlay", *common, "--skeleton", skel, "--out", str(tmp_path / "overlay")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from mvmocap.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy.ma': 'numpy.ma' in sys.modules}))\n"
+    )
+    src = str(Path(mvmocap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == {"codes": [EXIT_OK] * 3, "numpy.ma": False}
 
 
 def test_timing_phases_cover_wall_clock(tmp_path, capsys):

@@ -3,7 +3,9 @@
 Each example takes a valid line of a synthetic scene's keypoint or skeleton
 stream and breaks one field: drops a key, gives a value the wrong type,
 writes a non-finite token or a number too large for a double, changes the
-length of a position, or gives a skeleton joint an unknown status. Both
+length of a position, gives a skeleton joint an unknown status, gives a
+keypoint a joint index outside 0-13, or gives a record after the first a
+frame index not greater than the one before it. Both
 streams go through `cli.main`, which must exit 2 with
 `error: <path>:<line>:`.
 """
@@ -44,12 +46,12 @@ def scene(tmp_path_factory):
 def _sites(stream, rec):
     """(container, key, kind) for every field a mutation may target."""
     items = {"keypoints": "views", "skeletons": "joints"}[stream]
-    sites = [(rec, "frame", "number"), (rec, items, "list")]
+    sites = [(rec, "frame", "frame"), (rec, items, "list")]
     for item in rec[items]:
         if stream == "keypoints":
             sites += [(item, "view_id", "number"), (item, "joints", "list")]
             for j in item["joints"]:
-                sites += [(j, key, "number") for key in ("idx", "u", "v", "c")]
+                sites += [(j, "idx", "joint index")] + [(j, key, "number") for key in ("u", "v", "c")]
         else:
             sites += [(item, "idx", "number"), (item, "status", "status"), (item, "p", "vector")]
     return sites
@@ -59,12 +61,16 @@ def _bad_number(draw):
     return draw(st.sampled_from(NON_FINITE + (HUGE,)))
 
 
-def _mutate(draw, stream, rec):
-    """Break one field of rec in place."""
+def _mutate(draw, stream, rec, previous_frame):
+    """Break one field of rec in place; previous_frame is None on the first line."""
     container, key, kind = draw(st.sampled_from(_sites(stream, rec)))
     actions = ["drop", "retype"]
-    if kind == "number":
+    if kind in ("number", "frame", "joint index"):
         actions.append("bad number")
+    if kind == "frame" and previous_frame is not None:
+        actions.append("out of order")
+    if kind == "joint index":
+        actions.append("out of range")
     if kind == "vector":
         actions += ["bad element", "wrong length"]
     if kind == "status":
@@ -73,10 +79,14 @@ def _mutate(draw, stream, rec):
     if action == "drop":
         del container[key]
     elif action == "retype":
-        retypes = {"number": NUMBER_RETYPES, "list": LIST_RETYPES, "status": STATUS_RETYPES}.get(kind, ARRAY_RETYPES)
+        retypes = {"list": LIST_RETYPES, "status": STATUS_RETYPES, "vector": ARRAY_RETYPES}.get(kind, NUMBER_RETYPES)
         container[key] = draw(st.sampled_from(retypes))
     elif action == "bad number":
         container[key] = _bad_number(draw)
+    elif action == "out of order":
+        container[key] = draw(st.integers(max_value=previous_frame))
+    elif action == "out of range":
+        container[key] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=14)))
     elif action == "unknown status":
         container[key] = draw(st.text().filter(lambda s: s not in ("ok", "no_consensus")))
     else:
@@ -95,7 +105,7 @@ def broken_stream(draw, stream, lines):
     lines = list(lines)
     lineno = draw(st.integers(1, len(lines)))
     rec = json.loads(lines[lineno - 1])
-    _mutate(draw, stream, rec)
+    _mutate(draw, stream, rec, json.loads(lines[lineno - 2])["frame"] if lineno > 1 else None)
     lines[lineno - 1] = json.dumps(rec).replace(f'"{HUGE}"', draw(st.sampled_from(["1e400", "-1e400"])))
     return "\n".join(lines) + "\n", lineno
 

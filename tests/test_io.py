@@ -28,11 +28,9 @@ def test_keypoints_round_trip(tmp_path):
     loaded = list(mio.read_keypoints(path))
     assert [f.frame for f in loaded] == [0, 1, 2]
     for orig, back in zip(frames, loaded):
-        assert set(orig.views) == set(back.views)
-        for view_id in orig.views:
-            assert set(orig.views[view_id]) == set(back.views[view_id])
-            for idx, o in orig.views[view_id].items():
-                assert np.allclose(o.pixel, back.views[view_id][idx].pixel, atol=1e-6)
+        assert orig.view_ids == back.view_ids
+        assert np.array_equal(np.isnan(orig.table), np.isnan(back.table))
+        assert np.allclose(orig.table, back.table, atol=1e-6, equal_nan=True)
 
 
 def test_skeleton_round_trip_preserves_statuses(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import RankDeficient, dlt_triangulate
+from oracles import RankDeficient, dlt_triangulate, view_detections
 
 from mvmocap.geometry import project
 from mvmocap.io import keypoint_line
@@ -62,7 +62,7 @@ def test_noiseless_observations_are_exact_projections():
     frames = render_observations(scene)
     for skel, frame in zip(scene.truth, frames):
         for cam in scene.cameras:
-            joints = frame.views[cam.id]
+            joints = view_detections(frame, cam.id)
             assert set(joints) == set(skel.positions) - {ROOT_JOINT}
             for idx, obs in joints.items():
                 assert obs.confidence == 1.0
@@ -72,8 +72,8 @@ def test_noiseless_observations_are_exact_projections():
 def test_full_dropout_empties_every_view():
     scene = generate_scene("walk", frames=3, dropout=1.0, seed=12)
     for frame in render_observations(scene):
-        for joints in frame.views.values():
-            assert joints == {}
+        assert frame.view_ids == [c.id for c in scene.cameras]
+        assert np.isnan(frame.table).all()
 
 
 def test_noise_standard_deviation_calibrated():
@@ -82,7 +82,7 @@ def test_noise_standard_deviation_calibrated():
     residuals = []
     for skel, frame in zip(scene.truth, frames):
         for cam in scene.cameras:
-            for idx, obs in frame.views[cam.id].items():
+            for idx, obs in view_detections(frame, cam.id).items():
                 residuals.extend(obs.pixel - project(skel.positions[idx], cam))
     residuals = np.asarray(residuals)
     assert residuals.size > 10_000
