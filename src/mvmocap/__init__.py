@@ -6,12 +6,7 @@ per-bone transforms against a T-pose template, and evaluates accuracy with
 3D and reprojection error metrics.
 """
 
-from .geometry import (
-    CameraParams,
-    NonPositiveDepth,
-    project,
-    project_points,
-)
+from .geometry import CameraParams, project
 from .metrics import ErrorReport, avg_2d_err, mean_abs_3d_err, sequence_mean
 from .retarget import (
     BoneTransformSet,
@@ -32,7 +27,6 @@ from .voxel import (
     Cube,
     EstimatorConfig,
     JointEstimate,
-    JointObservation,
     JointObservationFrame,
     estimate_joint,
     estimate_joints,

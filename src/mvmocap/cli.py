@@ -4,10 +4,14 @@ Frames stream through JSON-lines files end to end so long sequences never
 require whole-run memory residency. Streams given together (estimated and
 truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
 `render-overlay`) are read in lockstep, so they must list the same frames in
-the same order, as `reconstruct` writes them. `eval` takes `--calib` and
-`--keypoints` together or not at all. Exit codes: 0 on success, 2 for input
-or parse errors, 3 at the first frame where streams read together disagree
-or one ends early. Warnings go to stderr.
+the same order, as `reconstruct` writes them. Both commands reproject a
+skeleton with one `project` call per view into a (15, 2) array, NaN where a
+joint is missing or behind the camera, and compare it with the keypoint
+table's rows. `eval` takes `--calib` and `--keypoints` together or not at
+all. Exit codes: 0 on success, 2 for input or parse errors, 3 at the first
+frame where streams read together disagree or one ends early. A run that
+exits 2 or 3 leaves no partial skeleton stream or overlay set behind.
+Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import io as mio
-from .geometry import CameraParams, NonPositiveDepth, project
+from .geometry import CameraParams, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import Skeleton3D, default_template, default_topology
+from .skeleton import DETECTED_JOINTS, JOINT_NAMES, Skeleton3D, default_template, default_topology
 from .synth import generate_scene, render_observations
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton
 
@@ -210,22 +214,29 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         )
 
     reader = _calibrated_frames(cfg.keypoints, cameras)
-    with open(cfg.out, "w", encoding="utf-8") as out:
-        while True:
-            t0 = time.perf_counter()
-            frame = next(reader, None)  # JSON decoding happens here
-            timing.add("parse_inputs", (time.perf_counter() - t0) * 1e3)
-            if frame is None:
-                break
+    out_path = Path(cfg.out)
+    part = out_path.with_name(out_path.name + ".part")  # renamed to out_path on success
+    try:
+        with open(part, "w", encoding="utf-8") as out:
+            while True:
+                t0 = time.perf_counter()
+                frame = next(reader, None)  # JSON decoding happens here
+                timing.add("parse_inputs", (time.perf_counter() - t0) * 1e3)
+                if frame is None:
+                    break
 
-            t0 = time.perf_counter()
-            skel = estimate_skeleton(frame, cameras, config, topology)
-            timing.add("estimate_3d_joints", (time.perf_counter() - t0) * 1e3)
+                t0 = time.perf_counter()
+                skel = estimate_skeleton(frame, cameras, config, topology)
+                timing.add("estimate_3d_joints", (time.perf_counter() - t0) * 1e3)
 
-            t0 = time.perf_counter()
-            out.write(mio.skeleton_line(skel) + "\n")
-            timing.add("write_output", (time.perf_counter() - t0) * 1e3)
-            timing.frames += 1
+                t0 = time.perf_counter()
+                out.write(mio.skeleton_line(skel) + "\n")
+                timing.add("write_output", (time.perf_counter() - t0) * 1e3)
+                timing.frames += 1
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(out_path)
 
     timing.total_ms = (time.perf_counter() - wall_start) * 1e3
     if cfg.timing:
@@ -258,18 +269,12 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
-def _reproject(skel: Skeleton3D, joints: Iterable[int], cam: CameraParams) -> dict[int, np.ndarray]:
-    """Pixels in cam of those listed joints that are ok in skel and lie in front of the camera plane."""
-    pixels = {}
-    for idx in joints:
-        point = skel.positions.get(idx)  # present exactly where the status is ok
-        if point is None:
-            continue
-        try:
-            pixels[idx] = project(point, cam)
-        except NonPositiveDepth:
-            continue
-    return pixels
+def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
+    """(15, 2) pixels of skel's joints in cam, row i for joint i; NaN where not ok or not in front of cam."""
+    points = np.full((len(JOINT_NAMES), 3), np.nan)
+    for idx, point in skel.positions.items():  # present exactly where the status is ok
+        points[idx] = point
+    return project(points, cam)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -297,12 +302,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             total_joints += sum(1 for i in est.statuses if est.joint_ok(i) and tru.joint_ok(i))
         if not obs:
             continue
-        detected = {}
-        reprojected = {}
-        for r, view_id in enumerate(obs[0].view_ids):
-            rep = _reproject(est, obs[0].detected(r), cameras[view_id])
-            detected[view_id] = {i: obs[0].table[r, i, :2] for i in rep}
-            reprojected[view_id] = rep
+        table, view_ids = obs[0].table, obs[0].view_ids
+        detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
+        reprojected = {view_id: _reproject(est, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
         try:
             frame_err = avg_2d_err(detected, reprojected)
         except NoComparableJoints:
@@ -348,16 +350,19 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
         ("keypoints", _calibrated_frames(cfg.keypoints, cameras.values())),
         ("skeleton", mio.read_skeletons(cfg.skeleton)),
     )
-    count = 0
-    for obs_frame, skel in frames:
-        for r, view_id in enumerate(obs_frame.view_ids):
-            cam = cameras[view_id]
-            detected = {idx: obs_frame.table[r, idx, :2] for idx in obs_frame.detected(r)}
-            reprojected = _reproject(skel, skel.positions, cam)
-            svg = render_overlay_svg(cam, detected, reprojected, topology)
-            (out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg").write_text(svg, encoding="utf-8")
-            count += 1
-    print(f"wrote {count} overlays to {out_dir}")
+    written: list[Path] = []
+    try:
+        for obs_frame, skel in frames:
+            for r, view_id in enumerate(obs_frame.view_ids):
+                cam = cameras[view_id]
+                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], _reproject(skel, cam), topology)
+                written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
+                written[-1].write_text(svg, encoding="utf-8")
+    except (mio.InputParseError, FrameMismatch):
+        for path in written:  # no partial set of overlays on a failed run
+            path.unlink(missing_ok=True)
+        raise
+    print(f"wrote {len(written)} overlays to {out_dir}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ Coordinate conventions used throughout the package:
   World frame (right-handed): +y up, millimeters.
   Camera frame (right-handed, standard computer vision): x right, y down,
   z forward along the optical axis. A camera sees points with z > 0 in its
-  own frame.
+  own frame; `project` gives the others NaN pixels, as for a missing joint.
   Image frame: u right, v down, pixels, origin at the top-left corner.
   Projected points may lie outside the image rectangle.
 
@@ -18,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class NonPositiveDepth(ValueError):
-    """A world point (or cube vertex) lies on or behind the camera plane."""
 
 
 _ROTATION_TOL = 1e-9
@@ -67,23 +63,15 @@ class CameraParams:
         object.__setattr__(self, "resolution", (int(w), int(h)))
 
 
-def project(point: np.ndarray, cam: CameraParams) -> np.ndarray:
-    """Perspective projection of one world point into pixel coordinates.
+def project(points: np.ndarray, cam: CameraParams) -> np.ndarray:
+    """Perspective projection of (..., 3) world points to (..., 2) pixels.
 
-    Raises NonPositiveDepth when the point has camera-frame z <= 0.
+    A point with camera-frame depth z <= 0 gets a NaN row: it lies on or
+    behind the camera plane and has no image.
     """
-    p_cam = cam.rotation @ np.asarray(point, dtype=float) + cam.translation
-    if p_cam[2] <= 0.0:
-        raise NonPositiveDepth(f"point has non-positive depth {p_cam[2]:.6g} in camera {cam.id}")
-    img = cam.intrinsic @ p_cam
-    return img[:2] / img[2]
-
-
-def project_points(points: np.ndarray, cam: CameraParams) -> np.ndarray:
-    """Project an (N, 3) array of world points; raises on any bad depth."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p_cam = pts @ cam.rotation.T + cam.translation
-    if np.any(p_cam[:, 2] <= 0.0):
-        raise NonPositiveDepth(f"{int(np.sum(p_cam[:, 2] <= 0))} points behind camera {cam.id}")
-    img = p_cam @ cam.intrinsic.T
-    return img[:, :2] / img[:, 2:3]
+    p_cam = np.matmul(cam.rotation, np.asarray(points, dtype=float)[..., None])[..., 0] + cam.translation
+    img = np.matmul(cam.intrinsic, p_cam[..., None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels = img[..., :2] / img[..., 2:]
+    pixels[p_cam[..., 2] <= 0.0] = np.nan
+    return pixels

@@ -18,8 +18,9 @@ All matrices are row-major. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite and positions and matrices of the
 stated length. A calibration lists each camera id once, a keypoint frame
 each view once and a view each joint once, by an index in 0-13; a skeleton
-status is "ok" or "no_consensus". Within a keypoint or skeleton stream the
-frame indices strictly increase.
+record lists each joint once, by an index in 0-14, with status "ok" or
+"no_consensus". Within a keypoint or skeleton stream the frame indices
+strictly increase.
 
 A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
@@ -38,7 +39,7 @@ import numpy as np
 
 from .geometry import CameraParams
 from .retarget import BoneTransformSet
-from .skeleton import DETECTED_JOINTS, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
+from .skeleton import DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from .voxel import JointObservationFrame
 
 
@@ -156,8 +157,9 @@ def keypoint_line(frame: JointObservationFrame) -> str:
     view_parts = []
     for r in np.argsort(frame.view_ids):
         joint_parts = []
-        for idx in frame.detected(r):
-            u, v, c = frame.table[r, idx]
+        for idx, (u, v, c) in enumerate(frame.table[r].tolist()):
+            if math.isnan(c):
+                continue
             joint_parts.append(f'{{"idx": {idx}, "u": {_fmt(u)}, "v": {_fmt(v)}, "c": {_fmt(c)}}}')
         view_parts.append(f'{{"view_id": {frame.view_ids[r]}, "joints": [' + ", ".join(joint_parts) + "]}")
     return f'{{"frame": {frame.frame}, "views": [' + ", ".join(view_parts) + "]}"
@@ -242,6 +244,10 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
             statuses: dict[int, str] = {}
             for j in rec["joints"]:
                 idx = int(j["idx"])
+                if not 0 <= idx < len(JOINT_NAMES):
+                    raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
+                if idx in statuses:
+                    raise ValueError(f"joint {idx} listed twice")
                 status = j["status"]
                 if status not in (STATUS_OK, STATUS_NO_CONSENSUS):
                     raise ValueError(f"unknown status {status!r}")

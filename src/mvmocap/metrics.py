@@ -4,11 +4,13 @@ All 3D errors are mean absolute Euclidean distances in millimeters over
 the joints reconstructed on both sides; joints missing on either side are
 excluded rather than penalized. 2D errors are mean pixel distances between
 detected joints and reprojections of the estimated 3D joints, reported per
-view.
+view; each view's joints arrive as an array row per joint, NaN where the
+joint is undetected, not reconstructed or behind the camera.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,28 +63,24 @@ def sequence_mean(per_frame: list[float]) -> float:
     return float(np.mean(np.asarray(per_frame, dtype=float)))
 
 
-def avg_2d_err(
-    detected: dict[int, dict[int, np.ndarray]],
-    reprojected: dict[int, dict[int, np.ndarray]],
-) -> dict[int, float]:
+def avg_2d_err(detected: dict[int, np.ndarray], reprojected: dict[int, np.ndarray]) -> dict[int, float]:
     """Per-view mean pixel distance between detections and reprojections.
 
-    Both arguments map view id -> joint index -> (u, v). Only joints
-    present in both maps for a view are compared; views with no matched
-    joints are omitted. Raises NoComparableJoints when nothing matches in
-    any view.
+    Both arguments map view id -> (J, 2) array whose row i is joint i's
+    (u, v), NaN where the joint is absent. Only rows present on both sides
+    for a view are compared; views with no matched rows are omitted.
+    Raises NoComparableJoints when nothing matches in any view.
     """
     out: dict[int, float] = {}
-    for view_id in sorted(set(detected) | set(reprojected)):
-        det = detected.get(view_id, {})
-        rep = reprojected.get(view_id, {})
-        shared = sorted(set(det) & set(rep))
-        if not shared:
-            continue
-        total = 0.0
-        for j in shared:
-            total += float(np.linalg.norm(np.asarray(det[j], dtype=float) - np.asarray(rep[j], dtype=float)))
-        out[view_id] = total / len(shared)
+    for view_id in sorted(detected.keys() & reprojected.keys()):
+        d = detected[view_id] - reprojected[view_id]
+        total, count = 0.0, 0
+        for err in np.sqrt(np.vecdot(d, d)).tolist():  # ascending joint order
+            if not math.isnan(err):
+                total += err
+                count += 1
+        if count:
+            out[view_id] = total / count
     if not out:
         raise NoComparableJoints("no view has matched detected/reprojected joints")
     return out

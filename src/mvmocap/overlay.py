@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import CameraParams
@@ -15,18 +17,22 @@ def _f(x: float) -> str:
     return format(float(x), ".3f")
 
 
+def _present(points: np.ndarray) -> dict[int, tuple[float, float]]:
+    """Row index -> (x, y) of the rows of an (N, 2) array that are not NaN."""
+    return {i: (x, y) for i, (x, y) in enumerate(points.tolist()) if not math.isnan(x)}
+
+
 def render_overlay_svg(
-    cam: CameraParams,
-    detected: dict[int, np.ndarray],
-    reprojected: dict[int, np.ndarray],
-    topology: SkeletonTopology,
+    cam: CameraParams, detected: np.ndarray, reprojected: np.ndarray, topology: SkeletonTopology
 ) -> str:
     """One view's overlay at the camera's native resolution.
 
-    Bones are drawn as segments between reprojected joints when both
-    endpoints exist; detected joints render as red circles, reprojections
-    as blue circles.
+    detected and reprojected hold one (u, v) row per joint index, NaN where
+    the joint is absent. Bones are drawn as segments between reprojected
+    joints when both endpoints exist; detected joints render as red
+    circles, reprojections as blue circles.
     """
+    detected, reprojected = _present(detected), _present(reprojected)
     w, h = cam.resolution
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
@@ -41,11 +47,8 @@ def render_overlay_svg(
             f'<line x1="{_f(a[0])}" y1="{_f(a[1])}" x2="{_f(b[0])}" y2="{_f(b[1])}" '
             f'stroke="steelblue" stroke-width="{_BONE_WIDTH}"/>'
         )
-    for idx in sorted(detected):
-        p = detected[idx]
-        parts.append(f'<circle cx="{_f(p[0])}" cy="{_f(p[1])}" r="{_MARKER_RADIUS}" fill="red"/>')
-    for idx in sorted(reprojected):
-        p = reprojected[idx]
-        parts.append(f'<circle cx="{_f(p[0])}" cy="{_f(p[1])}" r="{_MARKER_RADIUS}" fill="blue"/>')
+    for color, points in (("red", detected), ("blue", reprojected)):
+        for x, y in points.values():  # ascending joint index
+            parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_MARKER_RADIUS}" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -197,16 +197,17 @@ def render_observations(scene: SyntheticScene) -> list[JointObservationFrame]:
     view_ids = [cam.id for cam in scene.cameras]
     for skel in scene.truth:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scene.rng_seed, spawn_key=(skel.frame,)))
+        # The root is synthesized downstream, never detected.
+        joints = [idx for idx in sorted(skel.positions) if idx != ROOT_JOINT]
+        points = np.array([skel.positions[idx] for idx in joints])
         table = np.full((len(scene.cameras), len(DETECTED_JOINTS), 3), np.nan)
         for r, cam in enumerate(scene.cameras):
-            for idx in sorted(skel.positions):
-                if idx == ROOT_JOINT:
-                    continue  # the root is synthesized downstream, never detected
+            for idx, pixel in zip(joints, project(points, cam)):
                 noise = rng.normal(0.0, scene.noise_px, size=2) if scene.noise_px > 0 else np.zeros(2)
                 dropped = scene.dropout > 0 and rng.random() < scene.dropout
                 if dropped:
                     continue
-                table[r, idx, :2] = project(skel.positions[idx], cam) + noise
+                table[r, idx, :2] = pixel + noise
                 table[r, idx, 2] = 1.0
         frames.append(JointObservationFrame(frame=skel.frame, view_ids=view_ids, table=table))
     return frames

@@ -21,12 +21,13 @@ has the same edge lengths, so all joints of a frame share one frontier:
 cube centers plus a joint-id column, processed one depth level at a time,
 each level a single vectorized batch over every joint's cubes and every
 calibrated view. The search reads a (J, V, 3) table of (u, v, confidence),
-one column per calibrated view in view-id order; estimate_skeleton fills it
-from a frame's keypoint table, estimate_joints from observation lists.
-Results are independent of observation order and of which other joints
-share the search: votes are integer counts per row, the runaway cap and
-the candidates are per joint in canonical order, and the triangulation
-stacks its rows in view-id order.
+one column per calibrated view in view-id order, NaN where a view has no
+detection. estimate_joints and estimate_joint take that table as it is;
+estimate_skeleton fills it from a frame's keypoint table, whose rows may
+list the views in any order. Results are independent of that order and
+of which other joints share the search: votes are integer counts per row,
+the runaway cap and the candidates are per joint in canonical order, and
+the triangulation stacks its rows in view-id order.
 
 The refinement of all joints that reached consensus runs as one SVD per
 distinct number s of supporting views, over an (n_s, 2s, 4) stack of
@@ -40,7 +41,6 @@ exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,18 +119,6 @@ class EstimatorConfig:
         object.__setattr__(self, "delta", d)
 
 
-@dataclass(frozen=True)
-class JointObservation:
-    """One detected 2D joint in one view."""
-
-    view_id: int
-    pixel: np.ndarray
-    confidence: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float).reshape(2))
-
-
 @dataclass
 class JointObservationFrame:
     """Per-frame detections as a keypoint table.
@@ -143,21 +131,6 @@ class JointObservationFrame:
     frame: int
     view_ids: list[int]
     table: np.ndarray
-
-    def detected(self, r: int) -> list[int]:
-        """Ascending indices of the joints that view view_ids[r] detected."""
-        # In Python: np.isnan would map another 0.16 MB of numpy's code
-        # into eval and render-overlay, which use no other NaN test.
-        return [i for i, c in enumerate(self.table[r, :, 2].tolist()) if not math.isnan(c)]
-
-    def observations_for(self, joint_idx: int) -> list[JointObservation]:
-        """The detections of one joint, in view-id order."""
-        out = []
-        for r in np.argsort(self.view_ids):
-            u, v, c = self.table[r, joint_idx]
-            if not np.isnan(c):
-                out.append(JointObservation(int(self.view_ids[r]), np.array([u, v]), c))
-        return out
 
 
 @dataclass
@@ -237,40 +210,26 @@ def _views_containing(
     return in_front & (near <= far)
 
 
-def estimate_joint(
-    observations: list[JointObservation],
-    cameras: list[CameraParams],
-    config: EstimatorConfig,
-) -> JointEstimate:
-    """Locate one 3D joint from multi-view detections; see estimate_joints."""
-    return estimate_joints([observations], cameras, config)[0]
+def estimate_joint(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> JointEstimate:
+    """Locate one 3D joint from its (V, 3) detection table; see estimate_joints."""
+    return estimate_joints(np.asarray(table, dtype=float)[None], cameras, config)[0]
 
 
-def estimate_joints(
-    observations: list[list[JointObservation]],
-    cameras: list[CameraParams],
-    config: EstimatorConfig,
-) -> list[JointEstimate]:
-    """Locate several 3D joints, one per observation list, in one search.
+def estimate_joints(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> list[JointEstimate]:
+    """Locate several 3D joints, one per row of a (J, V, 3) table, in one search.
 
-    The subdivision search selects each joint's candidate cubes and the
-    views that support them; its position is the linear least-squares
-    triangulation over those views, clamped to the candidates' bounding
-    box. A joint gets status "no_consensus" when it has fewer than sigma
-    usable views or when fewer than sigma views ever agree, including the
-    case where the search volume is exhausted. Each joint's result is the
-    one it would get searched alone. Raises ValueError when one joint's
-    list holds two observations from the same view.
+    table[j, v] is joint j's (u, v, confidence) in the camera with the v-th
+    smallest id, all NaN where that view has no detection. The subdivision
+    search selects each joint's candidate cubes and the views that support
+    them; its position is the linear least-squares triangulation over those
+    views, clamped to the candidates' bounding box. A joint gets status
+    "no_consensus" when it has fewer than sigma usable views or when fewer
+    than sigma views ever agree, including the case where the search
+    volume is exhausted. Each joint's result is the one it would get
+    searched alone.
     """
     view_ids, K, R, t = _calibrated(cameras)
-    column = {v: i for i, v in enumerate(view_ids)}
-    table = np.full((len(observations), len(view_ids), 3), np.nan)
-    for j, joint_obs in enumerate(observations):
-        if len({o.view_id for o in joint_obs}) != len(joint_obs):
-            raise ValueError(f"joint {j} has two observations from one view")
-        for o in joint_obs:
-            table[j, column[o.view_id]] = (*o.pixel, o.confidence)
-    found = _search(table, K, R, t, config)
+    found = _search(np.asarray(table, dtype=float), K, R, t, config)
     nodes = found.nodes.tolist()
     results = [JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=n) for n in nodes]
     for k, j in enumerate(found.ok.tolist()):

@@ -1,18 +1,21 @@
 """Reference implementations and readers shared by the tests.
 
-`hull_contains` is the independent containment oracle: scipy's convex hull
-of the projected cube vertices. `slab_votes` runs the estimator's own
-ray-box predicate on one cube. `estimate_joint_alone` is the per-joint
-subdivision search, one work queue per joint and one SVD per refined
-joint (`refine_alone`), against which the shared frontier and the stacked
-refinement of `estimate_joints` are checked. `dlt_triangulate` is the
-independent least-squares triangulation of acceptance criterion 2.
+`project_one` is the per-point pinhole projection against which the
+stacked `geometry.project` is checked. `hull_contains` is the independent
+containment oracle: scipy's convex hull of the projected cube vertices.
+`slab_votes` runs the estimator's own ray-box predicate on one cube.
+`estimate_joint_alone` is the per-joint subdivision search, one work queue
+per joint and one SVD per refined joint (`refine_alone`), against which
+the shared frontier and the stacked refinement of `estimate_joints` are
+checked; like the estimator, it takes a joint's (V, 3) detection table,
+columns in ascending camera id, NaN where a view has no detection.
+`dlt_triangulate` is the independent least-squares triangulation of
+acceptance criterion 2, over (N, 2) pixels and their N cameras.
 `class_frame_retarget` is the bone rotation chain written in each bone's
 class frame: pull-back through the parent, the minimal swing
 `frame_from_bone`, conjugations by the class rotation and a plus-or-minus
 angle roll search, against which the world-frame retarget is checked.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
-`view_detections` reads one view's detections out of a keypoint table.
 """
 
 import json
@@ -20,14 +23,12 @@ import json
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from mvmocap.geometry import NonPositiveDepth, project_points
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
 from mvmocap.voxel import (
     _CORNER_SIGNS,
     JointEstimate,
-    JointObservation,
     _camera_arrays,
     _rays,
     _subdivide,
@@ -43,12 +44,21 @@ def cube_vertices(cube) -> np.ndarray:
     return cube.center + _CORNER_SIGNS * (np.asarray(cube.edges) / 2.0)
 
 
+def project_one(point, cam) -> np.ndarray:
+    """Pixel (u, v) of one world point, one matrix product at a time; NaN
+    when its camera-frame depth is not positive."""
+    p_cam = cam.rotation @ np.asarray(point, dtype=float) + cam.translation
+    if p_cam[2] <= 0.0:
+        return np.full(2, np.nan)
+    img = cam.intrinsic @ p_cam
+    return img[:2] / img[2]
+
+
 def hull_contains(cube, cam, pixel) -> bool:
     """Pixel inside the hull of the cube's projected vertices (boundary
     inclusive); False when any vertex is not in front of the camera."""
-    try:
-        verts = project_points(cube_vertices(cube), cam)
-    except NonPositiveDepth:
+    verts = np.array([project_one(v, cam) for v in cube_vertices(cube)])
+    if np.isnan(verts).any():
         return False
     eq = ConvexHull(verts).equations  # unit outward normal n, offset b: n.x + b <= 0 inside
     return bool(np.all(eq[:, :2] @ np.asarray(pixel, dtype=float) + eq[:, 2] <= HULL_TOL_PX))
@@ -90,19 +100,19 @@ def refine_alone(candidates, half, K, R, t, pixels) -> np.ndarray:
     return np.clip(point, candidates.min(axis=0) - half, candidates.max(axis=0) + half)
 
 
-def estimate_joint_alone(observations, cameras, config) -> JointEstimate:
+def estimate_joint_alone(table, cameras, config) -> JointEstimate:
     """One joint's subdivision search over its own usable views only."""
-    by_id = {c.id: c for c in cameras}
-    usable = sorted(
-        (o for o in observations if o.confidence >= config.min_confidence),
-        key=lambda o: o.view_id,
-    )
+    usable = [
+        (cam, row[:2])
+        for cam, row in zip(sorted(cameras, key=lambda c: c.id), table)
+        if row[2] >= config.min_confidence  # False for a NaN confidence
+    ]
     if len(usable) < config.sigma:
         return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS)
 
-    view_ids = [o.view_id for o in usable]
-    K, R, t = _camera_arrays([by_id[v] for v in view_ids])
-    pixels = np.stack([o.pixel for o in usable])
+    view_ids = [cam.id for cam, _ in usable]
+    K, R, t = _camera_arrays([cam for cam, _ in usable])
+    pixels = np.stack([pixel for _, pixel in usable])
     origins, directions = _rays(K, R, t, pixels)
 
     delta = np.asarray(config.delta, dtype=float)
@@ -150,22 +160,20 @@ class RankDeficient(ValueError):
     """Triangulation geometry does not pin down a unique point."""
 
 
-def dlt_triangulate(observations, cameras) -> np.ndarray:
+def dlt_triangulate(pixels, cameras) -> np.ndarray:
     """Linear least-squares triangulation from stacked projection rows.
 
-    Each observation contributes the two classic direct-linear-transform
-    constraints u*P3 - P1 and v*P3 - P2; the homogeneous solution is the
-    smallest right singular vector. Raises RankDeficient for fewer than
-    two views or collinear ray geometry.
+    pixels is (N, 2), row i seen by cameras[i]. Each row contributes the
+    two classic direct-linear-transform constraints u*P3 - P1 and
+    v*P3 - P2; the homogeneous solution is the smallest right singular
+    vector. Raises RankDeficient for fewer than two views or collinear ray
+    geometry.
     """
-    if len(observations) < 2:
+    if len(pixels) < 2:
         raise RankDeficient("triangulation needs at least two views")
-    by_id = {c.id: c for c in cameras}
     rows = []
-    for obs in observations:
-        cam = by_id[obs.view_id]
+    for (u, v), cam in zip(pixels, cameras):
         P = cam.intrinsic @ np.hstack([cam.rotation, cam.translation[:, None]])
-        u, v = obs.pixel
         rows.append(u * P[2] - P[0])
         rows.append(v * P[2] - P[1])
     A = np.stack(rows)
@@ -294,8 +302,3 @@ def read_transforms(path):
                 statuses={b["name"]: b["status"] for b in rec["bones"]},
             )
 
-
-def view_detections(frame, view_id) -> dict:
-    """Joint index -> JointObservation for one view of a JointObservationFrame."""
-    r = frame.view_ids.index(view_id)
-    return {idx: JointObservation(view_id, frame.table[r, idx, :2], frame.table[r, idx, 2]) for idx in frame.detected(r)}

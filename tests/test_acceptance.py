@@ -11,7 +11,7 @@ over smallest below 2x).
 import time
 
 import numpy as np
-from oracles import dlt_triangulate, view_detections
+from oracles import dlt_triangulate
 
 from mvmocap.cli import main
 from mvmocap.geometry import project
@@ -26,7 +26,7 @@ from mvmocap.skeleton import (
 )
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.synth import generate_scene, render_observations
-from mvmocap.voxel import Cube, EstimatorConfig, JointObservation, estimate_joint, estimate_skeleton
+from mvmocap.voxel import Cube, EstimatorConfig, estimate_joint, estimate_skeleton
 
 TERMINAL_BOUND_MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm: half-diagonal of a 10 mm cube
 TIMING_ROUNDS = 7  # criterion 3: passes per (frame, delta), the fastest counts
@@ -38,13 +38,13 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 
 def observe(point, cameras, rng=None, noise=0.0):
-    obs = []
-    for cam in cameras:
-        pixel = project(point, cam)
+    """(V, 3) detection table of one point in cameras, which are in ascending id order."""
+    table = np.ones((len(cameras), 3))
+    for r, cam in enumerate(cameras):
+        table[r, :2] = project(point, cam)
         if noise > 0.0:
-            pixel = pixel + rng.normal(0.0, noise, size=2)
-        obs.append(JointObservation(view_id=cam.id, pixel=pixel, confidence=1.0))
-    return obs
+            table[r, :2] += rng.normal(0.0, noise, size=2)
+    return table
 
 
 def test_criterion_1_noiseless_end_to_end_accuracy():
@@ -77,7 +77,7 @@ def test_criterion_2_oracle_equivalence():
         point = rng.uniform(-700, 700, size=3)
         est = estimate_joint(observe(point, cameras), cameras, config)
         assert est.status == STATUS_OK
-        worst_gap = max(worst_gap, float(np.linalg.norm(est.position - dlt_triangulate(observe(point, cameras), cameras))))
+        worst_gap = max(worst_gap, float(np.linalg.norm(est.position - dlt_triangulate(observe(point, cameras)[:, :2], cameras))))
     noiseless_ok = worst_gap <= 2.0 * max(config.delta)
 
     voxel_errs, dlt_errs = [], []
@@ -89,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
         if est.status != STATUS_OK:
             continue
         voxel_errs.append(float(np.linalg.norm(est.position - point)))
-        dlt_errs.append(float(np.linalg.norm(dlt_triangulate(obs, cameras) - point)))
+        dlt_errs.append(float(np.linalg.norm(dlt_triangulate(obs[:, :2], cameras) - point)))
     ratio = np.mean(voxel_errs) / np.mean(dlt_errs)
     noisy_ok = ratio <= 1.5
     assert report(
@@ -109,7 +109,8 @@ def test_criterion_3_delta_sweep_trend():
     deltas = (5.0, 10.0, 20.0, 30.0)
     configs = [EstimatorConfig(sigma=4, delta=(d,) * 3, initial_volume=volume) for d in deltas]
     joints = topology.detected_joint_indices
-    observations = [[frame.observations_for(idx) for idx in joints] for frame in frames]
+    # Each joint's (V, 3) column of its frame's table; synth lists the views in ascending id order.
+    observations = [[frame.table[:, idx] for idx in joints] for frame in frames]
 
     # A delta's wall time is that of its estimate_joint calls alone. The
     # deltas take turns frame by frame, and each (frame, delta) counts with
@@ -158,16 +159,12 @@ def test_criterion_4_reprojection_bound():
     counts: dict[int, int] = {}
     for frame in frames:
         skel = estimate_skeleton(frame, scene.cameras, config, topology)
-        detected = {}
-        reprojected = {}
-        for cam in scene.cameras:
-            det, rep = {}, {}
-            for idx, obs in view_detections(frame, cam.id).items():
-                if skel.joint_ok(idx):
-                    det[idx] = obs.pixel
-                    rep[idx] = project(skel.positions[idx], cam)
-            detected[cam.id] = det
-            reprojected[cam.id] = rep
+        points = np.full((len(topology.detected_joint_indices), 3), np.nan)
+        for idx in topology.detected_joint_indices:
+            if skel.joint_ok(idx):
+                points[idx] = skel.positions[idx]
+        detected = {view_id: frame.table[r, :, :2] for r, view_id in enumerate(frame.view_ids)}
+        reprojected = {cam.id: project(points, cam) for cam in scene.cameras}
         for view, err in avg_2d_err(detected, reprojected).items():
             sums[view] = sums.get(view, 0.0) + err
             counts[view] = counts.get(view, 0) + 1
@@ -296,7 +293,7 @@ def test_criterion_8_metric_oracles():
     a = Skeleton3D.from_positions(0, {0: np.zeros(3)})
     b = Skeleton3D.from_positions(0, {0: np.array([3.0, 4.0, 0.0])})
     exact_345 = mean_abs_3d_err(a, b) == 5.0
-    exact_6810 = avg_2d_err({0: {0: np.zeros(2)}}, {0: {0: np.array([6.0, 8.0])}}) == {0: 10.0}
+    exact_6810 = avg_2d_err({0: np.zeros((1, 2))}, {0: np.array([[6.0, 8.0]])}) == {0: 10.0}
 
     worst_3d = 0.0
     worst_2d = 0.0
@@ -308,8 +305,8 @@ def test_criterion_8_metric_oracles():
         got = mean_abs_3d_err(Skeleton3D.from_positions(0, pa), Skeleton3D.from_positions(0, pb))
         worst_3d = max(worst_3d, abs(got - oracle))
 
-        det = {0: {i: rng.uniform(0, 1920, size=2) for i in range(n)}}
-        rep = {0: {i: rng.uniform(0, 1920, size=2) for i in range(n)}}
+        det = {0: rng.uniform(0, 1920, size=(n, 2))}
+        rep = {0: rng.uniform(0, 1920, size=(n, 2))}
         oracle2 = sum(float(np.linalg.norm(det[0][i] - rep[0][i])) for i in range(n)) / n
         worst_2d = max(worst_2d, abs(avg_2d_err(det, rep)[0] - oracle2))
 

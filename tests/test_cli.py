@@ -390,6 +390,11 @@ def _edit_record_2(path, edit):
         ("keypoints.jsonl", lambda rec: rec.update(frame=0), "frame 0 does not follow frame 0", "reconstruct"),
         ("truth.jsonl", lambda rec: rec.update(frame=0), "frame 0 does not follow frame 0", "retarget"),
         ("truth.jsonl", lambda rec: rec.update(frame=-3), "frame -3 does not follow frame 0", "eval"),
+        ("truth.jsonl", lambda rec: rec["joints"][2].update(idx=15), "joint index 15 outside 0-14", "retarget"),
+        ("truth.jsonl", lambda rec: rec["joints"][0].update(idx=-1), "joint index -1 outside 0-14", "eval"),
+        # A second elbow (joint 3) at the origin would otherwise replace the first.
+        ("truth.jsonl", lambda rec: rec["joints"].append({"idx": 3, "status": "ok", "p": [0, 0, 0]}),
+         "joint 3 listed twice", "eval"),
     ],
     ids=[
         "duplicate-view",
@@ -400,6 +405,9 @@ def _edit_record_2(path, edit):
         "repeated-keypoint-frame",
         "repeated-skeleton-frame",
         "earlier-skeleton-frame",
+        "skeleton-joint-index-too-large",
+        "skeleton-joint-index-negative",
+        "duplicate-skeleton-joint",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
@@ -414,6 +422,36 @@ def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, messag
     assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"error: {path}:2:" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "command, broken, code",
+    [
+        ("reconstruct", "keypoints", EXIT_PARSE),
+        ("render-overlay", "keypoints", EXIT_PARSE),
+        ("render-overlay", "skeleton", EXIT_MISMATCH),
+    ],
+    ids=["reconstruct-bad-line-2", "overlay-bad-line-2", "overlay-skeleton-short"],
+)
+def test_failed_run_leaves_no_partial_output(tmp_path, capsys, command, broken, code):
+    """A run that fails after its first frame removes what it wrote."""
+    scene = run_synth(tmp_path, frames=3)
+    keypoints, skeleton = scene / "keypoints.jsonl", scene / "truth.jsonl"
+    if broken == "keypoints":
+        _edit_record_2(keypoints, lambda rec: rec["views"][0]["joints"][0].update(u="x"))
+    else:
+        skeleton = _pick_lines(skeleton, tmp_path / "short.jsonl", [0, 1])
+    out = tmp_path / "out"
+    inputs = {
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(keypoints), "--delta", "100x100x100"],
+        "render-overlay": ["--calib", str(scene / "calib.json"), "--keypoints", str(keypoints), "--skeleton", str(skeleton)],
+    }[command]
+    assert main([command, *inputs, "--out", str(out)]) == code
+    assert "error:" in capsys.readouterr().err
+    if command == "reconstruct":
+        assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
+    else:
+        assert sorted(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("field", ["K", "R", "t"])

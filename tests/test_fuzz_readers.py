@@ -4,10 +4,10 @@ Each example takes a valid line of a synthetic scene's keypoint or skeleton
 stream and breaks one field: drops a key, gives a value the wrong type,
 writes a non-finite token or a number too large for a double, changes the
 length of a position, gives a skeleton joint an unknown status, gives a
-keypoint a joint index outside 0-13, or gives a record after the first a
-frame index not greater than the one before it. Both
-streams go through `cli.main`, which must exit 2 with
-`error: <path>:<line>:`.
+joint an index outside 0-13 (keypoints) or 0-14 (skeletons) or the index of
+another joint of the same list, or gives a record after the first a frame
+index not greater than the one before it. Both streams go through
+`cli.main`, which must exit 2 with `error: <path>:<line>:`.
 """
 
 import contextlib
@@ -43,17 +43,27 @@ def scene(tmp_path_factory):
     }
 
 
+# Joint indices each stream accepts: 0 up to, not including, this.
+JOINT_LIMIT = {"keypoints": 14, "skeletons": 15}
+
+
 def _sites(stream, rec):
-    """(container, key, kind) for every field a mutation may target."""
+    """(container, key, kind, siblings) for every field a mutation may target.
+
+    siblings are the other joints of the list a joint index belongs to.
+    """
     items = {"keypoints": "views", "skeletons": "joints"}[stream]
-    sites = [(rec, "frame", "frame"), (rec, items, "list")]
+    sites = [(rec, "frame", "frame", None), (rec, items, "list", None)]
+    joint_lists = [item["joints"] for item in rec[items]] if stream == "keypoints" else [rec["joints"]]
+    for joints in joint_lists:
+        sites += [(j, "idx", "joint index", [o for o in joints if o is not j]) for j in joints]
     for item in rec[items]:
         if stream == "keypoints":
-            sites += [(item, "view_id", "number"), (item, "joints", "list")]
+            sites += [(item, "view_id", "number", None), (item, "joints", "list", None)]
             for j in item["joints"]:
-                sites += [(j, "idx", "joint index")] + [(j, key, "number") for key in ("u", "v", "c")]
+                sites += [(j, key, "number", None) for key in ("u", "v", "c")]
         else:
-            sites += [(item, "idx", "number"), (item, "status", "status"), (item, "p", "vector")]
+            sites += [(item, "status", "status", None), (item, "p", "vector", None)]
     return sites
 
 
@@ -63,7 +73,7 @@ def _bad_number(draw):
 
 def _mutate(draw, stream, rec, previous_frame):
     """Break one field of rec in place; previous_frame is None on the first line."""
-    container, key, kind = draw(st.sampled_from(_sites(stream, rec)))
+    container, key, kind, siblings = draw(st.sampled_from(_sites(stream, rec)))
     actions = ["drop", "retype"]
     if kind in ("number", "frame", "joint index"):
         actions.append("bad number")
@@ -71,6 +81,8 @@ def _mutate(draw, stream, rec, previous_frame):
         actions.append("out of order")
     if kind == "joint index":
         actions.append("out of range")
+        if siblings:
+            actions.append("repeat")
     if kind == "vector":
         actions += ["bad element", "wrong length"]
     if kind == "status":
@@ -86,7 +98,9 @@ def _mutate(draw, stream, rec, previous_frame):
     elif action == "out of order":
         container[key] = draw(st.integers(max_value=previous_frame))
     elif action == "out of range":
-        container[key] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=14)))
+        container[key] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=JOINT_LIMIT[stream])))
+    elif action == "repeat":
+        container[key] = draw(st.sampled_from(siblings))["idx"]
     elif action == "unknown status":
         container[key] = draw(st.text().filter(lambda s: s not in ("ok", "no_consensus")))
     else:

@@ -5,10 +5,11 @@ projected cube vertices."""
 
 import numpy as np
 import pytest
-from oracles import cube_vertices, hull_contains, slab_votes
+from oracles import cube_vertices, hull_contains, project_one, slab_votes
 from scipy.spatial import ConvexHull as ScipyHull
 
-from mvmocap.geometry import CameraParams, NonPositiveDepth, project, project_points
+from mvmocap.geometry import CameraParams, project
+from mvmocap.synth import generate_scene
 from mvmocap.voxel import _BOX_PAD, Cube, _camera_arrays, _rays, _subdivide
 
 
@@ -39,10 +40,28 @@ def test_optical_axis_point_maps_to_principal_point():
     assert np.allclose(uv, [320.0, 240.0], atol=1e-12)
 
 
-def test_point_behind_camera_raises():
-    cam = simple_camera()
-    with pytest.raises(NonPositiveDepth):
-        project(np.array([0.0, 0.0, -1.0]), cam)
+def test_project_matches_per_point_oracle(rng):
+    """project of (3,), (N, 3) and (N, M, 3) points equals the per-point
+    oracle bit for bit, with a NaN row exactly where the depth is <= 0."""
+    behind = 0
+    for preset in ("walk", "wave", "squat"):
+        scene = generate_scene(preset, frames=10, seed=3)
+        truth = np.array([[s.positions[i] for i in sorted(s.positions)] for s in scene.truth])  # (10, 15, 3)
+        # Jitter on the scale of the 3 m ring radius puts some points behind each camera.
+        points = np.concatenate([truth, truth + rng.normal(0.0, 3000.0, size=truth.shape)])
+        for cam in scene.cameras:
+            want = np.array([[project_one(p, cam) for p in row] for row in points])
+            depth = np.array([[(cam.rotation @ p + cam.translation)[2] for p in row] for row in points])
+            got = project(points, cam)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(project(points.reshape(-1, 3), cam), want.reshape(-1, 2), equal_nan=True)
+            for p, w in zip(points.reshape(-1, 3), want.reshape(-1, 2)):
+                assert np.array_equal(project(p, cam), w, equal_nan=True)
+            assert np.array_equal(np.isnan(got), np.repeat((depth <= 0.0)[..., None], 2, axis=-1))
+            behind += int(np.count_nonzero(depth <= 0.0))
+    assert behind > 0
+    # Exactly on the camera plane and behind it.
+    assert np.isnan(project(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, -1.0]]), simple_camera())).all()
 
 
 def test_project_matches_matrix_oracle(rng):
@@ -72,7 +91,7 @@ def test_backprojection_roundtrip(rng):
 def test_fronto_parallel_cube_projects_to_square():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 2000.0]), edges=(300.0, 300.0, 300.0))
-    pix = project_points(cube_vertices(cube), cam)
+    pix = project(cube_vertices(cube), cam)
     hull = pix[ScipyHull(pix).vertices]
     assert hull.shape == (4, 2)
     # Symmetric about the principal point.
@@ -99,11 +118,11 @@ def test_ray_in_a_face_plane_is_inside():
     assert not slab_votes(center + [1e-3, 0.0, 0.0], np.full(3, 2.0 * half), [cam], [640.0, 360.0])[0]
 
 
-def test_vertex_behind_camera_raises():
+def test_vertex_behind_camera_gets_no_vote():
     cam = simple_camera()
     cube = Cube(center=np.array([0.0, 0.0, 100.0]), edges=(500.0, 500.0, 500.0))
-    with pytest.raises(NonPositiveDepth):
-        project_points(cube_vertices(cube), cam)
+    verts = cube_vertices(cube)
+    assert np.array_equal(np.isnan(project(verts, cam)).all(axis=1), verts[:, 2] < 0.0)
     # The principal ray hits the cube, but a cube not wholly in front gets no vote.
     assert not slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]
 
@@ -121,7 +140,7 @@ def test_subcube_region_inside_parent_region(rng):
 def test_centroid_inside_far_point_outside():
     cam = simple_camera()
     cube = Cube(center=np.array([120.0, 40.0, 2200.0]), edges=(200.0, 160.0, 240.0))
-    pix = project_points(cube_vertices(cube), cam)
+    pix = project(cube_vertices(cube), cam)
     centroid = pix.mean(axis=0)
     assert slab_votes(cube.center, cube.edges, [cam], centroid)[0]
     diameter = 2 * np.max(np.linalg.norm(pix - centroid, axis=1))
@@ -132,7 +151,7 @@ def test_containment_matches_half_plane_oracle(rng):
     for _ in range(60):
         cam = random_camera(rng)
         cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
-        pix = project_points(cube_vertices(cube), cam)
+        pix = project(cube_vertices(cube), cam)
         lo, hi = pix.min(axis=0), pix.max(axis=0)
         for pixel in rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), size=(40, 2)):
             assert slab_votes(cube.center, cube.edges, [cam], pixel)[0] == hull_contains(cube, cam, pixel)
@@ -143,7 +162,7 @@ def test_boundary_points_are_inside(rng):
     for _ in range(60):
         cam = random_camera(rng)
         cube = Cube(center=rng.uniform(-400, 400, size=3), edges=tuple(rng.uniform(50, 400, size=3)))
-        pix = project_points(cube_vertices(cube), cam)
+        pix = project(cube_vertices(cube), cam)
         hull = ScipyHull(pix)
         ring = pix[hull.vertices]
         for a, b in zip(ring, np.roll(ring, -1, axis=0)):

@@ -100,35 +100,51 @@ def test_empty_sequence_raises():
 # -- avg_2d_err ---------------------------------------------------------------------
 
 
+NAN = [np.nan, np.nan]
+
+
 def test_equal_points_give_zero_per_view():
-    pts = {0: {1: np.array([5.0, 5.0]), 2: np.array([9.0, 1.0])}}
+    pts = {0: np.array([NAN, [5.0, 5.0], [9.0, 1.0]])}
     assert avg_2d_err(pts, pts) == {0: 0.0}
 
 
 def test_six_eight_offset_is_exactly_ten():
-    det = {3: {0: np.array([0.0, 0.0])}}
-    rep = {3: {0: np.array([6.0, 8.0])}}
+    det = {3: np.array([[0.0, 0.0]])}
+    rep = {3: np.array([[6.0, 8.0]])}
     assert avg_2d_err(det, rep) == {3: 10.0}
 
 
 def test_views_without_matches_are_omitted():
-    det = {0: {1: np.array([0.0, 0.0])}, 1: {}}
-    rep = {0: {1: np.array([1.0, 0.0])}, 1: {2: np.array([0.0, 0.0])}}
+    det = {0: np.array([NAN, [0.0, 0.0], NAN]), 1: np.array([NAN, NAN, NAN])}
+    rep = {0: np.array([NAN, [1.0, 0.0], NAN]), 1: np.array([NAN, NAN, [0.0, 0.0]]), 2: np.array([NAN, NAN, NAN])}
     assert avg_2d_err(det, rep) == {0: 1.0}
 
 
 def test_no_matches_anywhere_raises():
     with pytest.raises(NoComparableJoints):
-        avg_2d_err({0: {}}, {0: {}})
+        avg_2d_err({0: np.array([NAN, [1.0, 2.0]])}, {0: np.array([[1.0, 2.0], NAN])})
 
 
 def test_avg_2d_matches_loop_oracle(rng):
-    det = {v: {j: rng.uniform(0, 1000, size=2) for j in range(10)} for v in range(4)}
-    rep = {v: {j: rng.uniform(0, 1000, size=2) for j in range(10)} for v in range(4)}
-    result = avg_2d_err(det, rep)
-    for v in range(4):
-        expected = sum(math.dist(det[v][j], rep[v][j]) for j in range(10)) / 10
-        assert result[v] == pytest.approx(expected, abs=1e-12)
+    """Exact equality with a per-joint loop over the rows present on both sides."""
+    def masked():
+        pts = rng.uniform(0, 1000, size=(14, 2))
+        pts[rng.random(14) < 0.3] = np.nan
+        return pts
+
+    for _ in range(50):
+        det = {v: masked() for v in range(4)}
+        rep = {v: masked() for v in range(4)}
+        expected = {}
+        for v in range(4):
+            total, count = 0.0, 0
+            for j in range(14):
+                if not (np.isnan(det[v][j]).any() or np.isnan(rep[v][j]).any()):
+                    total += float(np.linalg.norm(det[v][j] - rep[v][j]))
+                    count += 1
+            if count:
+                expected[v] = total / count
+        assert avg_2d_err(det, rep) == expected
 
 
 # -- ErrorReport -----------------------------------------------------------------------

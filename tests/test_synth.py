@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from oracles import RankDeficient, dlt_triangulate, view_detections
+from oracles import RankDeficient, dlt_triangulate
 
 from mvmocap.geometry import project
 from mvmocap.io import keypoint_line
 from mvmocap.skeleton import ROOT_JOINT, tpose_positions
 from mvmocap.synth import UnknownPreset, camera_ring, generate_scene, render_observations
-from mvmocap.voxel import JointObservation
 
 
 def test_unknown_preset_rejected():
@@ -61,12 +60,12 @@ def test_noiseless_observations_are_exact_projections():
     scene = generate_scene("walk", frames=2, noise_px=0.0, dropout=0.0, seed=11)
     frames = render_observations(scene)
     for skel, frame in zip(scene.truth, frames):
-        for cam in scene.cameras:
-            joints = view_detections(frame, cam.id)
-            assert set(joints) == set(skel.positions) - {ROOT_JOINT}
-            for idx, obs in joints.items():
-                assert obs.confidence == 1.0
-                assert np.allclose(obs.pixel, project(skel.positions[idx], cam), atol=1e-12)
+        assert frame.view_ids == [cam.id for cam in scene.cameras]
+        for cam, rows in zip(scene.cameras, frame.table):
+            assert set(skel.positions) - {ROOT_JOINT} == set(range(rows.shape[0]))
+            for idx, (u, v, c) in enumerate(rows):
+                assert c == 1.0
+                assert np.allclose([u, v], project(skel.positions[idx], cam), atol=1e-12)
 
 
 def test_full_dropout_empties_every_view():
@@ -81,9 +80,9 @@ def test_noise_standard_deviation_calibrated():
     frames = render_observations(scene)
     residuals = []
     for skel, frame in zip(scene.truth, frames):
-        for cam in scene.cameras:
-            for idx, obs in view_detections(frame, cam.id).items():
-                residuals.extend(obs.pixel - project(skel.positions[idx], cam))
+        for cam, rows in zip(scene.cameras, frame.table):
+            for idx, (u, v, _) in enumerate(rows):
+                residuals.extend(np.array([u, v]) - project(skel.positions[idx], cam))
     residuals = np.asarray(residuals)
     assert residuals.size > 10_000
     assert np.std(residuals) == pytest.approx(2.0, rel=0.1)
@@ -95,15 +94,14 @@ def test_noise_standard_deviation_calibrated():
 def test_two_view_triangulation_is_exact():
     cams = camera_ring()[:2]
     point = np.array([150.0, -200.0, 400.0])
-    obs = [JointObservation(view_id=c.id, pixel=project(point, c), confidence=1.0) for c in cams]
-    assert np.allclose(dlt_triangulate(obs, cams), point, atol=1e-6)
+    pixels = np.array([project(point, c) for c in cams])
+    assert np.allclose(dlt_triangulate(pixels, cams), point, atol=1e-6)
 
 
 def test_single_view_is_rank_deficient():
     cams = camera_ring()[:1]
-    obs = [JointObservation(view_id=0, pixel=np.array([960.0, 540.0]), confidence=1.0)]
     with pytest.raises(RankDeficient):
-        dlt_triangulate(obs, cams)
+        dlt_triangulate(np.array([[960.0, 540.0]]), cams)
 
 
 def test_collinear_rays_are_rank_deficient():
@@ -116,9 +114,9 @@ def test_collinear_rays_are_rank_deficient():
         CameraParams(id=1, intrinsic=K, rotation=np.eye(3), translation=np.array([0.0, 0.0, 4000.0]), resolution=(1920, 1080)),
     ]
     point = np.array([0.0, 0.0, 500.0])
-    obs = [JointObservation(view_id=c.id, pixel=project(point, c), confidence=1.0) for c in cams]
+    pixels = np.array([project(point, c) for c in cams])
     with pytest.raises(RankDeficient):
-        dlt_triangulate(obs, cams)
+        dlt_triangulate(pixels, cams)
 
 
 def test_noisy_triangulation_residual_tracks_noise(rng):
@@ -127,11 +125,8 @@ def test_noisy_triangulation_residual_tracks_noise(rng):
     worst = 0.0
     for _ in range(50):
         point = rng.uniform(-600, 600, size=3)
-        obs = [
-            JointObservation(view_id=c.id, pixel=project(point, c) + rng.normal(0, noise, 2), confidence=1.0)
-            for c in cams
-        ]
-        x = dlt_triangulate(obs, cams)
-        reproj = [np.linalg.norm(project(x, c) - o.pixel) for c, o in zip(cams, obs)]
+        pixels = np.array([project(point, c) + rng.normal(0, noise, 2) for c in cams])
+        x = dlt_triangulate(pixels, cams)
+        reproj = [np.linalg.norm(project(x, c) - pixel) for c, pixel in zip(cams, pixels)]
         worst = max(worst, np.mean(reproj))
     assert worst <= noise * 4.0

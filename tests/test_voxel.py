@@ -12,7 +12,7 @@ from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import (
     Cube,
     EstimatorConfig,
-    JointObservation,
+    JointObservationFrame,
     _subdivide,
     estimate_joint,
     estimate_joints,
@@ -23,27 +23,25 @@ HALF_DIAGONAL_10MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm terminal bound
 
 
 def observe_point(point, cameras, noise=0.0, rng=None, skip_views=()):
-    obs = []
-    for cam in cameras:
+    """(V, 3) detection table of one point in cameras, which are in ascending id order."""
+    table = np.full((len(cameras), 3), np.nan)
+    for r, cam in enumerate(cameras):
         if cam.id in skip_views:
             continue
         pixel = project(point, cam)
         if noise > 0:
             pixel = pixel + rng.normal(0.0, noise, size=2)
-        obs.append(JointObservation(view_id=cam.id, pixel=pixel, confidence=1.0))
-    return obs
+        table[r] = (*pixel, 1.0)
+    return table
 
 
-def votes(cube, observations, cameras) -> int:
+def votes(cube, table, cameras) -> int:
     """Views whose detection falls inside the cube's projection, by the estimator's predicate."""
-    by_id = {c.id: c for c in cameras}
-    cams = [by_id[o.view_id] for o in observations]
-    return int(slab_votes(cube.center, cube.edges, cams, [o.pixel for o in observations]).sum())
+    return int(slab_votes(cube.center, cube.edges, cameras, table[:, :2]).sum())
 
 
-def hull_votes(cube, observations, cameras) -> int:
-    by_id = {c.id: c for c in cameras}
-    return sum(hull_contains(cube, by_id[o.view_id], o.pixel) for o in observations)
+def hull_votes(cube, table, cameras) -> int:
+    return sum(hull_contains(cube, cam, row[:2]) for cam, row in zip(cameras, table) if not np.isnan(row[2]))
 
 
 # -- votes ----------------------------------------------------------------------
@@ -56,7 +54,7 @@ def test_perfect_consensus_counts_all_views(ring):
 
 
 def test_empty_observations_count_zero(ring, config):
-    est = estimate_joint([], ring, config)
+    est = estimate_joint(np.full((len(ring), 3), np.nan), ring, config)
     assert est.status == STATUS_NO_CONSENSUS
     assert est.candidate_count == 0 and est.nodes_visited == 0
 
@@ -64,7 +62,8 @@ def test_empty_observations_count_zero(ring, config):
 def test_low_confidence_observations_ignored(ring, config):
     obs = observe_point(np.array([0.0, 100.0, 0.0]), ring)
     assert estimate_joint(obs, ring, config).status == STATUS_OK
-    weak = [JointObservation(o.view_id, o.pixel, 0.05) for o in obs]
+    weak = obs.copy()
+    weak[:, 2] = 0.05
     est = estimate_joint(weak, ring, config)
     assert est.status == STATUS_NO_CONSENSUS
     assert est.nodes_visited == 0
@@ -75,14 +74,13 @@ def test_low_confidence_observations_ignored(ring, config):
 def test_non_finite_pixel_gets_no_vote(ring, axis, value, sigma):
     """A view with a non-finite pixel counts as if it were absent."""
     point = np.array([120.0, 250.0, -90.0])
-    obs = observe_point(point, ring)
-    pixel = obs[0].pixel.copy()
-    pixel[axis] = value
-    corrupt = [JointObservation(obs[0].view_id, pixel, 1.0), *obs[1:]]
+    absent = observe_point(point, ring, skip_views=(0,))
+    corrupt = observe_point(point, ring)
+    corrupt[0, axis] = value
     cfg = EstimatorConfig(sigma=sigma)
     for cube in (cfg.initial_volume, Cube(center=point + 5.0, edges=(80.0, 80.0, 80.0))):
-        assert votes(cube, corrupt, ring) == votes(cube, obs[1:], ring)
-    want, got = estimate_joint(obs[1:], ring, cfg), estimate_joint(corrupt, ring, cfg)
+        assert votes(cube, corrupt, ring) == votes(cube, absent, ring)
+    want, got = estimate_joint(absent, ring, cfg), estimate_joint(corrupt, ring, cfg)
     assert got.status == want.status == STATUS_OK
     assert got.supporting_views == want.supporting_views == frozenset(range(1, 5))
     assert (got.candidate_count, got.nodes_visited) == (want.candidate_count, want.nodes_visited)
@@ -130,7 +128,7 @@ def test_noisy_estimate_tracks_dlt(ring, config, rng):
         if est.status != STATUS_OK:
             continue
         consensus += 1
-        assert np.linalg.norm(est.position - dlt_triangulate(obs, ring)) <= bound
+        assert np.linalg.norm(est.position - dlt_triangulate(obs[:, :2], ring)) <= bound
         half = np.asarray(est.terminal_edges) / 2.0
         assert np.all(est.position >= est.candidates.min(axis=0) - half)
         assert np.all(est.position <= est.candidates.max(axis=0) + half)
@@ -143,12 +141,13 @@ def test_least_squares_point_is_clamped_to_candidates():
     """A noisy walk joint whose least-squares point lies 1.9 mm outside the
     candidates' bounding box is placed on that box."""
     scene = generate_scene("walk", frames=11, noise_px=1.0, seed=11)
-    obs = render_observations(scene)[10].observations_for(9)
+    obs = render_observations(scene)[10].table[:, 9]  # the views are in ascending id order
     est = estimate_joint(obs, scene.cameras, EstimatorConfig(delta=(20.0, 20.0, 20.0)))
     assert est.status == STATUS_OK
     half = np.asarray(est.terminal_edges) / 2.0
     lo, hi = est.candidates.min(axis=0) - half, est.candidates.max(axis=0) + half
-    unclamped = dlt_triangulate([o for o in obs if o.view_id in est.supporting_views], scene.cameras)
+    support = [r for r, cam in enumerate(scene.cameras) if cam.id in est.supporting_views]
+    unclamped = dlt_triangulate(obs[support, :2], [scene.cameras[r] for r in support])
     assert np.any((unclamped < lo - 1.0) | (unclamped > hi + 1.0))
     assert np.all((est.position >= lo) & (est.position <= hi))
     assert np.allclose(est.position, np.clip(unclamped, lo, hi), atol=1e-6)
@@ -175,15 +174,23 @@ def test_resolution_bound_on_candidates(ring, config, rng):
             assert np.linalg.norm(center - point) <= parent_half_diag
 
 
-def test_determinism_under_observation_order(ring, config, rng):
+def test_determinism_under_observation_order(ring, config, topology, rng):
+    """Neither the order of the calibration list nor the order in which a
+    keypoint frame lists its views changes a result."""
     point = rng.uniform(-500, 500, size=3)
     obs = observe_point(point, ring, noise=1.0, rng=rng)
     est_a = estimate_joint(obs, ring, config)
-    est_b = estimate_joint(list(reversed(obs)), ring, config)
+    est_b = estimate_joint(obs, list(reversed(ring)), config)
     est_c = estimate_joint(obs, ring, config)
     assert np.array_equal(est_a.position, est_b.position)
     assert np.array_equal(est_a.position, est_c.position)
     assert est_a.supporting_views == est_b.supporting_views
+
+    frame = render_observations(generate_scene("walk", frames=1, noise_px=1.0, seed=9))[0]
+    flipped = JointObservationFrame(frame.frame, frame.view_ids[::-1], frame.table[::-1])
+    a, b = (estimate_skeleton(f, ring, config, topology) for f in (frame, flipped))
+    assert a.statuses == b.statuses
+    assert all(a.positions[i].tobytes() == b.positions[i].tobytes() for i in a.positions)
 
 
 _SIGMA_SCENE = None
@@ -193,7 +200,7 @@ def _sigma_scene():
     global _SIGMA_SCENE
     if _SIGMA_SCENE is None:
         scene = generate_scene("walk", frames=1, noise_px=3.0, seed=5)
-        obs = render_observations(scene)[0].observations_for(4)
+        obs = render_observations(scene)[0].table[:, 4]
         _SIGMA_SCENE = (obs, scene.cameras)
     return _SIGMA_SCENE
 
@@ -254,9 +261,9 @@ def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropo
     indices = topology.detected_joint_indices
     outcomes, cut = [], False
     for frame in render_observations(scene):
-        lists = [frame.observations_for(idx) for idx in indices]
-        want = [estimate_joint_alone(obs, scene.cameras, config) for obs in lists]
-        got = [_fields(e) for e in estimate_joints(lists, scene.cameras, config)]
+        tables = frame.table[:, indices].transpose(1, 0, 2)  # (J, V, 3); the views are in ascending id order
+        want = [estimate_joint_alone(table, scene.cameras, config) for table in tables]
+        got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
         assert got == [_fields(e) for e in want]
         skel = estimate_skeleton(frame, scene.cameras, config, topology)
         for idx, est in zip(indices, want):
@@ -264,7 +271,7 @@ def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropo
             assert est.position is None or skel.positions[idx].tobytes() == est.position.tobytes()
         outcomes += [(e.status, e.nodes_visited) for e in want]
         if max_candidates < uncapped.max_candidates:
-            cut |= got != [_fields(e) for e in estimate_joints(lists, scene.cameras, uncapped)]
+            cut |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, uncapped)]
     assert any(s == STATUS_OK for s, _ in outcomes)
     if dropout:
         # Joints short-circuited for having fewer than sigma views, and
@@ -284,21 +291,15 @@ def test_degenerate_solve_falls_back_to_candidate_mean():
         CameraParams(id=i, intrinsic=K, rotation=np.eye(3), translation=np.array([-b, 0.0, 2500.0]), resolution=(1920, 1080))
         for i, b in enumerate((0.0, 1.0, 2.0))
     ]
-    parallel = [JointObservation(c.id, np.array([960.0, 540.0]), 1.0) for c in cams]
+    parallel = np.tile([960.0, 540.0, 1.0], (len(cams), 1))
     regular = observe_point(np.array([3.0, -2.0, 5.0]), cams)
     config = EstimatorConfig(sigma=2, initial_volume=Cube(center=np.zeros(3), edges=(400.0, 400.0, 400.0)))
-    got = estimate_joints([parallel, regular], cams, config)
+    got = estimate_joints(np.stack([parallel, regular]), cams, config)
     want = [estimate_joint_alone(obs, cams, config) for obs in (parallel, regular)]
     assert [_fields(e) for e in got] == [_fields(e) for e in want]
     assert got[0].candidate_count > 1 and got[1].status == STATUS_OK
     assert np.array_equal(got[0].position, got[0].candidates.mean(axis=0))
     assert len(got[0].supporting_views) == len(got[1].supporting_views) == 3
-
-
-def test_duplicate_view_in_one_joint_raises(ring, config):
-    obs = observe_point(np.array([0.0, 100.0, 0.0]), ring)
-    with pytest.raises(ValueError, match="two observations from one view"):
-        estimate_joints([obs, [*obs, obs[2]]], ring, config)
 
 
 # -- estimate_skeleton -----------------------------------------------------------
