@@ -1,5 +1,7 @@
 """Command-line pipeline: synth, reconstruct, retarget, eval, render-overlay.
 
+Each subcommand takes only the flags it reads, and settings come from flags
+alone: an unknown flag, or a required one left out, exits 2 through argparse.
 Frames stream through JSON-lines files end to end so long sequences never
 require whole-run memory residency. Streams given together (estimated and
 truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
@@ -20,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -48,12 +50,10 @@ EXIT_MISMATCH = 3
 
 @dataclass
 class RunConfig:
-    """File paths plus estimator settings for one pipeline run."""
+    """Inputs, output and estimator settings of one `reconstruct` run."""
 
     calib: str = ""
     keypoints: str = ""
-    truth: str = ""
-    skeleton: str = ""
     out: str = ""
     sigma: int = 4
     delta: tuple[float, float, float] = (10.0, 10.0, 10.0)
@@ -73,48 +73,6 @@ class RunConfig:
         except ValueError as exc:
             raise mio.InputParseError(f"invalid estimator settings: {exc}") from exc
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """A config from a decoded JSON object; TypeError on an unknown key or a mistyped value."""
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {data!r}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in defaults:
-                raise TypeError(f"unknown field {key!r}")
-            kwargs[key] = _typed(key, value, defaults[key])
-        return cls(**kwargs)
-
-
-def _typed(key: str, value, default):
-    """value as the type of default: a number as float, a list of numbers as a tuple, else unchanged."""
-    if isinstance(default, tuple):
-        if isinstance(value, list) and len(value) == len(default) and all(type(x) in (int, float) for x in value):
-            return tuple(float(x) for x in value)
-        kind = f"a list of {len(default)} numbers"
-    elif isinstance(default, float):
-        if type(value) in (int, float):
-            return float(value)
-        kind = "a number"
-    elif type(value) is type(default):
-        return value
-    else:
-        kind = {str: "a string", int: "an integer", bool: "true or false"}[type(default)]
-    raise TypeError(f"{key} must be {kind}, got {value!r}")
-
-
-@dataclass
-class TimingReport:
-    """Per-phase wall time for one run, milliseconds."""
-
-    frames: int = 0
-    phases: dict[str, float] = field(default_factory=dict)
-    total_ms: float = 0.0
-
-    def add(self, phase: str, ms: float) -> None:
-        self.phases[phase] = self.phases.get(phase, 0.0) + ms
-
 
 def _parse_triple(text: str, flag: str, sep: str = "x", form: str = "WxHxL") -> tuple[float, float, float]:
     parts = text.lower().split(sep)
@@ -133,26 +91,14 @@ def _parse_volume(text: str) -> tuple[tuple[float, float, float], tuple[float, f
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        try:
-            cfg = RunConfig.from_dict(mio.DECODER.decode(Path(args.config).read_text(encoding="utf-8")))
-        except (OSError, TypeError, ValueError, OverflowError) as exc:
-            raise mio.InputParseError(f"{args.config}: bad config file: {exc}") from exc
-    for name in ("calib", "keypoints", "truth", "skeleton", "out"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value:
-            setattr(cfg, name, str(value))
-    if getattr(args, "sigma", None) is not None:
-        cfg.sigma = args.sigma
-    if getattr(args, "delta", None):
+    cfg = RunConfig(
+        calib=args.calib, keypoints=args.keypoints, out=args.out,
+        sigma=args.sigma, min_confidence=args.min_conf, timing=args.timing,
+    )
+    if args.delta:
         cfg.delta = _parse_triple(args.delta, "--delta")
-    if getattr(args, "volume", None):
+    if args.volume:
         cfg.volume_edges, cfg.volume_center = _parse_volume(args.volume)
-    if getattr(args, "min_conf", None) is not None:
-        cfg.min_confidence = args.min_conf
-    if getattr(args, "timing", False):
-        cfg.timing = True
     return cfg
 
 
@@ -179,12 +125,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(cfg: RunConfig, *fields: str) -> None:
-    missing = [f"--{name}" for name in fields if not getattr(cfg, name)]
-    if missing:
-        raise mio.InputParseError(f"missing required input(s): {', '.join(missing)}")
-
-
 def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[JointObservationFrame]:
     """Keypoint frames from path; InputParseError on a view missing from the calibration."""
     known_views = {c.id for c in cameras}
@@ -197,15 +137,15 @@ def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[J
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    _require(cfg, "calib", "keypoints", "out")
-    timing = TimingReport()
+    phases = dict.fromkeys(("load_inputs", "parse_inputs", "estimate_3d_joints", "write_output"), 0.0)  # ms
+    frames = 0
     wall_start = time.perf_counter()
 
     t0 = time.perf_counter()
     cameras = mio.load_cameras(cfg.calib)
     config = cfg.estimator_config()
     topology = default_topology()
-    timing.add("load_inputs", (time.perf_counter() - t0) * 1e3)
+    phases["load_inputs"] += (time.perf_counter() - t0) * 1e3
     if cfg.sigma > len(cameras):
         print(
             f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; "
@@ -221,37 +161,35 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             while True:
                 t0 = time.perf_counter()
                 frame = next(reader, None)  # JSON decoding happens here
-                timing.add("parse_inputs", (time.perf_counter() - t0) * 1e3)
+                phases["parse_inputs"] += (time.perf_counter() - t0) * 1e3
                 if frame is None:
                     break
 
                 t0 = time.perf_counter()
                 skel = estimate_skeleton(frame, cameras, config, topology)
-                timing.add("estimate_3d_joints", (time.perf_counter() - t0) * 1e3)
+                phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
 
                 t0 = time.perf_counter()
                 out.write(mio.skeleton_line(skel) + "\n")
-                timing.add("write_output", (time.perf_counter() - t0) * 1e3)
-                timing.frames += 1
+                phases["write_output"] += (time.perf_counter() - t0) * 1e3
+                frames += 1
     except BaseException:
         part.unlink(missing_ok=True)
         raise
     part.replace(out_path)
 
-    timing.total_ms = (time.perf_counter() - wall_start) * 1e3
+    total_ms = (time.perf_counter() - wall_start) * 1e3
     if cfg.timing:
-        print(json.dumps({"frames": timing.frames, "total_ms": round(timing.total_ms, 3),
-                          "phases": {k: round(v, 3) for k, v in timing.phases.items()}}), file=sys.stderr)
+        print(json.dumps({"frames": frames, "total_ms": round(total_ms, 3),
+                          "phases": {k: round(v, 3) for k, v in phases.items()}}), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_retarget(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "skeleton", "out")
     topology = default_topology()
     template = default_template()
-    skeletons = mio.read_skeletons(cfg.skeleton)
-    mio.write_transforms(cfg.out, retarget_sequence(skeletons, topology, template))
+    skeletons = mio.read_skeletons(args.skeleton)
+    mio.write_transforms(args.out, retarget_sequence(skeletons, topology, template))
     return EXIT_OK
 
 
@@ -278,13 +216,12 @@ def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "skeleton", "truth", "out")
-    streams = [("estimated", mio.read_skeletons(cfg.skeleton)), ("truth", mio.read_skeletons(cfg.truth))]
-    if cfg.calib or cfg.keypoints:
-        _require(cfg, "calib", "keypoints")
-        cameras = {c.id: c for c in mio.load_cameras(cfg.calib)}
-        streams.append(("keypoints", _calibrated_frames(cfg.keypoints, cameras.values())))
+    streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
+    if args.calib or args.keypoints:
+        if not (args.calib and args.keypoints):
+            raise mio.InputParseError(f"missing required input(s): --{'keypoints' if args.calib else 'calib'}")
+        cameras = {c.id: c for c in mio.load_cameras(args.calib)}
+        streams.append(("keypoints", _calibrated_frames(args.keypoints, cameras.values())))
 
     per_frame = []
     frames_used = []
@@ -314,10 +251,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             counts[view_id] = counts.get(view_id, 0) + 1
 
     if not per_frame:
-        raise mio.InputParseError(f"{cfg.skeleton} and {cfg.truth} share no ok joint in any frame; nothing to evaluate")
+        raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")
     per_view = {v: sums[v] / counts[v] for v in sorted(sums)}
     report = ErrorReport.build(per_frame, per_view, total_joints)
-    out_base = Path(cfg.out)
+    out_base = Path(args.out)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     _write_report(out_base, report, frames_used)
     print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
@@ -340,15 +277,13 @@ def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -
 
 
 def cmd_render_overlay(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    _require(cfg, "calib", "keypoints", "skeleton", "out")
-    cameras = {c.id: c for c in mio.load_cameras(cfg.calib)}
+    cameras = {c.id: c for c in mio.load_cameras(args.calib)}
     topology = default_topology()
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = _lockstep(
-        ("keypoints", _calibrated_frames(cfg.keypoints, cameras.values())),
-        ("skeleton", mio.read_skeletons(cfg.skeleton)),
+        ("keypoints", _calibrated_frames(args.keypoints, cameras.values())),
+        ("skeleton", mio.read_skeletons(args.skeleton)),
     )
     written: list[Path] = []
     try:
@@ -369,20 +304,6 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
 # -- argument wiring --------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--calib", help="calibration JSON file")
-    p.add_argument("--keypoints", help="keypoints JSONL file")
-    p.add_argument("--truth", help="ground-truth skeleton JSONL file")
-    p.add_argument("--skeleton", help="estimated skeleton JSONL file")
-    p.add_argument("--out", required=True, help="output path (file or directory)")
-    p.add_argument("--sigma", type=int, help="minimum consenting views")
-    p.add_argument("--delta", help="terminal cube size WxHxL in mm, e.g. 10x10x10")
-    p.add_argument("--volume", help="initial volume WxHxL[@X,Y,Z] in mm")
-    p.add_argument("--min-conf", type=float, help="minimum keypoint confidence")
-    p.add_argument("--config", help="JSON run-config file; flags override it")
-    p.add_argument("--timing", action="store_true", help="print per-phase timing to stderr")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvmocap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -392,24 +313,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.0, help="pixel noise standard deviation")
     p.add_argument("--dropout", type=float, default=0.0, help="per-joint per-view miss probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="non-negative random seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("reconstruct", help="estimate per-frame 3D skeletons from keypoints")
-    _add_common(p)
+    p.add_argument("--calib", required=True, help="calibration JSON file")
+    p.add_argument("--keypoints", required=True, help="keypoints JSONL file")
+    p.add_argument("--out", required=True, help="output skeleton JSONL file")
+    p.add_argument("--sigma", type=int, default=RunConfig.sigma, help="minimum consenting views (default %(default)s)")
+    p.add_argument("--delta", help="terminal cube size WxHxL in mm")
+    p.add_argument("--volume", help="initial volume WxHxL[@X,Y,Z] in mm")
+    p.add_argument("--min-conf", type=float, default=RunConfig.min_confidence,
+                   help="minimum keypoint confidence (default %(default)s)")
+    p.add_argument("--timing", action="store_true", help="print per-phase timing to stderr")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("retarget", help="convert skeletons to per-bone transforms")
-    _add_common(p)
+    p.add_argument("--skeleton", required=True, help="skeleton JSONL file")
+    p.add_argument("--out", required=True, help="output transform JSONL file")
     p.set_defaults(func=cmd_retarget)
 
     p = sub.add_parser("eval", help="compare estimated skeletons against truth")
-    _add_common(p)
+    p.add_argument("--skeleton", required=True, help="estimated skeleton JSONL file")
+    p.add_argument("--truth", required=True, help="ground-truth skeleton JSONL file")
+    p.add_argument("--calib", help="calibration JSON file; with --keypoints, adds reprojection error")
+    p.add_argument("--keypoints", help="keypoints JSONL file; with --calib, adds reprojection error")
+    p.add_argument("--out", required=True, help="report path; .json and .csv are written next to it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render-overlay", help="write per-frame per-view SVG overlays")
-    _add_common(p)
+    p.add_argument("--calib", required=True, help="calibration JSON file")
+    p.add_argument("--keypoints", required=True, help="keypoints JSONL file")
+    p.add_argument("--skeleton", required=True, help="estimated skeleton JSONL file")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_render_overlay)
     return parser
 

@@ -16,11 +16,12 @@ Formats:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
 All matrices are row-major. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite and positions and matrices of the
-stated length. A calibration lists each camera id once, a keypoint frame
-each view once and a view each joint once, by an index in 0-13; a skeleton
-record lists each joint once, by an index in 0-14, with status "ok" or
-"no_consensus". Within a keypoint or skeleton stream the frame indices
-strictly increase.
+stated length. Frame indices, view and camera ids, joint indices and image
+sizes must be JSON integers: 3.0, 3.7 and true are all rejected. A
+calibration lists each camera id once, a keypoint frame each view once and a
+view each joint once, by an index in 0-13; a skeleton record lists each
+joint once, by an index in 0-14, with status "ok" or "no_consensus". Within
+a keypoint or skeleton stream the frame indices strictly increase.
 
 A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
@@ -58,9 +59,16 @@ def _reject_constant(token: str):
 # Rejects the NaN, Infinity and -Infinity tokens that json accepts by default.
 DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
-# What converting a malformed record raises. OverflowError comes from int()
-# of a number that json read as infinity, such as 1e400.
+# What converting a malformed record raises. OverflowError comes from float()
+# of an integer too large for a double, such as 1 followed by 400 zeros.
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _integer(value) -> int:
+    """value if it is a JSON integer; TypeError for a fraction, a bool or any other type."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _finite_vector(value, n: int) -> np.ndarray:
@@ -120,11 +128,11 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
         for entry in data:
             cameras.append(
                 CameraParams(
-                    id=int(entry["id"]),
+                    id=_integer(entry["id"]),
                     intrinsic=_finite_matrix(entry["K"], 3),
                     rotation=_snap_rotation(_finite_matrix(entry["R"], 3)),
                     translation=_finite_vector(entry["t"], 3),
-                    resolution=(int(entry["width"]), int(entry["height"])),
+                    resolution=(_integer(entry["width"]), _integer(entry["height"])),
                 )
             )
             if cameras[-1].id in {c.id for c in cameras[:-1]}:
@@ -183,12 +191,12 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
             # The table as one flat list, filled cell by cell and converted once.
             cells = [math.nan] * (len(views) * _JOINTS * 3)
             for r, view in enumerate(views):
-                view_id = int(view["view_id"])
+                view_id = _integer(view["view_id"])
                 if view_id in view_ids:
                     raise ValueError(f"view {view_id} listed twice")
                 view_ids.append(view_id)
                 for j in view["joints"]:
-                    idx = int(j["idx"])
+                    idx = _integer(j["idx"])
                     if not 0 <= idx < _JOINTS:
                         raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
                     at = (r * _JOINTS + idx) * 3
@@ -207,7 +215,7 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
 
 def _next_frame(rec: dict, last: int | None) -> int:
     """The record's frame index; ValueError unless it is greater than last."""
-    frame = int(rec["frame"])
+    frame = _integer(rec["frame"])
     if last is not None and frame <= last:
         raise ValueError(f"frame {frame} does not follow frame {last}")
     return frame
@@ -243,7 +251,7 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
             positions: dict[int, np.ndarray] = {}
             statuses: dict[int, str] = {}
             for j in rec["joints"]:
-                idx = int(j["idx"])
+                idx = _integer(j["idx"])
                 if not 0 <= idx < len(JOINT_NAMES):
                     raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
                 if idx in statuses:

@@ -169,6 +169,8 @@ def generate_scene(
         raise ValueError(f"noise must be a finite number >= 0, got {noise_px}")
     if not 0.0 <= dropout <= 1.0:
         raise ValueError(f"dropout must lie in [0, 1], got {dropout}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     motion = _MOTIONS[preset]
     period = 40.0
     truth = []

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from oracles import read_transforms
 
 import mvmocap
 from mvmocap import io as mio
-from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, RunConfig, main
+from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, build_parser, main
 from mvmocap.skeleton import STATUS_NO_CONSENSUS
 
 
@@ -85,13 +84,6 @@ def test_sigma_above_camera_count_warns_and_degrades(tmp_path, capsys):
     assert "warning" in err and "sigma=6" in err
     for s in mio.read_skeletons(skel):
         assert set(s.statuses.values()) == {STATUS_NO_CONSENSUS}
-
-
-def test_config_round_trip_is_identity():
-    cfg = RunConfig()
-    rebuilt = RunConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
-    assert rebuilt == cfg
-    assert RunConfig.from_dict(json.loads(json.dumps(asdict(rebuilt)))) == rebuilt
 
 
 def test_eval_truth_against_itself_is_zero(tmp_path):
@@ -267,6 +259,9 @@ def test_invalid_estimator_settings_exit_2(tmp_path, capsys, flags):
         (["--volume", "nanx3000x4000"], "cube edges must be finite and positive"),
         (["--volume", "4000x3000x4000@nan,0,0"], "cube center must be finite"),
         (["--volume", "4000x3000x4000@a,0,0"], "--volume center expects numeric X,Y,Z, got 'a,0,0'"),
+        (["--volume", "100x100x100@1e400,0,0"], "cube center must be finite"),
+        (["--delta", "1e400x10x10"], "delta components must be finite and positive"),
+        (["--min-conf", "nan"], "min_confidence must lie in [0, 1]"),
     ],
 )
 def test_non_finite_estimator_settings_exit_2(tmp_path, capsys, flags, message):
@@ -278,15 +273,18 @@ def test_non_finite_estimator_settings_exit_2(tmp_path, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
-def test_overflowing_config_volume_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [("id", 0.5), ("width", 1920.5), ("height", 1080.0), ("id", False)])
+def test_non_integer_calibration_field_exits_2(tmp_path, capsys, field, value):
     scene = run_synth(tmp_path, frames=1)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text('{"volume_center": [1e400, 0, 0]}', encoding="utf-8")
+    calib = scene / "calib.json"
+    entries = json.loads(calib.read_text(encoding="utf-8"))
+    entries[0][field] = value
+    calib.write_text(json.dumps(entries), encoding="utf-8")
     assert main([
-        "reconstruct", "--config", str(cfg_path), "--calib", str(scene / "calib.json"),
-        "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(tmp_path / "o.jsonl"),
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
     ]) == EXIT_PARSE
-    assert "invalid estimator settings: cube center must be finite" in capsys.readouterr().err
+    assert f"error: {calib}: invalid camera entry: expected an integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_duplicate_camera_id_exits_2(tmp_path, capsys):
@@ -316,6 +314,7 @@ def test_synth_zero_frames_exits_2(tmp_path, capsys):
         (["--noise", "inf"], "noise must be a finite number >= 0"),
         (["--dropout", "2"], "dropout must lie in [0, 1]"),
         (["--dropout", "-1"], "dropout must lie in [0, 1]"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_synth_invalid_noise_or_dropout_exits_2(tmp_path, capsys, flags, message):
@@ -395,6 +394,17 @@ def _edit_record_2(path, edit):
         # A second elbow (joint 3) at the origin would otherwise replace the first.
         ("truth.jsonl", lambda rec: rec["joints"].append({"idx": 3, "status": "ok", "p": [0, 0, 0]}),
          "joint 3 listed twice", "eval"),
+        # int() would read these as joint 3, frame 1 and view 1.
+        ("truth.jsonl", lambda rec: rec["joints"][3].update(idx=3.7), "expected an integer, got 3.7", "eval"),
+        ("truth.jsonl", lambda rec: rec.update(frame=1.9), "expected an integer, got 1.9", "eval"),
+        ("keypoints.jsonl", lambda rec: rec["views"][1].update(view_id=1.2), "expected an integer, got 1.2", "reconstruct"),
+        ("keypoints.jsonl", lambda rec: rec.update(frame=1.0), "expected an integer, got 1.0", "reconstruct"),
+        (
+            "keypoints.jsonl",
+            lambda rec: rec["views"][0]["joints"][0].update(idx=True),
+            "expected an integer, got True",
+            "reconstruct",
+        ),
     ],
     ids=[
         "duplicate-view",
@@ -408,6 +418,11 @@ def _edit_record_2(path, edit):
         "skeleton-joint-index-too-large",
         "skeleton-joint-index-negative",
         "duplicate-skeleton-joint",
+        "fractional-skeleton-joint-index",
+        "fractional-skeleton-frame",
+        "fractional-view-id",
+        "integral-float-keypoint-frame",
+        "boolean-joint-index",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
@@ -468,34 +483,6 @@ def test_overflowing_calibration_number_exits_2(tmp_path, capsys, field):
     assert f"error: {calib}: invalid camera entry" in capsys.readouterr().err
 
 
-def test_non_finite_config_value_exits_2(tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text('{"min_confidence": NaN}', encoding="utf-8")
-    assert main(["retarget", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
-    assert f"error: {cfg_path}: bad config file" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("sigma", "4", "sigma must be an integer, got '4'"),
-        ("sigma", 2.5, "sigma must be an integer, got 2.5"),
-        ("calib", 5, "calib must be a string, got 5"),
-        ("min_confidence", "0.1", "min_confidence must be a number, got '0.1'"),
-        ("delta", [10**400, 10, 10], "int too large to convert to float"),
-    ],
-    ids=["string-sigma", "fractional-sigma", "numeric-calib", "string-min-confidence", "overflowing-delta"],
-)
-def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
-    scene = run_synth(tmp_path, frames=1)
-    cfg = {"calib": str(scene / "calib.json"), "keypoints": str(scene / "keypoints.jsonl"), field: value}
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["reconstruct", "--config", str(cfg_path), "--delta", "100x100x100", "--out", str(tmp_path / "o")]) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert f"error: {cfg_path}: bad config file" in err and message in err
-
-
 def _circles(svg_text, color):
     pts = []
     for m in re.finditer(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="\d+" fill="%s"/>' % color, svg_text):
@@ -554,23 +541,6 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     assert len(_circles(svg, "blue")) == 15
 
 
-@pytest.mark.parametrize("timing", [True, False])
-def test_config_file_timing_field(tmp_path, capsys, timing):
-    """A "timing" field in a --config file prints the timing JSON without --timing."""
-    scene = run_synth(tmp_path, frames=2)
-    config = tmp_path / "t.json"
-    config.write_text(json.dumps({"timing": timing}), encoding="utf-8")
-    assert main([
-        "reconstruct", "--config", str(config), "--calib", str(scene / "calib.json"),
-        "--keypoints", str(scene / "keypoints.jsonl"), "--delta", "100x100x100", "--out", str(tmp_path / "s.jsonl"),
-    ]) == EXIT_OK
-    err = capsys.readouterr().err.strip()
-    if timing:
-        assert json.loads(err.splitlines()[-1])["frames"] == 2
-    else:
-        assert err == ""
-
-
 def test_commands_do_not_import_numpy_ma(tmp_path):
     """reconstruct, eval and render-overlay leave numpy.ma unimported.
 
@@ -617,11 +587,51 @@ def test_timing_phases_cover_wall_clock(tmp_path, capsys):
     assert sum(timing["phases"].values()) <= timing["total_ms"]
 
 
-def test_config_file_with_flag_overrides(tmp_path):
-    scene = run_synth(tmp_path, frames=1)
-    cfg = RunConfig(calib=str(scene / "calib.json"), keypoints=str(scene / "keypoints.jsonl"), sigma=2)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
-    skel = tmp_path / "skel.jsonl"
-    assert main(["reconstruct", "--config", str(cfg_path), "--sigma", "4", "--out", str(skel)]) == EXIT_OK
-    assert len(list(mio.read_skeletons(skel))) == 1
+# The flags each subcommand reads; argparse adds -h/--help to every one.
+FLAGS = {
+    "synth": {"--preset", "--frames", "--noise", "--dropout", "--seed", "--out"},
+    "reconstruct": {"--calib", "--keypoints", "--out", "--sigma", "--delta", "--volume", "--min-conf", "--timing"},
+    "retarget": {"--skeleton", "--out"},
+    "eval": {"--skeleton", "--truth", "--calib", "--keypoints", "--out"},
+    "render-overlay": {"--calib", "--keypoints", "--skeleton", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(FLAGS)
+    for name, sub in commands.items():
+        taken = {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        assert taken == FLAGS[name], name
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("retarget", ["--sigma", "4"]),
+        ("retarget", ["--config", "c.json"]),
+        ("eval", ["--delta", "10x10x10"]),
+        ("eval", ["--timing"]),
+        ("render-overlay", ["--truth", "t.jsonl"]),
+        ("reconstruct", ["--sigma", "2.5"]),
+    ],
+    ids=["retarget-sigma", "retarget-config", "eval-delta", "eval-timing", "overlay-truth", "fractional-sigma"],
+)
+def test_unread_or_mistyped_flag_exits_2(tmp_path, capsys, command, extra):
+    """A flag the subcommand does not read, or a value of the wrong type, exits 2 before any work."""
+    scene = run_synth(tmp_path, frames=2)
+    (tmp_path / "c.json").write_text("{}", encoding="utf-8")
+    s = lambda name: str(scene / name)
+    inputs = {
+        "reconstruct": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl")],
+        "retarget": ["--skeleton", s("truth.jsonl")],
+        "eval": ["--skeleton", s("truth.jsonl"), "--truth", s("truth.jsonl")],
+        "render-overlay": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--skeleton", s("truth.jsonl")],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, *extra, "--out", str(out)])
+    assert exc.value.code == EXIT_PARSE
+    assert extra[0] in capsys.readouterr().err
+    assert sorted(tmp_path.glob("out*")) == []

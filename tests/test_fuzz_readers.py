@@ -2,8 +2,9 @@
 
 Each example takes a valid line of a synthetic scene's keypoint or skeleton
 stream and breaks one field: drops a key, gives a value the wrong type,
-writes a non-finite token or a number too large for a double, changes the
-length of a position, gives a skeleton joint an unknown status, gives a
+writes a non-finite token or a number too large for a double, puts a
+fraction, a float or a bool where an integer belongs, changes the length of
+a position, gives a skeleton joint an unknown status, gives a
 joint an index outside 0-13 (keypoints) or 0-14 (skeletons) or the index of
 another joint of the same list, or gives a record after the first a frame
 index not greater than the one before it. Both streams go through
@@ -28,6 +29,8 @@ STATUS_RETYPES = (None, 1, {}, [])
 LIST_RETYPES = ("x", None, 5)
 ARRAY_RETYPES = ("x", None, 5, {}, [])
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+# Fields that must be JSON integers.
+INTEGER_KINDS = ("frame", "joint index", "view id")
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +62,7 @@ def _sites(stream, rec):
         sites += [(j, "idx", "joint index", [o for o in joints if o is not j]) for j in joints]
     for item in rec[items]:
         if stream == "keypoints":
-            sites += [(item, "view_id", "number", None), (item, "joints", "list", None)]
+            sites += [(item, "view_id", "view id", None), (item, "joints", "list", None)]
             for j in item["joints"]:
                 sites += [(j, key, "number", None) for key in ("u", "v", "c")]
         else:
@@ -75,8 +78,10 @@ def _mutate(draw, stream, rec, previous_frame):
     """Break one field of rec in place; previous_frame is None on the first line."""
     container, key, kind, siblings = draw(st.sampled_from(_sites(stream, rec)))
     actions = ["drop", "retype"]
-    if kind in ("number", "frame", "joint index"):
+    if kind == "number" or kind in INTEGER_KINDS:
         actions.append("bad number")
+    if kind in INTEGER_KINDS:
+        actions.append("not an integer")
     if kind == "frame" and previous_frame is not None:
         actions.append("out of order")
     if kind == "joint index":
@@ -95,6 +100,10 @@ def _mutate(draw, stream, rec, previous_frame):
         container[key] = draw(st.sampled_from(retypes))
     elif action == "bad number":
         container[key] = _bad_number(draw)
+    elif action == "not an integer":
+        # Close to the valid value, so that int() truncation would pass it.
+        fraction = st.floats(0.0, 1.0, exclude_max=True).map(lambda f: container[key] + f)
+        container[key] = draw(st.one_of(fraction, st.booleans()))
     elif action == "out of order":
         container[key] = draw(st.integers(max_value=previous_frame))
     elif action == "out of range":
