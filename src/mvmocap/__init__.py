@@ -18,7 +18,6 @@ from .skeleton import (
     Skeleton3D,
     SkeletonTopology,
     TPoseTemplate,
-    bone_vector,
     default_template,
     default_topology,
 )

@@ -12,8 +12,10 @@ joint is missing or behind the camera, and compare it with the keypoint
 table's rows. `eval` takes `--calib` and `--keypoints` together or not at
 all. Exit codes: 0 on success, 2 for input or parse errors, 3 at the first
 frame where streams read together disagree or one ends early. A run that
-exits 2 or 3 leaves no partial skeleton stream or overlay set behind.
-Warnings go to stderr.
+exits 2 or 3 leaves no partial skeleton stream, transform stream, report or
+overlay set behind: the single files are written to a temporary sibling,
+renamed on success, and every command creates its output's parent
+directory. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -34,7 +37,7 @@ from .geometry import CameraParams, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import DETECTED_JOINTS, JOINT_NAMES, Skeleton3D, default_template, default_topology
+from .skeleton import DETECTED_JOINTS, Skeleton3D, default_template, default_topology
 from .synth import generate_scene, render_observations
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton
 
@@ -102,6 +105,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator[Path]:
+    """A temporary sibling of path to write to, renamed to path when the block succeeds.
+
+    The parent directory is created first. If the block or the rename
+    raises, the temporary file is removed, so a failed run leaves nothing
+    at path.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -154,29 +176,22 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         )
 
     reader = _calibrated_frames(cfg.keypoints, cameras)
-    out_path = Path(cfg.out)
-    part = out_path.with_name(out_path.name + ".part")  # renamed to out_path on success
-    try:
-        with open(part, "w", encoding="utf-8") as out:
-            while True:
-                t0 = time.perf_counter()
-                frame = next(reader, None)  # JSON decoding happens here
-                phases["parse_inputs"] += (time.perf_counter() - t0) * 1e3
-                if frame is None:
-                    break
+    with _output(cfg.out) as part, open(part, "w", encoding="utf-8") as out:
+        while True:
+            t0 = time.perf_counter()
+            frame = next(reader, None)  # JSON decoding happens here
+            phases["parse_inputs"] += (time.perf_counter() - t0) * 1e3
+            if frame is None:
+                break
 
-                t0 = time.perf_counter()
-                skel = estimate_skeleton(frame, cameras, config, topology)
-                phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
+            t0 = time.perf_counter()
+            skel = estimate_skeleton(frame, cameras, config, topology)
+            phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
 
-                t0 = time.perf_counter()
-                out.write(mio.skeleton_line(skel) + "\n")
-                phases["write_output"] += (time.perf_counter() - t0) * 1e3
-                frames += 1
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    part.replace(out_path)
+            t0 = time.perf_counter()
+            out.write(mio.skeleton_line(skel) + "\n")
+            phases["write_output"] += (time.perf_counter() - t0) * 1e3
+            frames += 1
 
     total_ms = (time.perf_counter() - wall_start) * 1e3
     if cfg.timing:
@@ -189,7 +204,8 @@ def cmd_retarget(args: argparse.Namespace) -> int:
     topology = default_topology()
     template = default_template()
     skeletons = mio.read_skeletons(args.skeleton)
-    mio.write_transforms(args.out, retarget_sequence(skeletons, topology, template))
+    with _output(args.out) as part:
+        mio.write_transforms(part, retarget_sequence(skeletons, topology, template))
     return EXIT_OK
 
 
@@ -209,10 +225,7 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
 
 def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
     """(15, 2) pixels of skel's joints in cam, row i for joint i; NaN where not ok or not in front of cam."""
-    points = np.full((len(JOINT_NAMES), 3), np.nan)
-    for idx, point in skel.positions.items():  # present exactly where the status is ok
-        points[idx] = point
-    return project(points, cam)
+    return project(skel.points, cam)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -254,9 +267,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")
     per_view = {v: sums[v] / counts[v] for v in sorted(sums)}
     report = ErrorReport.build(per_frame, per_view, total_joints)
-    out_base = Path(args.out)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    _write_report(out_base, report, frames_used)
+    _write_report(Path(args.out), report, frames_used)
     print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
     return EXIT_OK
 
@@ -270,10 +281,11 @@ def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -
     body += '  "per_frame_3d_mm": [' + ", ".join(fmt(v) for v in report.per_frame_3d) + "],\n"
     body += '  "per_view_2d_px": {' + ", ".join(f'"{v}": {fmt(e)}' for v, e in sorted(report.per_view_2d.items())) + "}\n"
     body += "}\n"
-    out_base.with_suffix(".json").write_text(body, encoding="utf-8")
     csv_lines = ["frame,mean_abs_3d_err_mm"]
     csv_lines += [f"{f},{fmt(v)}" for f, v in zip(frames_used, report.per_frame_3d)]
-    out_base.with_suffix(".csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    with _output(out_base.with_suffix(".json")) as json_part, _output(out_base.with_suffix(".csv")) as csv_part:
+        json_part.write_text(body, encoding="utf-8")
+        csv_part.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
 
 def cmd_render_overlay(args: argparse.Namespace) -> int:

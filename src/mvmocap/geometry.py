@@ -27,8 +27,8 @@ _ROTATION_TOL = 1e-9
 class CameraParams:
     """One calibrated view: intrinsics, world-to-camera pose, resolution.
 
-    intrinsic: 3x3 pixel-unit matrix with positive focal entries and
-        intrinsic[2][2] == 1.
+    intrinsic: 3x3 pixel-unit matrix, upper triangular, with positive
+        focal entries and last row exactly (0, 0, 1), so it is invertible.
     rotation / translation: world-to-camera rigid transform; translation
         is in millimeters.
     resolution: (width_px, height_px), both positive.
@@ -46,10 +46,10 @@ class CameraParams:
         t = np.array(self.translation, dtype=float).reshape(3)
         if K.shape != (3, 3) or R.shape != (3, 3):
             raise ValueError("intrinsic and rotation must be 3x3 matrices")
+        if K[1, 0] != 0.0 or K[2].tolist() != [0.0, 0.0, 1.0]:
+            raise ValueError(f"intrinsic must be upper triangular with last row [0, 0, 1], got {K.tolist()}")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("intrinsic focal entries must be positive")
-        if abs(K[2, 2] - 1.0) > 1e-12:
-            raise ValueError("intrinsic[2][2] must equal 1")
         if not np.allclose(R @ R.T, np.eye(3), atol=_ROTATION_TOL):
             raise ValueError("rotation must be orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ROTATION_TOL:

@@ -14,7 +14,8 @@ Formats:
                (the "p" entry is omitted for joints without consensus)
   transforms   one line per frame (written only):
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
-All matrices are row-major. Readers reject NaN and Infinity tokens; record
+All matrices are row-major; K is upper triangular with positive focal
+entries and last row [0, 0, 1]. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite and positions and matrices of the
 stated length. Frame indices, view and camera ids, joint indices and image
 sizes must be JSON integers: 3.0, 3.7 and true are all rejected. A
@@ -31,6 +32,7 @@ writer lists views by ascending id and joints by ascending index.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -271,13 +273,24 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
 # -- bone transforms -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _transform_template(names: tuple[str, ...]) -> str:
+    """The %-template of a transform record over these bone names: the frame,
+    then per bone its status and 16 matrix entries, row-major."""
+    matrix = "[" + ", ".join(["[" + ", ".join(["%.6f"] * 4) + "]"] * 4) + "]"
+    bones = ", ".join(f'{{"name": "{name.replace("%", "%%")}", "status": "%s", "T": {matrix}}}' for name in names)
+    return '{"frame": %s, "bones": [' + bones + "]}"
+
+
 def transform_line(tset: BoneTransformSet) -> str:
-    parts = []
-    for name in sorted(tset.transforms):
-        parts.append(
-            f'{{"name": "{name}", "status": "{tset.statuses[name]}", "T": {_fmt_matrix(tset.transforms[name])}}}'
-        )
-    return f'{{"frame": {tset.frame}, "bones": [' + ", ".join(parts) + "]}"
+    names = tuple(sorted(tset.transforms))
+    values = [tset.frame]
+    for name in names:
+        values.append(tset.statuses[name])
+        values += np.ravel(tset.transforms[name]).tolist()
+    # Every value has 6 decimals, so "-0.000000" is a whole token: a value
+    # rounding to zero, written without its sign as _fmt writes it.
+    return (_transform_template(names) % tuple(values)).replace("-0.000000", "0.000000")
 
 
 def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None:

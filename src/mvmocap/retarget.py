@@ -16,28 +16,37 @@ frame the minimal swing of q's x-axis onto d would give.
 Right-multiplying by rc.T turns the frame back into a rotation of the
 rest pose, emitted as a 4x4 transform whose translation is always zero
 because rigs carry their own bone offsets.
+
+Frames are linked only where a bone lacks data: it then holds its last
+good rotation, the identity before the first. That hold is a forward fill
+along the frames, so a stream is retargeted a chunk of up to CHUNK_FRAMES
+frames at a time: the chunk's skeletons become one (N, 15, 3) array, NaN
+where a joint is not ok, and the chain runs once per bone over (N, 3, 3)
+stacks. Each bone's last rotation is carried into the next chunk, so at
+most one chunk is held in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .skeleton import (
-    STATUS_OK,
-    MissingJoint,
-    Skeleton3D,
-    SkeletonTopology,
-    TPoseTemplate,
-    ZeroLengthBone,
-    bone_vector,
-)
+from .skeleton import STATUS_OK, Skeleton3D, SkeletonTopology, TPoseTemplate
 
 STATUS_FELL_BACK = "fell_back"
 
 # Below this cross-product norm two axes are treated as parallel.
 PARALLEL_TOL = 1e-6
+
+# Below this length (mm) a bone's endpoints coincide and give no direction.
+MIN_BONE_LENGTH = 1e-6
+
+# Frames retargeted together by retarget_sequence.
+CHUNK_FRAMES = 256
+
+_STATUS = (STATUS_FELL_BACK, STATUS_OK)  # indexed by the bone's ok flag
 
 
 @dataclass
@@ -52,20 +61,28 @@ class BoneTransformSet:
         return self.transforms[bone_name][:3, :3]
 
 
-def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Right-handed frame [d, y, d x y] on the unit direction d, y nearest to q's y-axis.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, the same products without its per-call overhead."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
-    y is q[:, 1] made orthogonal to d. When the two are parallel it is the
-    unit q[:, 2] x d, the y-axis that the minimal swing of q's x-axis onto d
+
+def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Right-handed frames [d, y, d x y] on unit directions d (..., 3), y nearest to q's y-axis.
+
+    q is (..., 3, 3) and broadcasts against d. y is q[..., :, 1] made
+    orthogonal to d. Where the two are parallel it is the unit
+    q[..., :, 2] x d, the y-axis that the minimal swing of q's x-axis onto d
     would give.
     """
-    y = q[:, 1] - np.dot(q[:, 1], direction) * direction
-    n = np.linalg.norm(y)  # equals |d x q[:, 1]|
-    if n < PARALLEL_TOL:
-        y = np.cross(q[:, 2], direction)
-        n = np.linalg.norm(y)
+    q_y = q[..., :, 1]
+    y = q_y - (q_y * direction).sum(axis=-1, keepdims=True) * direction
+    n = np.linalg.norm(y, axis=-1, keepdims=True)  # equals |d x q_y|
+    parallel = n < PARALLEL_TOL
+    if parallel.any():
+        y = np.where(parallel, _cross(q[..., :, 2], direction), y)
+        n = np.linalg.norm(y, axis=-1, keepdims=True)
     y = y / n
-    return np.column_stack([direction, y, np.cross(direction, y)])
+    return np.stack([direction, y, _cross(direction, y)], axis=-1)
 
 
 def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
@@ -86,6 +103,50 @@ def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
     return _posed_frame(x_axis, parent_frame)
 
 
+def _rotations(
+    points: np.ndarray, topology: SkeletonTopology, template: TPoseTemplate, held: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bone rotations (N, B, 3, 3) and ok flags (N, B) of N frames' (N, 15, 3) joints, NaN where not ok.
+
+    Bones run in topology order, so a parent's rotations, held ones
+    included, are complete before its children use them. A bone is ok in a
+    frame where both endpoints are finite and at least MIN_BONE_LENGTH
+    apart; elsewhere it holds its rotation from the last ok frame, or
+    held[b] before the first.
+    """
+    index = {bone.name: b for b, bone in enumerate(topology.bones)}
+    rot = np.empty((points.shape[0], len(index), 3, 3))
+    ok = np.empty((points.shape[0], len(index)), dtype=bool)
+    for b, bone in enumerate(topology.bones):
+        d = points[:, bone.child_joint] - points[:, bone.parent_joint]
+        length = np.linalg.norm(d, axis=1)
+        good = ok[:, b] = length >= MIN_BONE_LENGTH  # False where an endpoint is NaN
+        rc = template.frame_rotation[bone.frame_class]
+        q = rot[good, index[bone.parent_bone]] @ rc if bone.parent_bone else rc
+        posed = _posed_frame(d[good] / length[good, None], q) @ rc.T
+        if good.all():
+            rot[:, b] = posed
+        else:
+            # Row k + 1 is the k-th ok frame's rotation and row 0 the held one;
+            # the count of ok frames so far picks the last of them.
+            rot[:, b] = np.concatenate([held[b][None], posed])[np.cumsum(good)]
+    return rot, ok
+
+
+def _transform_sets(frames: tuple[int, ...], rot: np.ndarray, ok: np.ndarray, topology: SkeletonTopology):
+    """One BoneTransformSet per frame, its transforms views into one (N, B, 4, 4) array."""
+    names = [bone.name for bone in topology.bones]
+    transforms = np.zeros(rot.shape[:2] + (4, 4))
+    transforms[..., :3, :3] = rot
+    transforms[..., 3, 3] = 1.0
+    for frame, mats, flags in zip(frames, transforms, ok.tolist()):
+        yield BoneTransformSet(
+            frame=frame,
+            transforms=dict(zip(names, mats)),
+            statuses=dict(zip(names, [_STATUS[f] for f in flags])),
+        )
+
+
 def retarget_frame(
     skeleton: Skeleton3D,
     topology: SkeletonTopology,
@@ -100,36 +161,26 @@ def retarget_frame(
     pose with @ rc.T. Bones lacking endpoint data hold the previous
     frame's rotation when one is supplied, otherwise the identity, and
     report status "fell_back". Translations are zero and the bottom row is
-    exactly (0, 0, 0, 1).
+    exactly (0, 0, 0, 1). This is one frame of retarget_sequence's chain.
     """
-    transforms: dict[str, np.ndarray] = {}
-    statuses: dict[str, str] = {}
-    global_rot: dict[str, np.ndarray] = {}
-    for bone in topology.bones:
-        try:
-            direction = bone_vector(skeleton, bone.name, topology)
-        except (MissingJoint, ZeroLengthBone):
-            if previous is not None and bone.name in previous.transforms:
-                rot = previous.rotation(bone.name).copy()
-            else:
-                rot = np.eye(3)
-            statuses[bone.name] = STATUS_FELL_BACK
-        else:
-            rc = template.frame_rotation[bone.frame_class]
-            q = global_rot[bone.parent_bone] @ rc if bone.parent_bone else rc
-            rot = _posed_frame(direction, q) @ rc.T
-            statuses[bone.name] = STATUS_OK
-        global_rot[bone.name] = rot
-        T = np.eye(4)
-        T[:3, :3] = rot
-        transforms[bone.name] = T
-    return BoneTransformSet(frame=skeleton.frame, transforms=transforms, statuses=statuses)
+    held = np.stack([
+        previous.rotation(bone.name) if previous is not None and bone.name in previous.transforms else np.eye(3)
+        for bone in topology.bones
+    ])
+    rot, ok = _rotations(skeleton.points[None], topology, template, held)
+    return next(_transform_sets((skeleton.frame,), rot, ok, topology))
 
 
 def retarget_sequence(skeletons, topology: SkeletonTopology, template: TPoseTemplate):
-    """Retarget an in-order skeleton stream, holding rotations across gaps."""
-    previous: BoneTransformSet | None = None
-    for skel in skeletons:
-        current = retarget_frame(skel, topology, template, previous=previous)
-        previous = current
-        yield current
+    """Retarget an in-order skeleton stream, holding rotations across gaps.
+
+    Reads up to CHUNK_FRAMES skeletons at a time and yields one
+    BoneTransformSet per frame, in order.
+    """
+    held = np.broadcast_to(np.eye(3), (len(topology.bones), 3, 3))
+    stream = iter(skeletons)
+    while chunk := [(s.frame, s.points) for s in islice(stream, CHUNK_FRAMES)]:
+        frames, points = zip(*chunk)
+        rot, ok = _rotations(np.stack(points), topology, template, held)
+        held = rot[-1].copy()
+        yield from _transform_sets(frames, rot, ok, topology)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import rotation_about_axis, unit
+from .mathutil import rotation_about_axis
 
 STATUS_OK = "ok"
 STATUS_NO_CONSENSUS = "no_consensus"
@@ -49,14 +49,6 @@ JOINT_NAMES = {
 }
 
 FRAME_CLASSES = ("left", "right", "up", "down")
-
-
-class MissingJoint(ValueError):
-    """A bone endpoint has no reconstructed position."""
-
-
-class ZeroLengthBone(ValueError):
-    """Bone endpoints coincide; no direction can be derived."""
 
 
 @dataclass(frozen=True)
@@ -183,10 +175,13 @@ class Skeleton3D:
     def joint_ok(self, idx: int) -> bool:
         return self.statuses.get(idx) == STATUS_OK
 
-    def position(self, idx: int) -> np.ndarray:
-        if not self.joint_ok(idx):
-            raise MissingJoint(f"joint {idx} ({JOINT_NAMES.get(idx, '?')}) has no position")
-        return self.positions[idx]
+    @property
+    def points(self) -> np.ndarray:
+        """A new (15, 3) array of the positions, row i for joint i; NaN where not ok."""
+        points = np.full((len(JOINT_NAMES), 3), np.nan)
+        for idx, point in self.positions.items():  # present exactly where the status is ok
+            points[idx] = point
+        return points
 
     @classmethod
     def from_positions(cls, frame: int, positions: dict[int, np.ndarray]) -> "Skeleton3D":
@@ -223,21 +218,6 @@ def default_template() -> TPoseTemplate:
     x = np.array([1.0, 0.0, 0.0])
     rest = {Bone(*row).name: frame_rotation[Bone(*row).frame_class] @ x for row in _BONE_ROWS}
     return TPoseTemplate(rest_direction=rest, frame_rotation=frame_rotation)
-
-
-def bone_vector(skeleton: Skeleton3D, bone_name: str, topology: SkeletonTopology) -> np.ndarray:
-    """Unit direction of a bone, child joint minus parent joint.
-
-    Raises MissingJoint if either endpoint lacks a position and
-    ZeroLengthBone if the endpoints coincide within 1e-6 mm.
-    """
-    bone = topology.bone(bone_name)
-    a = skeleton.position(bone.parent_joint)
-    b = skeleton.position(bone.child_joint)
-    d = b - a
-    if np.linalg.norm(d) < 1e-6:
-        raise ZeroLengthBone(f"bone {bone_name} endpoints coincide")
-    return unit(d)
 
 
 def tpose_positions(stature_mm: float = T_POSE_STATURE_MM) -> dict[int, np.ndarray]:

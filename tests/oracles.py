@@ -15,6 +15,9 @@ acceptance criterion 2, over (N, 2) pixels and their N cameras.
 class frame: pull-back through the parent, the minimal swing
 `frame_from_bone`, conjugations by the class rotation and a plus-or-minus
 angle roll search, against which the world-frame retarget is checked.
+`retarget_frame_alone` is the world-frame chain one frame and one bone at
+a time, from the 3-vectors of `bone_vector`, against which the chunked
+stacks of `retarget_sequence` are checked.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
 """
 
@@ -25,7 +28,7 @@ from scipy.spatial import ConvexHull
 
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet
-from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, MissingJoint, ZeroLengthBone, bone_vector
+from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.voxel import (
     _CORNER_SIGNS,
     JointEstimate,
@@ -190,6 +193,30 @@ _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 
 
+class MissingJoint(ValueError):
+    """A bone endpoint has no reconstructed position."""
+
+
+class ZeroLengthBone(ValueError):
+    """Bone endpoints coincide; no direction can be derived."""
+
+
+def bone_vector(skeleton, bone_name, topology):
+    """Unit direction of a bone, child joint minus parent joint.
+
+    Raises MissingJoint if either endpoint is not ok and ZeroLengthBone if
+    the endpoints coincide within 1e-6 mm.
+    """
+    bone = topology.bone(bone_name)
+    for idx in (bone.parent_joint, bone.child_joint):
+        if not skeleton.joint_ok(idx):
+            raise MissingJoint(f"joint {idx} has no position")
+    d = skeleton.positions[bone.child_joint] - skeleton.positions[bone.parent_joint]
+    if np.linalg.norm(d) < 1e-6:
+        raise ZeroLengthBone(f"bone {bone_name} endpoints coincide")
+    return d / np.linalg.norm(d)
+
+
 class DegenerateParallel(ValueError):
     """Bone direction is (anti)parallel to the reference axis."""
 
@@ -289,6 +316,42 @@ def class_frame_retarget(skeletons, topology, template):
             statuses[bone.name] = STATUS_OK
         previous = rotations
         yield rotations, statuses
+
+
+def posed_frame_alone(direction, q):
+    """Right-handed frame [d, y, d x y] on one unit direction d, y nearest to q's y-axis,
+    or the unit q_z x d where the two are parallel."""
+    y = q[:, 1] - np.dot(q[:, 1], direction) * direction
+    n = np.linalg.norm(y)
+    if n < PARALLEL_TOL:
+        y = np.cross(q[:, 2], direction)
+        n = np.linalg.norm(y)
+    y = y / n
+    return np.column_stack([direction, y, np.cross(direction, y)])
+
+
+def retarget_frame_alone(skeleton, topology, template, previous=None):
+    """One frame's BoneTransformSet from a loop over the bones, parents first.
+
+    A bone with both endpoints gets posed_frame_alone(d, g_parent @ rc) @ rc.T;
+    one without holds its rotation in `previous`, or the identity.
+    """
+    transforms, statuses, global_rot = {}, {}, {}
+    for bone in topology.bones:
+        try:
+            direction = bone_vector(skeleton, bone.name, topology)
+        except (MissingJoint, ZeroLengthBone):
+            rot = previous.rotation(bone.name).copy() if previous is not None else np.eye(3)
+            statuses[bone.name] = STATUS_FELL_BACK
+        else:
+            rc = template.frame_rotation[bone.frame_class]
+            q = global_rot[bone.parent_bone] @ rc if bone.parent_bone else rc
+            rot = posed_frame_alone(direction, q) @ rc.T
+            statuses[bone.name] = STATUS_OK
+        global_rot[bone.name] = rot
+        transforms[bone.name] = np.eye(4)
+        transforms[bone.name][:3, :3] = rot
+    return BoneTransformSet(frame=skeleton.frame, transforms=transforms, statuses=statuses)
 
 
 def read_transforms(path):

@@ -13,7 +13,8 @@ from oracles import read_transforms
 
 import mvmocap
 from mvmocap import io as mio
-from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, build_parser, main
+from mvmocap import retarget
+from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, _output, build_parser, main
 from mvmocap.skeleton import STATUS_NO_CONSENSUS
 
 
@@ -443,30 +444,105 @@ def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, messag
     "command, broken, code",
     [
         ("reconstruct", "keypoints", EXIT_PARSE),
+        ("retarget", "skeleton-record", EXIT_PARSE),
         ("render-overlay", "keypoints", EXIT_PARSE),
         ("render-overlay", "skeleton", EXIT_MISMATCH),
     ],
-    ids=["reconstruct-bad-line-2", "overlay-bad-line-2", "overlay-skeleton-short"],
+    ids=["reconstruct-bad-line-2", "retarget-bad-line-2", "overlay-bad-line-2", "overlay-skeleton-short"],
 )
-def test_failed_run_leaves_no_partial_output(tmp_path, capsys, command, broken, code):
+def test_failed_run_leaves_no_partial_output(tmp_path, capsys, monkeypatch, command, broken, code):
     """A run that fails after its first frame removes what it wrote."""
+    # One frame per chunk, so retarget writes frame 0 before it reads line 2.
+    monkeypatch.setattr(retarget, "CHUNK_FRAMES", 1)
     scene = run_synth(tmp_path, frames=3)
     keypoints, skeleton = scene / "keypoints.jsonl", scene / "truth.jsonl"
     if broken == "keypoints":
         _edit_record_2(keypoints, lambda rec: rec["views"][0]["joints"][0].update(u="x"))
+    elif broken == "skeleton-record":
+        _edit_record_2(skeleton, lambda rec: rec["joints"][3].update(idx=3.5))
     else:
         skeleton = _pick_lines(skeleton, tmp_path / "short.jsonl", [0, 1])
     out = tmp_path / "out"
     inputs = {
         "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(keypoints), "--delta", "100x100x100"],
+        "retarget": ["--skeleton", str(skeleton)],
         "render-overlay": ["--calib", str(scene / "calib.json"), "--keypoints", str(keypoints), "--skeleton", str(skeleton)],
     }[command]
     assert main([command, *inputs, "--out", str(out)]) == code
     assert "error:" in capsys.readouterr().err
-    if command == "reconstruct":
-        assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
-    else:
+    if command == "render-overlay":
         assert sorted(out.iterdir()) == []
+    else:
+        assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
+def test_output_parent_directory_is_created(tmp_path, command):
+    scene = run_synth(tmp_path, frames=2)
+    out = tmp_path / "new" / "dir" / "out.jsonl"
+    s = lambda name: str(scene / name)
+    inputs = {
+        "reconstruct": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--delta", "100x100x100"],
+        "retarget": ["--skeleton", s("truth.jsonl")],
+        "eval": ["--skeleton", s("truth.jsonl"), "--truth", s("truth.jsonl")],
+    }[command]
+    assert main([command, *inputs, "--out", str(out)]) == EXIT_OK
+    written = ["out.csv", "out.json"] if command == "eval" else ["out.jsonl"]
+    assert sorted(p.name for p in out.parent.iterdir()) == written
+
+
+def test_output_removes_its_temporary_file_when_the_rename_fails(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # a directory where the output file should go
+    with pytest.raises(OSError):
+        with _output(taken) as part:
+            part.write_text("x", encoding="utf-8")
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_reconstruct_split_at_uneven_points_writes_the_same_bytes(tmp_path):
+    """Frames are reconstructed independently: a keypoint file reconstructed
+    in pieces gives, concatenated, the bytes of one run over the whole file."""
+    scene = run_synth(tmp_path, frames=12, noise="1", dropout="0.05")
+    lines = (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def reconstruct(keypoints, out):
+        assert main([
+            "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(keypoints),
+            "--delta", "20x20x20", "--out", str(out),
+        ]) == EXIT_OK
+        return out.read_bytes()
+
+    whole = reconstruct(scene / "keypoints.jsonl", tmp_path / "whole.jsonl")
+    pieces = []
+    for i, (start, stop) in enumerate([(0, 3), (3, 10), (10, 12)]):
+        part = tmp_path / f"keypoints_{i}.jsonl"
+        part.write_text("".join(lines[start:stop]), encoding="utf-8")
+        pieces.append(reconstruct(part, tmp_path / f"skel_{i}.jsonl"))
+    assert whole.count(b"\n") == 12 and STATUS_NO_CONSENSUS.encode() in whole
+    assert b"".join(pieces) == whole
+
+
+@pytest.mark.parametrize(
+    "K, message",
+    [
+        ([[1000, 1000, 960], [1000, 1000, 540], [0, 0, 1]], "intrinsic must be upper triangular with last row [0, 0, 1]"),
+        ([[1000, 0, 960], [0, 1000, 540], [0.001, 0, 1]], "intrinsic must be upper triangular with last row [0, 0, 1]"),
+        ([[-1000, 0, 960], [0, 1000, 540], [0, 0, 1]], "intrinsic focal entries must be positive"),
+    ],
+    ids=["singular", "skewed-last-row", "negative-focal"],
+)
+def test_unusable_intrinsics_exit_2(tmp_path, capsys, K, message):
+    scene = run_synth(tmp_path, frames=1)
+    calib = scene / "calib.json"
+    entries = json.loads(calib.read_text(encoding="utf-8"))
+    entries[1]["K"] = K
+    calib.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert f"error: {calib}: invalid camera entry: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["K", "R", "t"])

@@ -9,6 +9,11 @@ joint an index outside 0-13 (keypoints) or 0-14 (skeletons) or the index of
 another joint of the same list, or gives a record after the first a frame
 index not greater than the one before it. Both streams go through
 `cli.main`, which must exit 2 with `error: <path>:<line>:`.
+
+The calibration has one site, a singular K that keeps positive focal
+entries and K[2][2] = 1: one camera's second row becomes a positive
+multiple of its first, skew included. `reconstruct` must exit 2 with
+`error: <path>: invalid camera entry`.
 """
 
 import contextlib
@@ -151,3 +156,23 @@ def test_broken_record_exits_2_with_line(scene, stream, data):
         code = main([*_command(stream, path, scene), "--out", str(scene["root"] / "out.jsonl")])
     assert code == EXIT_PARSE, text
     assert err.getvalue().startswith(f"error: {path}:{lineno}:"), err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_singular_intrinsics_exit_2(scene, data):
+    entries = json.loads(scene["calib"].read_text(encoding="utf-8"))
+    K = data.draw(st.sampled_from(entries))["K"]
+    K[0][1] = data.draw(st.floats(1.0, 5000.0))  # skew
+    K[1] = [data.draw(st.floats(0.01, 100.0)) * x for x in K[0]]
+    path = scene["root"] / "singular_calib.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    keypoints = scene["calib"].parent / "keypoints.jsonl"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "reconstruct", "--calib", str(path), "--keypoints", str(keypoints), "--delta", "200x200x200",
+            "--out", str(scene["root"] / "out.jsonl"),
+        ])
+    assert code == EXIT_PARSE, K
+    assert err.getvalue().startswith(f"error: {path}: invalid camera entry"), err.getvalue()

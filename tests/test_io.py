@@ -3,7 +3,7 @@ import pytest
 from oracles import read_transforms
 
 from mvmocap import io as mio
-from mvmocap.retarget import retarget_frame
+from mvmocap.retarget import BoneTransformSet, retarget_frame
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, default_template, default_topology
 from mvmocap.synth import generate_scene, render_observations
 
@@ -58,6 +58,32 @@ def test_transform_round_trip(tmp_path):
     for name in tset.transforms:
         assert np.allclose(loaded.transforms[name], tset.transforms[name], atol=1e-6)
         assert np.array_equal(loaded.transforms[name][3], [0.0, 0.0, 0.0, 1.0])
+
+
+def _reference_transform_line(tset):
+    """The transform record with one format(x, ".6f") per value, "-0.000000" written unsigned."""
+    fmt = lambda x: "0.000000" if format(x, ".6f") == "-0.000000" else format(x, ".6f")
+    bones = []
+    for name in sorted(tset.transforms):
+        rows = ", ".join("[" + ", ".join(fmt(x) for x in row) + "]" for row in tset.transforms[name].tolist())
+        bones.append(f'{{"name": "{name}", "status": "{tset.statuses[name]}", "T": [{rows}]}}')
+    return f'{{"frame": {tset.frame}, "bones": [' + ", ".join(bones) + "]}"
+
+
+def test_templated_transform_line_matches_per_value_format(rng):
+    # Around the rounding boundary of the 6th decimal, on both signs, and -0.0.
+    crafted = np.array([-4e-7, -5e-7, -1e-6, 1e-7, -0.0, 5e-7, -5.000001e-7, -0.0000015, -1.0])
+    bones = default_topology().bones
+    for frame in range(30):
+        values = rng.normal(size=(len(bones), 4, 4)) * 10.0 ** rng.integers(-8, 4, size=(len(bones), 4, 4))
+        mask = rng.random(values.shape) < 0.3
+        values[mask] = rng.choice(crafted, size=mask.sum())
+        tset = BoneTransformSet(
+            frame=frame,
+            transforms={bone.name: m for bone, m in zip(reversed(bones), values)},
+            statuses={bone.name: ("ok", "fell_back")[(frame + i) % 2] for i, bone in enumerate(bones)},
+        )
+        assert mio.transform_line(tset) == _reference_transform_line(tset)
 
 
 def test_floats_serialized_with_fixed_precision(tmp_path):

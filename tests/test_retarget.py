@@ -5,8 +5,16 @@ chain in tests/oracles.py."""
 import numpy as np
 import pytest
 
-from oracles import DegenerateParallel, class_frame_retarget, frame_from_bone, is_rotation
+from oracles import (
+    DegenerateParallel,
+    bone_vector,
+    class_frame_retarget,
+    frame_from_bone,
+    is_rotation,
+    retarget_frame_alone,
+)
 
+from mvmocap import retarget
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import (
     STATUS_FELL_BACK,
@@ -15,7 +23,7 @@ from mvmocap.retarget import (
     retarget_sequence,
     spin_correct,
 )
-from mvmocap.skeleton import Skeleton3D, bone_vector, tpose_positions
+from mvmocap.skeleton import Skeleton3D, tpose_positions
 from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import EstimatorConfig, estimate_skeleton
 
@@ -255,3 +263,41 @@ def test_matches_class_frame_chain_on_random_gappy_skeletons(topology, template,
             positions[0] = positions[1].copy()  # zero-length head bone
         skeletons.append(Skeleton3D.from_positions(f, positions))
     _assert_matches_class_frame_chain(skeletons, topology, template)
+
+
+# -- chunked stacks against the per-frame loop -----------------------------------------
+
+
+def _without(skeleton, joints, frame):
+    return Skeleton3D.from_positions(frame, {i: p for i, p in skeleton.positions.items() if i not in joints})
+
+
+def test_chunks_match_per_frame_loop(topology, template, monkeypatch):
+    """Chunks of 4 frames: holds at the stream start, across a chunk boundary
+    and through a whole chunk, a zero-length bone and both parallel branches."""
+    monkeypatch.setattr(retarget, "CHUNK_FRAMES", 4)
+    truth = generate_scene("wave", frames=14, seed=71).truth
+    missing = {0: (14, 7), 1: (14, 7), 3: (3,), 4: (3,), 5: (3,)}  # torso and l_lower_arm, then r_elbow
+    for f in range(7, 13):
+        missing[f] = missing.get(f, ()) + (10,)  # r_lower_leg through all of frames 8-11
+    skeletons = [_without(skel, missing.get(f, ()), f) for f, skel in enumerate(truth)]
+    skeletons[9].positions[0] = skeletons[9].positions[1].copy()  # zero-length head
+    skeletons[6] = _left_hand_moved([0.0, 260.0, 0.0])
+    skeletons[13] = _left_hand_moved([0.0, -260.0, 0.0])
+    skeletons[6].frame, skeletons[13].frame = 6, 13
+
+    sets = list(retarget_sequence(skeletons, topology, template))
+    previous = None
+    for ts, skel in zip(sets, skeletons, strict=True):
+        expected = retarget_frame_alone(skel, topology, template, previous)
+        assert ts.frame == expected.frame and ts.statuses == expected.statuses
+        for name, T in expected.transforms.items():
+            assert np.max(np.abs(ts.transforms[name] - T)) <= 1e-12, (ts.frame, name)
+        previous = expected
+
+    fell_back = lambda f, name: sets[f].statuses[name] == STATUS_FELL_BACK
+    assert fell_back(0, "torso") and fell_back(1, "l_lower_arm") and fell_back(4, "r_upper_arm")
+    assert fell_back(9, "head") and all(fell_back(f, "r_lower_leg") for f in range(8, 12))
+    assert np.array_equal(sets[1].rotation("torso"), np.eye(3))
+    assert np.array_equal(sets[5].rotation("r_lower_arm"), sets[2].rotation("r_lower_arm"))
+    assert np.array_equal(sets[11].rotation("r_lower_leg"), sets[6].rotation("r_lower_leg"))

@@ -3,16 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import MissingJoint, ZeroLengthBone, bone_vector
+
 from mvmocap.skeleton import (
     DETECTED_JOINTS,
     FRAME_CLASSES,
     JOINT_NAMES,
     ROOT_JOINT,
-    MissingJoint,
     Skeleton3D,
     SkeletonTopology,
-    ZeroLengthBone,
-    bone_vector,
     tpose_positions,
 )
 
