@@ -30,6 +30,7 @@ from .voxel import (
     estimate_joint,
     estimate_joints,
     estimate_skeleton,
+    estimate_skeletons,
 )
 
 __version__ = "0.1.0"

@@ -9,13 +9,13 @@ truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
 the same order, as `reconstruct` writes them. Both commands reproject a
 skeleton with one `project` call per view into a (15, 2) array, NaN where a
 joint is missing or behind the camera, and compare it with the keypoint
-table's rows. `eval` takes `--calib` and `--keypoints` together or not at
-all. Exit codes: 0 on success, 2 for input or parse errors, 3 at the first
-frame where streams read together disagree or one ends early. A run that
-exits 2 or 3 leaves no partial skeleton stream, transform stream, report or
-overlay set behind: the single files are written to a temporary sibling,
-renamed on success, and every command creates its output's parent
-directory. Warnings go to stderr.
+table's rows. `eval` takes `--calib` and `--keypoints` together or not at all.
+Exit codes: 0 on success, 2 for input or parse errors and for an output that
+cannot be created or written, 3 at the first frame where streams read together
+disagree or one ends early. A run that exits 2 or 3 leaves no partial skeleton
+stream, transform stream, report or overlay set behind: the single files are
+written to a temporary sibling, renamed on success, and every command creates
+its output's parent directory. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -26,20 +26,22 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import io as mio
+from . import voxel
 from .geometry import CameraParams, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import DETECTED_JOINTS, Skeleton3D, default_template, default_topology
+from .skeleton import DETECTED_JOINTS, default_template, default_topology
 from .synth import generate_scene, render_observations
-from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton
+# estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
+from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton, estimate_skeletons
 
 
 class FrameMismatch(ValueError):
@@ -179,19 +181,19 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     with _output(cfg.out) as part, open(part, "w", encoding="utf-8") as out:
         while True:
             t0 = time.perf_counter()
-            frame = next(reader, None)  # JSON decoding happens here
+            chunk = list(islice(reader, voxel.CHUNK_FRAMES))  # JSON decoding happens here
             phases["parse_inputs"] += (time.perf_counter() - t0) * 1e3
-            if frame is None:
+            if not chunk:
                 break
 
             t0 = time.perf_counter()
-            skel = estimate_skeleton(frame, cameras, config, topology)
+            skeletons = estimate_skeletons(chunk, cameras, config, topology)
             phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
-            out.write(mio.skeleton_line(skel) + "\n")
+            out.writelines(mio.skeleton_line(skel) + "\n" for skel in skeletons)
             phases["write_output"] += (time.perf_counter() - t0) * 1e3
-            frames += 1
+            frames += len(chunk)
 
     total_ms = (time.perf_counter() - wall_start) * 1e3
     if cfg.timing:
@@ -223,11 +225,6 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
-def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
-    """(15, 2) pixels of skel's joints in cam, row i for joint i; NaN where not ok or not in front of cam."""
-    return project(skel.points, cam)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
     if args.calib or args.keypoints:
@@ -254,7 +251,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         table, view_ids = obs[0].table, obs[0].view_ids
         detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
-        reprojected = {view_id: _reproject(est, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
+        reprojected = {view_id: project(est.points, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
         try:
             frame_err = avg_2d_err(detected, reprojected)
         except NoComparableJoints:
@@ -302,10 +299,10 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
         for obs_frame, skel in frames:
             for r, view_id in enumerate(obs_frame.view_ids):
                 cam = cameras[view_id]
-                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], _reproject(skel, cam), topology)
+                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], project(skel.points, cam), topology)
                 written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
                 written[-1].write_text(svg, encoding="utf-8")
-    except (mio.InputParseError, FrameMismatch):
+    except (mio.InputParseError, FrameMismatch, OSError):
         for path in written:  # no partial set of overlays on a failed run
             path.unlink(missing_ok=True)
         raise
@@ -374,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except FrameMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -17,17 +17,18 @@ solve is degenerate. Because the solve uses the rays themselves, the
 noiseless error does not depend on `delta`.
 
 Every joint starts from the same volume and every cube at a given depth
-has the same edge lengths, so all joints of a frame share one frontier:
-cube centers plus a joint-id column, processed one depth level at a time,
-each level a single vectorized batch over every joint's cubes and every
-calibrated view. The search reads a (J, V, 3) table of (u, v, confidence),
-one column per calibrated view in view-id order, NaN where a view has no
-detection. estimate_joints and estimate_joint take that table as it is;
-estimate_skeleton fills it from a frame's keypoint table, whose rows may
-list the views in any order. Results are independent of that order and
-of which other joints share the search: votes are integer counts per row,
-the runaway cap and the candidates are per joint in canonical order, and
-the triangulation stacks its rows in view-id order.
+has the same edge lengths, so all joints of up to CHUNK_FRAMES frames share
+one frontier: cube centers plus a joint-id column, processed one depth
+level at a time, each level a single vectorized batch over every joint's
+cubes and every calibrated view. The search reads a (J, V, 3) table of
+(u, v, confidence), one column per calibrated view in view-id order, NaN
+where a view has no detection. estimate_joints and estimate_joint take that
+table as it is; estimate_skeletons stacks it from the frames' keypoint
+tables, whose rows may list the views in any order. Results are
+independent of that order and of which other joints share the search:
+votes are integer counts per row, the runaway cap and the candidates are
+per joint in canonical order, and the triangulation stacks its rows in
+view-id order.
 
 The refinement of all joints that reached consensus runs as one SVD per
 distinct number s of supporting views, over an (n_s, 2s, 4) stack of
@@ -61,6 +62,9 @@ _CORNER_SIGNS = np.array(sorted(itertools.product((-1.0, 1.0), repeat=3)))
 # the volume project onto cube edges up to rounding, so the slab test pads
 # every box by this much, in mm.
 _BOX_PAD = 1e-7
+
+# Frames whose joints `reconstruct` estimates in one search.
+CHUNK_FRAMES = 8
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,8 @@ def _views_containing(
     """Vote matrix (N, V): does view v's ray of joint jid[n] hit cube n?
 
     origins and directions are (J, V, 3), one ray per joint and view. A
-    slab test against each box padded by _BOX_PAD, boundary inclusive. An
+    slab test against each box padded by _BOX_PAD, boundary inclusive, one
+    axis at a time on (N, V) arrays and folded over the axes in order. An
     axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
     origin lies on a face plane; the reductions skip NaN, so such a ray
     crosses that slab iff lo <= 0 <= hi. An all-NaN ray hits nothing. Views
@@ -197,16 +202,16 @@ def _views_containing(
     """
     half = edges / 2.0
     in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
-    rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
-    d = directions[jid]
+    near = far = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (rel - (half + _BOX_PAD)) / d
-        t_hi = (rel + (half + _BOX_PAD)) / d
-    lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
-    # Pairwise over the three axes; np.fmax.reduce over a length-3 axis is
-    # many times slower.
-    near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
-    far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
+        for a in range(3):
+            rel = centers[:, a, None] - origins[:, :, a][jid]
+            d = directions[:, :, a][jid]
+            t_lo = (rel - (half[a] + _BOX_PAD)) / d
+            t_hi = (rel + (half[a] + _BOX_PAD)) / d
+            lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+            near = lo if near is None else np.fmax(near, lo)
+            far = hi if far is None else np.fmin(far, hi)
     return in_front & (near <= far)
 
 
@@ -394,31 +399,39 @@ def estimate_skeleton(
     config: EstimatorConfig,
     topology: SkeletonTopology,
 ) -> Skeleton3D:
-    """Estimate every detected joint independently, then synthesize the root.
+    """Estimate the skeleton of one frame; see estimate_skeletons."""
+    return estimate_skeletons([frame], cameras, config, topology)[0]
 
-    The pelvis root is not produced by 2D detection; it is placed at the
-    midpoint of the two hip estimates and inherits no-consensus status when
-    either hip is missing. Raises KeyError when the frame lists a view that
-    is not calibrated.
+
+def estimate_skeletons(
+    frames: list[JointObservationFrame],
+    cameras: list[CameraParams],
+    config: EstimatorConfig,
+    topology: SkeletonTopology,
+) -> list[Skeleton3D]:
+    """Estimate every detected joint of every frame in one search, then synthesize each root.
+
+    Row f * J + j of the search is detected joint j of frames[f]. The pelvis
+    root, which 2D detection does not produce, is the midpoint of the two
+    hip estimates, or no_consensus when either hip is missing. Raises
+    KeyError when a frame lists a view that is not calibrated.
     """
     view_ids, K, R, t = _calibrated(cameras)
     column = {v: i for i, v in enumerate(view_ids)}
     indices = topology.detected_joint_indices
-    table = np.full((len(indices), len(view_ids), 3), np.nan)
-    table[:, [column[v] for v in frame.view_ids]] = frame.table[:, indices].transpose(1, 0, 2)
-    found = _search(table, K, R, t, config)
+    n = len(indices)
+    table = np.full((len(frames), n, len(view_ids), 3), np.nan)
+    for f, frame in enumerate(frames):
+        table[f][:, [column[v] for v in frame.view_ids]] = frame.table[:, indices].transpose(1, 0, 2)
+    found = _search(table.reshape(-1, len(view_ids), 3), K, R, t, config)
+    bounds = np.searchsorted(found.ok, np.arange(1, len(frames)) * n)  # found.ok ascends
 
-    statuses = dict.fromkeys(indices, STATUS_NO_CONSENSUS)
-    positions: dict[int, np.ndarray] = {}
-    for j, position in zip(found.ok.tolist(), found.positions):
-        statuses[indices[j]] = STATUS_OK
-        positions[indices[j]] = position
-
-    r_hip, l_hip = 8, 11
-    if statuses.get(r_hip) == STATUS_OK and statuses.get(l_hip) == STATUS_OK:
-        positions[ROOT_JOINT] = 0.5 * (positions[r_hip] + positions[l_hip])
-        statuses[ROOT_JOINT] = STATUS_OK
-    else:
-        statuses[ROOT_JOINT] = STATUS_NO_CONSENSUS
-
-    return Skeleton3D(frame=frame.frame, positions=positions, statuses=statuses)
+    skeletons = []
+    for frame, ok, found_positions in zip(frames, np.split(found.ok, bounds), np.split(found.positions, bounds)):
+        positions = {indices[j]: position for j, position in zip((ok % n).tolist(), found_positions)}
+        r_hip, l_hip = 8, 11
+        if r_hip in positions and l_hip in positions:
+            positions[ROOT_JOINT] = 0.5 * (positions[r_hip] + positions[l_hip])
+        statuses = {i: STATUS_OK if i in positions else STATUS_NO_CONSENSUS for i in (*indices, ROOT_JOINT)}
+        skeletons.append(Skeleton3D(frame=frame.frame, positions=positions, statuses=statuses))
+    return skeletons

@@ -4,6 +4,9 @@
 stacked `geometry.project` is checked. `hull_contains` is the independent
 containment oracle: scipy's convex hull of the projected cube vertices.
 `slab_votes` runs the estimator's own ray-box predicate on one cube.
+`views_containing_stacked` is the same slab test on (N, V, 3) arrays, all
+three axes at once, against which the estimator's per-axis vote matrix is
+checked bit for bit.
 `estimate_joint_alone` is the per-joint subdivision search, one work queue
 per joint and one SVD per refined joint (`refine_alone`), against which
 the shared frontier and the stacked refinement of `estimate_joints` are
@@ -30,6 +33,7 @@ from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.voxel import (
+    _BOX_PAD,
     _CORNER_SIGNS,
     JointEstimate,
     _camera_arrays,
@@ -65,6 +69,21 @@ def hull_contains(cube, cam, pixel) -> bool:
         return False
     eq = ConvexHull(verts).equations  # unit outward normal n, offset b: n.x + b <= 0 inside
     return bool(np.all(eq[:, :2] @ np.asarray(pixel, dtype=float) + eq[:, 2] <= HULL_TOL_PX))
+
+
+def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> np.ndarray:
+    """Vote matrix (N, V) of voxel._views_containing, from (N, V, 3) slab bounds."""
+    half = edges / 2.0
+    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
+    rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
+    d = directions[jid]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (rel - (half + _BOX_PAD)) / d
+        t_hi = (rel + (half + _BOX_PAD)) / d
+    lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
+    far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
+    return in_front & (near <= far)
 
 
 def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests on small synthetic scenes."""
 
+import errno
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from oracles import read_transforms
 
 import mvmocap
 from mvmocap import io as mio
-from mvmocap import retarget
+from mvmocap import retarget, voxel
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, _output, build_parser, main
 from mvmocap.skeleton import STATUS_NO_CONSENSUS
 
@@ -521,6 +522,71 @@ def test_reconstruct_split_at_uneven_points_writes_the_same_bytes(tmp_path):
         pieces.append(reconstruct(part, tmp_path / f"skel_{i}.jsonl"))
     assert whole.count(b"\n") == 12 and STATUS_NO_CONSENSUS.encode() in whole
     assert b"".join(pieces) == whole
+
+
+def test_reconstruct_chunks_write_the_bytes_of_single_frames(tmp_path, capsys, monkeypatch):
+    """Frames estimated three to a search give the bytes of one frame at a
+    time, and an uncalibrated view in a later chunk still exits 2 and
+    leaves nothing behind."""
+    scene = run_synth(tmp_path, frames=7, noise="1", dropout="0.05")
+
+    def reconstruct(chunk, keypoints, out):
+        monkeypatch.setattr(voxel, "CHUNK_FRAMES", chunk)
+        return main([
+            "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(keypoints),
+            "--delta", "20x20x20", "--out", str(out),
+        ])
+
+    assert reconstruct(1, scene / "keypoints.jsonl", tmp_path / "one.jsonl") == EXIT_OK
+    assert reconstruct(3, scene / "keypoints.jsonl", tmp_path / "three.jsonl") == EXIT_OK
+    one = (tmp_path / "one.jsonl").read_bytes()
+    assert one.count(b"\n") == 7 and STATUS_NO_CONSENSUS.encode() in one
+    assert (tmp_path / "three.jsonl").read_bytes() == one
+
+    lines = (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"view_id": 4' in lines[5]
+    lines[5] = lines[5].replace('"view_id": 4', '"view_id": 9')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out" / "skel.jsonl"
+    assert reconstruct(3, bad, out) == EXIT_PARSE
+    assert f"error: {bad}: frame 5 references uncalibrated views [9]" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []  # neither skel.jsonl nor skel.jsonl.part
+
+
+@pytest.mark.parametrize(
+    "command, out, failing, code",
+    [
+        ("retarget", "afile/anim.jsonl", "afile", errno.EEXIST),
+        ("render-overlay", "afile", "afile", errno.EEXIST),
+        ("synth", "afile", "afile", errno.EEXIST),
+        ("reconstruct", "outd/skel", "outd/skel", errno.EISDIR),
+        ("render-overlay", "ovl", "ovl/frame_0001_view_2.svg", errno.EISDIR),
+    ],
+    ids=["retarget-under-a-file", "overlay-onto-a-file", "synth-onto-a-file", "reconstruct-onto-a-directory",
+         "overlay-svg-onto-a-directory"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, command, out, failing, code):
+    """An --out that cannot be created or replaced exits 2 with the path and
+    the system's reason, and leaves no temporary file or partial overlay set."""
+    scene = run_synth(tmp_path, frames=2)
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    (tmp_path / "outd" / "skel").mkdir(parents=True)
+    (tmp_path / "ovl" / "frame_0001_view_2.svg").mkdir(parents=True)
+    s = lambda name: str(scene / name)
+    inputs = {
+        "retarget": ["--skeleton", s("truth.jsonl")],
+        "render-overlay": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--skeleton", s("truth.jsonl")],
+        "synth": ["--preset", "walk", "--frames", "2"],
+        "reconstruct": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--delta", "100x100x100"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {tmp_path / failing}: {os.strerror(code)}\n"
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "x"
+    assert list((tmp_path / "outd" / "skel").iterdir()) == []
+    assert [p.name for p in (tmp_path / "ovl").iterdir()] == ["frame_0001_view_2.svg"]
+    assert list(tmp_path.rglob("*.part")) == []
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dlt_triangulate, estimate_joint_alone, hull_contains, slab_votes
+from oracles import dlt_triangulate, estimate_joint_alone, hull_contains, slab_votes, views_containing_stacked
 
 from mvmocap.geometry import CameraParams, project
 from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
@@ -13,10 +13,13 @@ from mvmocap.voxel import (
     Cube,
     EstimatorConfig,
     JointObservationFrame,
+    _BOX_PAD,
     _subdivide,
+    _views_containing,
     estimate_joint,
     estimate_joints,
     estimate_skeleton,
+    estimate_skeletons,
 )
 
 HALF_DIAGONAL_10MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm terminal bound
@@ -94,6 +97,48 @@ def test_votes_match_hull_oracle(ring, rng):
         target = rng.uniform(-900, 900, size=3)
         obs = observe_point(target, ring, noise=rng.uniform(0, 40), rng=rng)
         assert votes(cube, obs, ring) == hull_votes(cube, obs, ring)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_joints=st.integers(1, 3),
+    n_boxes=st.integers(3, 30),
+    kinds=st.lists(st.sampled_from("fff0p"), min_size=45, max_size=45),
+    lost=st.lists(st.booleans(), min_size=15, max_size=15),
+)
+def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes, kinds, lost):
+    """The per-axis vote matrix equals the (N, V, 3) slab test bit for bit.
+
+    Per joint, view and axis a ray component is free (f), zero (0), or zero
+    with its origin on a face plane of one box (p: 0/0 gives NaN); whole
+    rays may be all NaN (lost), and one box sits on a camera center, partly
+    behind it.
+    """
+    rng = np.random.default_rng(seed)
+    R = np.stack([c.rotation for c in ring])
+    t = np.stack([c.translation for c in ring])
+    n_views = len(ring)
+    edges = rng.uniform(1.0, 3000.0, size=3)
+    half = edges / 2.0
+    jid = np.concatenate([np.arange(n_joints), rng.integers(0, n_joints, size=n_boxes - n_joints)])
+    centers = rng.uniform(-1500.0, 1500.0, size=(n_boxes, 3))
+    cam_centers = -np.einsum("vji,vj->vi", R, t)
+    centers[-1] = cam_centers[rng.integers(n_views)]
+    origins = np.repeat(cam_centers[None], n_joints, axis=0)
+    # Box j is joint j's: each ray aims near it.
+    directions = centers[:n_joints, None, :] + rng.uniform(-1.0, 1.0, size=(n_joints, n_views, 3)) * half - origins
+    kinds = np.array(kinds).reshape(3, n_views, 3)[:n_joints]
+    directions[kinds != "f"] = 0.0
+    for j, v, a in zip(*np.nonzero(kinds == "p")):
+        centers[j, a] = 0.0  # so that the origin's offset is exact
+        origins[j, v, a] = rng.choice([-1.0, 1.0]) * (half[a] + _BOX_PAD)
+    lost = np.array(lost).reshape(3, n_views)[:n_joints]
+    origins[lost] = directions[lost] = np.nan
+
+    want = views_containing_stacked(centers, jid, edges, R, t, origins, directions)
+    got = _views_containing(centers, jid, edges, R, t, origins, directions)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- estimate_joint -------------------------------------------------------------
@@ -300,6 +345,38 @@ def test_degenerate_solve_falls_back_to_candidate_mean():
     assert got[0].candidate_count > 1 and got[1].status == STATUS_OK
     assert np.array_equal(got[0].position, got[0].candidates.mean(axis=0))
     assert len(got[0].supporting_views) == len(got[1].supporting_views) == 3
+
+
+def _skeleton_fields(skel):
+    """Frame, statuses and positions of a Skeleton3D in their dict order, arrays as bytes."""
+    return skel.frame, list(skel.statuses.items()), [(i, p.tobytes()) for i, p in skel.positions.items()]
+
+
+def test_chunk_matches_per_frame_estimates(topology):
+    """One search over a chunk of frames gives each frame the skeleton it gets alone."""
+    scene = generate_scene("walk", frames=6, noise_px=1.0, dropout=0.05, seed=101)
+    frames = render_observations(scene)
+    config = EstimatorConfig(delta=(20.0, 20.0, 20.0), max_candidates=24)
+    uncapped = EstimatorConfig(delta=config.delta)
+    rng = np.random.default_rng(12)
+    f = frames[1]  # four of the five views, listed in shuffled order
+    rows = rng.permutation(len(f.view_ids))[:4]
+    frames[1] = JointObservationFrame(f.frame, [f.view_ids[r] for r in rows], f.table[rows])
+    f = frames[2]  # three views: every joint has fewer than sigma usable views
+    frames[2] = JointObservationFrame(f.frame, f.view_ids[:3], f.table[:3])
+    f = frames[3]  # each view's joints rolled by its row: the rays agree nowhere
+    frames[3] = JointObservationFrame(f.frame, f.view_ids, np.stack([np.roll(t, r, axis=0) for r, t in enumerate(f.table)]))
+    frames[4] = render_observations(generate_scene("walk", frames=6, seed=101))[4]  # noiseless: the cap cuts it
+
+    got = estimate_skeletons(frames, scene.cameras, config, topology)
+    want = [estimate_skeleton(f, scene.cameras, config, topology) for f in frames]
+    assert [_skeleton_fields(s) for s in got] == [_skeleton_fields(s) for s in want]
+
+    ok = [sum(s.joint_ok(i) for i in s.statuses) for s in got]
+    assert ok[2] == ok[3] == 0 and all(ok[i] > 0 for i in (0, 1, 4, 5))
+    cut = [_skeleton_fields(s) != _skeleton_fields(estimate_skeleton(f, scene.cameras, uncapped, topology))
+           for f, s in zip(frames, got)]
+    assert cut == [False, False, False, False, True, False]
 
 
 # -- estimate_skeleton -----------------------------------------------------------
