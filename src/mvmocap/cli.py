@@ -38,7 +38,7 @@ from .geometry import CameraParams, project
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import DETECTED_JOINTS, default_template, default_topology
+from .skeleton import DETECTED_JOINTS, Skeleton3D, default_template, default_topology
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton, estimate_skeletons
@@ -225,6 +225,11 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
+def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
+    """(15, 2) pixels of skel's joints in cam, row i for joint i; NaN where not ok or not in front of cam."""
+    return project(skel.points, cam)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
     if args.calib or args.keypoints:
@@ -251,7 +256,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         table, view_ids = obs[0].table, obs[0].view_ids
         detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
-        reprojected = {view_id: project(est.points, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
+        reprojected = {view_id: _reproject(est, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
         try:
             frame_err = avg_2d_err(detected, reprojected)
         except NoComparableJoints:
@@ -299,7 +304,7 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
         for obs_frame, skel in frames:
             for r, view_id in enumerate(obs_frame.view_ids):
                 cam = cameras[view_id]
-                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], project(skel.points, cam), topology)
+                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], _reproject(skel, cam), topology)
                 written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
                 written[-1].write_text(svg, encoding="utf-8")
     except (mio.InputParseError, FrameMismatch, OSError):
@@ -371,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     except FrameMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except OSError as exc:  # an output path that cannot be created or written
-        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # an output that cannot be created or written; a failed write names no file
+        print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

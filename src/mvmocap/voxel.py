@@ -63,8 +63,8 @@ _CORNER_SIGNS = np.array(sorted(itertools.product((-1.0, 1.0), repeat=3)))
 # every box by this much, in mm.
 _BOX_PAD = 1e-7
 
-# Frames whose joints `reconstruct` estimates in one search.
-CHUNK_FRAMES = 8
+# Frames per search in `reconstruct`; whole-file runs at 8, 16 and 32 were no faster than at 4.
+CHUNK_FRAMES = 4
 
 
 @dataclass(frozen=True)

@@ -589,6 +589,29 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, out, failing, code
     assert list(tmp_path.rglob("*.part")) == []
 
 
+@pytest.mark.parametrize("command, writer", [("reconstruct", "skeleton_line"), ("retarget", "transform_line")])
+def test_failed_write_exits_2_with_the_output_path(tmp_path, capsys, monkeypatch, command, writer):
+    """A write that fails with no file name on the error (a full disk) names
+    --out in its error line, exits 2 and leaves neither the output nor its
+    temporary file."""
+    scene = run_synth(tmp_path, frames=2)
+
+    def full_disk(*_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(mio, writer, full_disk)
+    inputs = {
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+                        "--delta", "100x100x100"],
+        "retarget": ["--skeleton", str(scene / "truth.jsonl")],
+    }[command]
+    out = tmp_path / "out" / "result.jsonl"
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(out.parent.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "K, message",
     [
