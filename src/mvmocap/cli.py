@@ -6,10 +6,12 @@ Frames stream through JSON-lines files end to end so long sequences never
 require whole-run memory residency. Streams given together (estimated and
 truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
 `render-overlay`) are read in lockstep, so they must list the same frames in
-the same order, as `reconstruct` writes them. Both commands reproject a
-skeleton with one `project` call per view into a (15, 2) array, NaN where a
-joint is missing or behind the camera, and compare it with the keypoint
-table's rows. `eval` takes `--calib` and `--keypoints` together or not at all.
+the same order, as `reconstruct` writes them. Both commands read up to
+REPROJECT_CHUNK_FRAMES frames at a time and reproject the chunk's skeletons
+into every calibrated view with one `project` call, an (N, V, 15, 2) array,
+NaN where a joint is missing or behind the camera, whose rows they compare
+with the keypoint tables. `eval` takes `--calib` and `--keypoints` together
+or not at all.
 Exit codes: 0 on success, 2 for input or parse errors and for an output that
 cannot be created or written, 3 at the first frame where streams read together
 disagree or one ends early. A run that exits 2 or 3 leaves no partial skeleton
@@ -34,11 +36,11 @@ import numpy as np
 
 from . import io as mio
 from . import voxel
-from .geometry import CameraParams, project
+from .geometry import CameraParams, project, stack_cameras
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import DETECTED_JOINTS, Skeleton3D, default_template, default_topology
+from .skeleton import DETECTED_JOINTS, default_template, default_topology
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton, estimate_skeletons
@@ -51,6 +53,9 @@ class FrameMismatch(ValueError):
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
+
+# Frames per `project` call in `eval` and `render-overlay`; `eval` at 32 and 64 was no faster and held more memory.
+REPROJECT_CHUNK_FRAMES = 16
 
 
 @dataclass
@@ -225,45 +230,47 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
-def _reproject(skel: Skeleton3D, cam: CameraParams) -> np.ndarray:
-    """(15, 2) pixels of skel's joints in cam, row i for joint i; NaN where not ok or not in front of cam."""
-    return project(skel.points, cam)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
+    views = None
     if args.calib or args.keypoints:
         if not (args.calib and args.keypoints):
             raise mio.InputParseError(f"missing required input(s): --{'keypoints' if args.calib else 'calib'}")
-        cameras = {c.id: c for c in mio.load_cameras(args.calib)}
-        streams.append(("keypoints", _calibrated_frames(args.keypoints, cameras.values())))
+        cameras = mio.load_cameras(args.calib)
+        views = stack_cameras(cameras, point_axes=1)
+        column = {view_id: v for v, view_id in enumerate(views.ids)}
+        streams.append(("keypoints", _calibrated_frames(args.keypoints, cameras)))
 
     per_frame = []
     frames_used = []
     total_joints = 0
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for est, tru, *obs in _lockstep(*streams):
-        try:
-            d3 = mean_abs_3d_err(est, tru)
-        except NoComparableJoints:
-            print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
-        else:
-            per_frame.append(d3)
-            frames_used.append(est.frame)
-            total_joints += sum(1 for i in est.statuses if est.joint_ok(i) and tru.joint_ok(i))
-        if not obs:
-            continue
-        table, view_ids = obs[0].table, obs[0].view_ids
-        detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
-        reprojected = {view_id: _reproject(est, cameras[view_id])[: len(DETECTED_JOINTS)] for view_id in view_ids}
-        try:
-            frame_err = avg_2d_err(detected, reprojected)
-        except NoComparableJoints:
-            continue
-        for view_id, err in frame_err.items():
-            sums[view_id] = sums.get(view_id, 0.0) + err
-            counts[view_id] = counts.get(view_id, 0) + 1
+    steps = _lockstep(*streams)
+    while chunk := list(islice(steps, REPROJECT_CHUNK_FRAMES)):
+        if views is not None:  # (N, V, 14, 2): every skeleton of the chunk in every calibrated view
+            pixels = project(np.stack([est.points for est, *_ in chunk])[:, None], views)[:, :, : len(DETECTED_JOINTS)]
+        for k, (est, tru, *obs) in enumerate(chunk):
+            try:
+                d3 = mean_abs_3d_err(est, tru)
+            except NoComparableJoints:
+                print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
+            else:
+                per_frame.append(d3)
+                frames_used.append(est.frame)
+                total_joints += len(est.positions.keys() & tru.positions.keys())  # present exactly where ok
+            if not obs:
+                continue
+            table, view_ids = obs[0].table, obs[0].view_ids
+            detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
+            reprojected = {view_id: pixels[k, column[view_id]] for view_id in view_ids}
+            try:
+                frame_err = avg_2d_err(detected, reprojected)
+            except NoComparableJoints:
+                continue
+            for view_id, err in frame_err.items():
+                sums[view_id] = sums.get(view_id, 0.0) + err
+                counts[view_id] = counts.get(view_id, 0) + 1
 
     if not per_frame:
         raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")
@@ -291,22 +298,27 @@ def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -
 
 
 def cmd_render_overlay(args: argparse.Namespace) -> int:
-    cameras = {c.id: c for c in mio.load_cameras(args.calib)}
+    cameras = mio.load_cameras(args.calib)
+    views = stack_cameras(cameras, point_axes=1)
+    column = {view_id: v for v, view_id in enumerate(views.ids)}
+    by_id = {c.id: c for c in cameras}
     topology = default_topology()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = _lockstep(
-        ("keypoints", _calibrated_frames(args.keypoints, cameras.values())),
+        ("keypoints", _calibrated_frames(args.keypoints, cameras)),
         ("skeleton", mio.read_skeletons(args.skeleton)),
     )
     written: list[Path] = []
     try:
-        for obs_frame, skel in frames:
-            for r, view_id in enumerate(obs_frame.view_ids):
-                cam = cameras[view_id]
-                svg = render_overlay_svg(cam, obs_frame.table[r, :, :2], _reproject(skel, cam), topology)
-                written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
-                written[-1].write_text(svg, encoding="utf-8")
+        while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
+            pixels = project(np.stack([skel.points for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
+            for (obs_frame, _), frame_pixels in zip(chunk, pixels):
+                for r, view_id in enumerate(obs_frame.view_ids):
+                    reprojected = frame_pixels[column[view_id]]
+                    svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected, topology)
+                    written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
+                    written[-1].write_text(svg, encoding="utf-8")
     except (mio.InputParseError, FrameMismatch, OSError):
         for path in written:  # no partial set of overlays on a failed run
             path.unlink(missing_ok=True)

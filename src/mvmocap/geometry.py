@@ -16,6 +16,7 @@ applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -63,11 +64,39 @@ class CameraParams:
         object.__setattr__(self, "resolution", (int(w), int(h)))
 
 
-def project(points: np.ndarray, cam: CameraParams) -> np.ndarray:
+class CameraStack(NamedTuple):
+    """Cameras in ascending id order: their ids, and K, R, t stacked on a leading view axis."""
+
+    ids: list[int]
+    intrinsic: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
+def stack_cameras(cameras: Iterable[CameraParams], point_axes: int = 0) -> CameraStack:
+    """The cameras sorted by id, with point_axes unit axes after the view axis.
+
+    With point_axes=0 the stacks are (V, 3, 3), (V, 3, 3) and (V, 3). With
+    point_axes=1, `project(points[:, None], stack)` projects (N, J, 3) points
+    into every view in one call, giving (N, V, J, 2) whose slice [:, v] is
+    bit for bit `project(points, camera v)`.
+    """
+    ordered = sorted(cameras, key=lambda c: c.id)
+    unit = (1,) * point_axes
+    return CameraStack(
+        [c.id for c in ordered],
+        np.stack([c.intrinsic for c in ordered]).reshape(-1, *unit, 3, 3),
+        np.stack([c.rotation for c in ordered]).reshape(-1, *unit, 3, 3),
+        np.stack([c.translation for c in ordered]).reshape(-1, *unit, 3),
+    )
+
+
+def project(points: np.ndarray, cam: CameraParams | CameraStack) -> np.ndarray:
     """Perspective projection of (..., 3) world points to (..., 2) pixels.
 
     A point with camera-frame depth z <= 0 gets a NaN row: it lies on or
-    behind the camera plane and has no image.
+    behind the camera plane and has no image. The leading axes of a
+    CameraStack's arrays broadcast against those of points.
     """
     p_cam = np.matmul(cam.rotation, np.asarray(points, dtype=float)[..., None])[..., 0] + cam.translation
     img = np.matmul(cam.intrinsic, p_cam[..., None])[..., 0]

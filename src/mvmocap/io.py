@@ -141,6 +141,8 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
                 raise ValueError(f"duplicate id {cameras[-1].id}")
     except _RECORD_ERRORS as exc:
         raise InputParseError(f"{path}: invalid camera entry: {exc}") from exc
+    if not cameras:
+        raise InputParseError(f"{path}: calibration lists no cameras")
     return cameras
 
 

@@ -45,15 +45,22 @@ class ErrorReport:
         )
 
 
+def _mean_length(d: np.ndarray) -> float | None:
+    """Mean Euclidean length of the rows of d that are not NaN, summed in row order; None if every row is NaN."""
+    total, count = 0.0, 0
+    for length in np.sqrt(np.vecdot(d, d)).tolist():
+        if not math.isnan(length):
+            total += length
+            count += 1
+    return total / count if count else None
+
+
 def mean_abs_3d_err(estimated: Skeleton3D, truth: Skeleton3D) -> float:
-    """Mean Euclidean distance in mm over joints present on both sides."""
-    shared = [i for i in estimated.statuses if estimated.joint_ok(i) and truth.joint_ok(i)]
-    if not shared:
+    """Mean Euclidean distance in mm over joints present on both sides, summed in ascending joint order."""
+    mean = _mean_length(estimated.points - truth.points)
+    if mean is None:
         raise NoComparableJoints("no joint is reconstructed in both skeletons")
-    total = 0.0
-    for i in shared:
-        total += float(np.linalg.norm(estimated.positions[i] - truth.positions[i]))
-    return total / len(shared)
+    return mean
 
 
 def sequence_mean(per_frame: list[float]) -> float:
@@ -73,14 +80,9 @@ def avg_2d_err(detected: dict[int, np.ndarray], reprojected: dict[int, np.ndarra
     """
     out: dict[int, float] = {}
     for view_id in sorted(detected.keys() & reprojected.keys()):
-        d = detected[view_id] - reprojected[view_id]
-        total, count = 0.0, 0
-        for err in np.sqrt(np.vecdot(d, d)).tolist():  # ascending joint order
-            if not math.isnan(err):
-                total += err
-                count += 1
-        if count:
-            out[view_id] = total / count
+        mean = _mean_length(detected[view_id] - reprojected[view_id])  # ascending joint order
+        if mean is not None:
+            out[view_id] = mean
     if not out:
         raise NoComparableJoints("no view has matched detected/reprojected joints")
     return out

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraParams
+from .geometry import CameraParams, stack_cameras
 from .skeleton import (
     ROOT_JOINT,
     STATUS_NO_CONSENSUS,
@@ -157,13 +157,6 @@ class JointEstimate:
     terminal_edges: tuple[float, float, float] | None = None
 
 
-def _camera_arrays(cameras: list[CameraParams]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    K = np.stack([c.intrinsic for c in cameras])
-    R = np.stack([c.rotation for c in cameras])
-    t = np.stack([c.translation for c in cameras])
-    return K, R, t
-
-
 def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World-frame viewing rays (V, 3): camera centers -R^T t and directions R^T K^-1 [u, v, 1].
 
@@ -233,7 +226,7 @@ def estimate_joints(table: np.ndarray, cameras: list[CameraParams], config: Esti
     volume is exhausted. Each joint's result is the one it would get
     searched alone.
     """
-    view_ids, K, R, t = _calibrated(cameras)
+    view_ids, K, R, t = stack_cameras(cameras)
     found = _search(np.asarray(table, dtype=float), K, R, t, config)
     nodes = found.nodes.tolist()
     results = [JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=n) for n in nodes]
@@ -249,12 +242,6 @@ def estimate_joints(table: np.ndarray, cameras: list[CameraParams], config: Esti
             terminal_edges=tuple(found.edges),
         )
     return results
-
-
-def _calibrated(cameras: list[CameraParams]) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Camera ids in ascending order and their K, R, t stacks: the table columns."""
-    ordered = sorted(cameras, key=lambda c: c.id)
-    return [c.id for c in ordered], *_camera_arrays(ordered)
 
 
 @dataclass
@@ -416,7 +403,7 @@ def estimate_skeletons(
     hip estimates, or no_consensus when either hip is missing. Raises
     KeyError when a frame lists a view that is not calibrated.
     """
-    view_ids, K, R, t = _calibrated(cameras)
+    view_ids, K, R, t = stack_cameras(cameras)
     column = {v: i for i, v in enumerate(view_ids)}
     indices = topology.detected_joint_indices
     n = len(indices)

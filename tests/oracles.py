@@ -3,7 +3,9 @@
 `project_one` is the per-point pinhole projection against which the
 stacked `geometry.project` is checked. `hull_contains` is the independent
 containment oracle: scipy's convex hull of the projected cube vertices.
-`slab_votes` runs the estimator's own ray-box predicate on one cube.
+`slab_votes` runs the estimator's own ray-box predicate on one cube, over
+the cameras' `camera_arrays`, stacked in the order given rather than
+sorted by id as `geometry.stack_cameras` does.
 `views_containing_stacked` is the same slab test on (N, V, 3) arrays, all
 three axes at once, against which the estimator's per-axis vote matrix is
 checked bit for bit.
@@ -36,7 +38,6 @@ from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,
     JointEstimate,
-    _camera_arrays,
     _rays,
     _subdivide,
     _views_containing,
@@ -44,6 +45,11 @@ from mvmocap.voxel import (
 
 # Boundary tolerance of the oracle, pixels of perpendicular distance.
 HULL_TOL_PX = 1e-9
+
+
+def camera_arrays(cameras) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K, R and t of the cameras stacked in the order given."""
+    return tuple(np.stack([getattr(c, name) for c in cameras]) for name in ("intrinsic", "rotation", "translation"))
 
 
 def cube_vertices(cube) -> np.ndarray:
@@ -94,7 +100,7 @@ def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
 
 def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
     """Per-view votes of the estimator's predicate for one box, (V,) bool."""
-    K, R, t = _camera_arrays(list(cameras))
+    K, R, t = camera_arrays(list(cameras))
     origins, directions = _rays(K, R, t, np.atleast_2d(np.asarray(pixels, dtype=float)))
     center = np.asarray(center, dtype=float)[None, :]
     return _one_joint_votes(center, np.asarray(edges, dtype=float), R, t, origins, directions)[:, 0]
@@ -133,7 +139,7 @@ def estimate_joint_alone(table, cameras, config) -> JointEstimate:
         return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS)
 
     view_ids = [cam.id for cam, _ in usable]
-    K, R, t = _camera_arrays([cam for cam, _ in usable])
+    K, R, t = camera_arrays([cam for cam, _ in usable])
     pixels = np.stack([pixel for _, pixel in usable])
     origins, directions = _rays(K, R, t, pixels)
 

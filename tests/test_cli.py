@@ -14,9 +14,11 @@ from oracles import read_transforms
 
 import mvmocap
 from mvmocap import io as mio
-from mvmocap import retarget, voxel
+from mvmocap import cli, retarget, voxel
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, _output, build_parser, main
-from mvmocap.skeleton import STATUS_NO_CONSENSUS
+from mvmocap.geometry import project
+from mvmocap.overlay import render_overlay_svg
+from mvmocap.skeleton import STATUS_NO_CONSENSUS, default_topology
 
 
 def run_synth(tmp_path, preset="walk", frames=4, noise="0", dropout="0", seed="7"):
@@ -302,6 +304,22 @@ def test_duplicate_camera_id_exits_2(tmp_path, capsys):
     assert f"error: {calib}: invalid camera entry: duplicate id 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "eval", "render-overlay"])
+def test_empty_calibration_exits_2(tmp_path, capsys, command):
+    calib, keypoints, skeleton = tmp_path / "calib.json", tmp_path / "keypoints.jsonl", tmp_path / "skel.jsonl"
+    calib.write_text("[]\n", encoding="utf-8")
+    keypoints.write_text('{"frame": 0, "views": []}\n', encoding="utf-8")
+    skeleton.write_text('{"frame": 0, "joints": [{"idx": 0, "status": "ok", "p": [0, 0, 0]}]}\n', encoding="utf-8")
+    inputs = {
+        "reconstruct": ["--calib", str(calib), "--keypoints", str(keypoints)],
+        "eval": ["--skeleton", str(skeleton), "--truth", str(skeleton), "--calib", str(calib), "--keypoints", str(keypoints)],
+        "render-overlay": ["--calib", str(calib), "--keypoints", str(keypoints), "--skeleton", str(skeleton)],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"error: {calib}: calibration lists no cameras" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_synth_zero_frames_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["synth", "--preset", "walk", "--frames", "0", "--out", str(out)]) == EXIT_PARSE
@@ -552,6 +570,46 @@ def test_reconstruct_chunks_write_the_bytes_of_single_frames(tmp_path, capsys, m
     assert reconstruct(3, bad, out) == EXIT_PARSE
     assert f"error: {bad}: frame 5 references uncalibrated views [9]" in capsys.readouterr().err
     assert list(out.parent.iterdir()) == []  # neither skel.jsonl nor skel.jsonl.part
+
+
+def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monkeypatch):
+    """eval and render-overlay give the same bytes one frame per projection
+    as at the default chunk length, on a gappy stream longer than one chunk
+    whose keypoint frames list the views in any order or leave one out."""
+    frames = cli.REPROJECT_CHUNK_FRAMES + 6
+    scene = run_synth(tmp_path, frames=frames, noise="1", dropout="0.05")
+    skel = tmp_path / "skel.jsonl"
+    assert main([
+        "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "20x20x20", "--out", str(skel),
+    ]) == EXIT_OK
+    assert STATUS_NO_CONSENSUS.encode() in skel.read_bytes()
+    keypoints = tmp_path / "keypoints.jsonl"
+    records = [json.loads(line) for line in (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines()]
+    records[3]["views"].reverse()
+    del records[frames - 2]["views"][1]
+    keypoints.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+
+    def outputs(chunk):
+        monkeypatch.setattr(cli, "REPROJECT_CHUNK_FRAMES", chunk)
+        out = tmp_path / f"chunk_{chunk}"
+        inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(keypoints), "--skeleton", str(skel)]
+        assert main(["eval", *inputs, "--truth", str(scene / "truth.jsonl"), "--out", str(out / "report")]) == EXIT_OK
+        assert main(["render-overlay", *inputs, "--out", str(out / "overlay")]) == EXIT_OK
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    default = outputs(cli.REPROJECT_CHUNK_FRAMES)
+    assert len(default) == 2 + frames * 5 - 1
+    assert json.loads(default[Path("report.json")])["frame_count"] == frames
+    assert outputs(1) == default
+    # The edited frames' overlays are those of one projection per view.
+    cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
+    skeletons, observed = list(mio.read_skeletons(skel)), list(mio.read_keypoints(keypoints))
+    for f in (3, frames - 2):
+        for r, view_id in enumerate(observed[f].view_ids):
+            cam = cameras[view_id]
+            svg = render_overlay_svg(cam, observed[f].table[r, :, :2], project(skeletons[f].points, cam), default_topology())
+            assert default[Path(f"overlay/frame_{f:04d}_view_{view_id}.svg")] == svg.encode()
 
 
 @pytest.mark.parametrize(

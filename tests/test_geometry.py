@@ -5,12 +5,12 @@ projected cube vertices."""
 
 import numpy as np
 import pytest
-from oracles import cube_vertices, hull_contains, project_one, slab_votes
+from oracles import camera_arrays, cube_vertices, hull_contains, project_one, slab_votes
 from scipy.spatial import ConvexHull as ScipyHull
 
-from mvmocap.geometry import CameraParams, project
+from mvmocap.geometry import CameraParams, project, stack_cameras
 from mvmocap.synth import generate_scene
-from mvmocap.voxel import _BOX_PAD, Cube, _camera_arrays, _rays, _subdivide
+from mvmocap.voxel import _BOX_PAD, Cube, _rays, _subdivide
 
 
 def simple_camera(f=800.0, cx=640.0, cy=360.0):
@@ -64,6 +64,30 @@ def test_project_matches_per_point_oracle(rng):
     assert np.isnan(project(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, -1.0]]), simple_camera())).all()
 
 
+def test_one_stacked_call_matches_the_per_view_calls(rng):
+    """project of (N, 15, 3) points against every camera stacked, ids in
+    any order, equals one call per camera bit for bit, with NaN rows for NaN
+    points and for points on or behind a camera."""
+    scene = generate_scene("walk", frames=12, seed=5)
+    truth = np.array([[s.positions[i] for i in sorted(s.positions)] for s in scene.truth])
+    points = np.concatenate([truth, truth + rng.normal(0.0, 3000.0, size=truth.shape)])  # (24, 15, 3)
+    points[rng.random(points.shape[:2]) < 0.2] = np.nan
+    cameras = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+    views = stack_cameras(cameras, point_axes=1)
+    assert views.ids == sorted(c.id for c in cameras)
+    got = project(points[:, None], views)
+    assert got.shape == (24, len(cameras), 15, 2)
+    behind = 0
+    for v, view_id in enumerate(views.ids):
+        cam = next(c for c in cameras if c.id == view_id)
+        assert np.array_equal(got[:, v], project(points, cam), equal_nan=True)
+        for n in range(len(points)):
+            assert np.array_equal(got[n, v], project(points[n], cam), equal_nan=True)
+        depth = points @ cam.rotation[2] + cam.translation[2]
+        behind += int(np.count_nonzero(depth <= 0.0))
+    assert behind > 0 and np.isnan(points).any()
+
+
 def test_project_matches_matrix_oracle(rng):
     for _ in range(100):
         cam = random_camera(rng)
@@ -80,7 +104,7 @@ def test_backprojection_roundtrip(rng):
         cam = random_camera(rng)
         p = rng.uniform(-500, 500, size=3)
         depth = (cam.rotation @ p + cam.translation)[2]
-        K, R, t = _camera_arrays([cam])
+        K, R, t = camera_arrays([cam])
         origins, directions = _rays(K, R, t, project(p, cam)[None, :])
         assert np.allclose(origins[0] + depth * directions[0], p, atol=1e-6)
 

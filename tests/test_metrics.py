@@ -41,6 +41,25 @@ def test_matches_naive_loop_oracle(rng):
         assert mean_abs_3d_err(skeleton(pa), skeleton(pb)) == pytest.approx(expected, abs=1e-12)
 
 
+def test_equals_the_ascending_per_joint_norm_loop_bit_for_bit(rng):
+    """One vecdot over the (15, 3) point arrays gives exactly the float of a
+    per-joint np.linalg.norm loop over the shared joints in ascending order."""
+    compared = 0
+    for _ in range(200):
+        scale = 10.0 ** rng.integers(-3, 4)
+        pa = {i: rng.normal(0.0, scale, size=3) for i in range(15) if rng.random() < 0.8}
+        pb = {i: rng.normal(0.0, scale, size=3) for i in range(15) if rng.random() < 0.8}
+        shared = sorted(pa.keys() & pb.keys())
+        if not shared:
+            continue
+        total = 0.0
+        for i in shared:
+            total += float(np.linalg.norm(pa[i] - pb[i]))
+        assert mean_abs_3d_err(skeleton(pa), skeleton(pb)) == total / len(shared)
+        compared += 1
+    assert compared > 150
+
+
 def test_joints_missing_on_either_side_are_excluded():
     a = skeleton({0: [0.0, 0.0, 0.0], 1: [10.0, 0.0, 0.0]})
     b = skeleton({0: [1.0, 0.0, 0.0], 2: [0.0, 0.0, 0.0]})
