@@ -28,6 +28,10 @@ A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
 (u, v, c) of joint i, all NaN where the view has no detection of it. The
 writer lists views by ascending id and joints by ascending index.
+
+A skeleton record is read into Skeleton3D.positions, a (15, 3) array whose
+row i holds joint i, NaN where it is "no_consensus" or left out of the
+record. The writer lists all 15 joints in index order.
 """
 
 from __future__ import annotations
@@ -73,18 +77,18 @@ def _integer(value) -> int:
     return value
 
 
-def _finite_vector(value, n: int) -> np.ndarray:
-    """A list of exactly n finite numbers as an array; ValueError otherwise."""
+def _finite_numbers(value, n: int) -> list:
+    """value if it is a list of exactly n finite numbers; ValueError otherwise."""
     if len(value) != n or not all(map(math.isfinite, value)):
         raise ValueError(f"expected {n} finite numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    return value
 
 
 def _finite_matrix(value, n: int) -> np.ndarray:
     """An n x n list of finite numbers as an array; ValueError otherwise."""
     if len(value) != n:
         raise ValueError(f"expected {n} rows, got {value!r}")
-    return np.array([_finite_vector(row, n) for row in value])
+    return np.array([_finite_numbers(row, n) for row in value], dtype=float)
 
 
 def _fmt(x: float) -> str:
@@ -133,7 +137,7 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
                     id=_integer(entry["id"]),
                     intrinsic=_finite_matrix(entry["K"], 3),
                     rotation=_snap_rotation(_finite_matrix(entry["R"], 3)),
-                    translation=_finite_vector(entry["t"], 3),
+                    translation=np.array(_finite_numbers(entry["t"], 3), dtype=float),
                     resolution=(_integer(entry["width"]), _integer(entry["height"])),
                 )
             )
@@ -230,12 +234,11 @@ def _next_frame(rec: dict, last: int | None) -> int:
 
 def skeleton_line(skel: Skeleton3D) -> str:
     parts = []
-    for idx in sorted(skel.statuses):
-        status = skel.statuses[idx]
-        if status == STATUS_OK:
-            parts.append(f'{{"idx": {idx}, "status": "{status}", "p": {_fmt_vector(skel.positions[idx])}}}')
+    for idx, (x, y, z) in enumerate(skel.positions.tolist()):
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            parts.append(f'{{"idx": {idx}, "status": "{STATUS_OK}", "p": [{_fmt(x)}, {_fmt(y)}, {_fmt(z)}]}}')
         else:
-            parts.append(f'{{"idx": {idx}, "status": "{status}"}}')
+            parts.append(f'{{"idx": {idx}, "status": "{STATUS_NO_CONSENSUS}"}}')
     return f'{{"frame": {skel.frame}, "joints": [' + ", ".join(parts) + "]}"
 
 
@@ -252,21 +255,22 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
         try:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
-            positions: dict[int, np.ndarray] = {}
-            statuses: dict[int, str] = {}
+            listed: set[int] = set()
+            # The (15, 3) positions as one flat list, filled joint by joint and converted once.
+            cells = [math.nan] * (len(JOINT_NAMES) * 3)
             for j in rec["joints"]:
                 idx = _integer(j["idx"])
                 if not 0 <= idx < len(JOINT_NAMES):
                     raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
-                if idx in statuses:
+                if idx in listed:
                     raise ValueError(f"joint {idx} listed twice")
+                listed.add(idx)
                 status = j["status"]
                 if status not in (STATUS_OK, STATUS_NO_CONSENSUS):
                     raise ValueError(f"unknown status {status!r}")
-                statuses[idx] = status
                 if status == STATUS_OK:
-                    positions[idx] = _finite_vector(j["p"], 3)
-            yield Skeleton3D(frame=frame, positions=positions, statuses=statuses)
+                    cells[idx * 3 : idx * 3 + 3] = _finite_numbers(j["p"], 3)
+            yield Skeleton3D(frame, np.array(cells, dtype=float).reshape(len(JOINT_NAMES), 3))
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc
         last = frame

@@ -57,7 +57,7 @@ def _mean_length(d: np.ndarray) -> float | None:
 
 def mean_abs_3d_err(estimated: Skeleton3D, truth: Skeleton3D) -> float:
     """Mean Euclidean distance in mm over joints present on both sides, summed in ascending joint order."""
-    mean = _mean_length(estimated.points - truth.points)
+    mean = _mean_length(estimated.positions - truth.positions)
     if mean is None:
         raise NoComparableJoints("no joint is reconstructed in both skeletons")
     return mean

@@ -167,7 +167,7 @@ def retarget_frame(
         previous.rotation(bone.name) if previous is not None and bone.name in previous.transforms else np.eye(3)
         for bone in topology.bones
     ])
-    rot, ok = _rotations(skeleton.points[None], topology, template, held)
+    rot, ok = _rotations(skeleton.positions[None], topology, template, held)
     return next(_transform_sets((skeleton.frame,), rot, ok, topology))
 
 
@@ -179,7 +179,7 @@ def retarget_sequence(skeletons, topology: SkeletonTopology, template: TPoseTemp
     """
     held = np.broadcast_to(np.eye(3), (len(topology.bones), 3, 3))
     stream = iter(skeletons)
-    while chunk := [(s.frame, s.points) for s in islice(stream, CHUNK_FRAMES)]:
+    while chunk := [(s.frame, s.positions) for s in islice(stream, CHUNK_FRAMES)]:
         frames, points = zip(*chunk)
         rot, ok = _rotations(np.stack(points), topology, template, held)
         held = rot[-1].copy()

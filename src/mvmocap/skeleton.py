@@ -159,37 +159,22 @@ class TPoseTemplate:
                 raise ValueError(f"frame rotation for class {cls} is not a rotation")
 
 
-@dataclass
 class Skeleton3D:
-    """One frame of named 3D joint positions with per-joint status."""
+    """One frame of joints: positions is (15, 3), row i for joint i, ok exactly where the row is finite.
 
-    frame: int
-    positions: dict[int, np.ndarray]
-    statuses: dict[int, str]
+    positions may also be given as a mapping from joint index to position
+    for the ok joints. statuses, if given, must mark ok exactly those joints.
+    """
 
-    def __post_init__(self):
-        ok = {i for i, s in self.statuses.items() if s == STATUS_OK}
-        if set(self.positions) != ok:
-            raise ValueError("positions must be present exactly where status is ok")
-
-    def joint_ok(self, idx: int) -> bool:
-        return self.statuses.get(idx) == STATUS_OK
-
-    @property
-    def points(self) -> np.ndarray:
-        """A new (15, 3) array of the positions, row i for joint i; NaN where not ok."""
-        points = np.full((len(JOINT_NAMES), 3), np.nan)
-        for idx, point in self.positions.items():  # present exactly where the status is ok
-            points[idx] = point
-        return points
-
-    @classmethod
-    def from_positions(cls, frame: int, positions: dict[int, np.ndarray]) -> "Skeleton3D":
-        return cls(
-            frame=frame,
-            positions={i: np.asarray(p, dtype=float) for i, p in positions.items()},
-            statuses={i: STATUS_OK for i in positions},
-        )
+    def __init__(self, frame: int, positions, statuses: dict[int, str] | None = None):
+        if not isinstance(positions, np.ndarray):
+            positions = np.array([positions.get(i, (np.nan,) * 3) for i in range(len(JOINT_NAMES))], dtype=float)
+        if statuses is not None:
+            ok = {i for i, s in statuses.items() if s == STATUS_OK}
+            if set(np.flatnonzero(np.isfinite(positions).all(axis=1)).tolist()) != ok:
+                raise ValueError("positions must be present exactly where status is ok")
+        self.frame = frame
+        self.positions = positions
 
 
 def default_topology() -> SkeletonTopology:

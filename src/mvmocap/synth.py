@@ -178,7 +178,7 @@ def generate_scene(
         phase = 2.0 * np.pi * f / period
         rotations, root_offset = motion(phase)
         positions = _pose_from_rotations(rotations, root_offset, T_POSE_STATURE_MM)
-        truth.append(Skeleton3D.from_positions(frame=f, positions=positions))
+        truth.append(Skeleton3D(frame=f, positions=positions))
     return SyntheticScene(
         cameras=camera_ring(),
         truth=truth,
@@ -199,12 +199,10 @@ def render_observations(scene: SyntheticScene) -> list[JointObservationFrame]:
     view_ids = [cam.id for cam in scene.cameras]
     for skel in scene.truth:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scene.rng_seed, spawn_key=(skel.frame,)))
-        # The root is synthesized downstream, never detected.
-        joints = [idx for idx in sorted(skel.positions) if idx != ROOT_JOINT]
-        points = np.array([skel.positions[idx] for idx in joints])
+        points = skel.positions[: len(DETECTED_JOINTS)]  # the root is synthesized downstream, never detected
         table = np.full((len(scene.cameras), len(DETECTED_JOINTS), 3), np.nan)
         for r, cam in enumerate(scene.cameras):
-            for idx, pixel in zip(joints, project(points, cam)):
+            for idx, pixel in enumerate(project(points, cam)):
                 noise = rng.normal(0.0, scene.noise_px, size=2) if scene.noise_px > 0 else np.zeros(2)
                 dropped = scene.dropout > 0 and rng.random() < scene.dropout
                 if dropped:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .geometry import CameraParams, stack_cameras
 from .skeleton import (
+    JOINT_NAMES,
     ROOT_JOINT,
     STATUS_NO_CONSENSUS,
     STATUS_OK,
@@ -411,14 +412,7 @@ def estimate_skeletons(
     for f, frame in enumerate(frames):
         table[f][:, [column[v] for v in frame.view_ids]] = frame.table[:, indices].transpose(1, 0, 2)
     found = _search(table.reshape(-1, len(view_ids), 3), K, R, t, config)
-    bounds = np.searchsorted(found.ok, np.arange(1, len(frames)) * n)  # found.ok ascends
-
-    skeletons = []
-    for frame, ok, found_positions in zip(frames, np.split(found.ok, bounds), np.split(found.positions, bounds)):
-        positions = {indices[j]: position for j, position in zip((ok % n).tolist(), found_positions)}
-        r_hip, l_hip = 8, 11
-        if r_hip in positions and l_hip in positions:
-            positions[ROOT_JOINT] = 0.5 * (positions[r_hip] + positions[l_hip])
-        statuses = {i: STATUS_OK if i in positions else STATUS_NO_CONSENSUS for i in (*indices, ROOT_JOINT)}
-        skeletons.append(Skeleton3D(frame=frame.frame, positions=positions, statuses=statuses))
-    return skeletons
+    points = np.full((len(frames), len(JOINT_NAMES), 3), np.nan)
+    points[found.ok // n, np.asarray(indices)[found.ok % n]] = found.positions
+    points[:, ROOT_JOINT] = 0.5 * (points[:, 8] + points[:, 11])  # the hips' midpoint, NaN unless both are ok
+    return [Skeleton3D(frame.frame, p) for frame, p in zip(frames, points)]

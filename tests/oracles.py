@@ -24,6 +24,8 @@ angle roll search, against which the world-frame retarget is checked.
 a time, from the 3-vectors of `bone_vector`, against which the chunked
 stacks of `retarget_sequence` are checked.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
+`joint_statuses`, `ok_joints` and `joint_ok` read a Skeleton3D's per-joint status
+off its (15, 3) positions: a joint is ok exactly where its row is finite.
 """
 
 import json
@@ -222,6 +224,21 @@ class MissingJoint(ValueError):
     """A bone endpoint has no reconstructed position."""
 
 
+def joint_statuses(skeleton) -> dict[int, str]:
+    """Status of every joint of a skeleton by index, in index order."""
+    ok = np.isfinite(skeleton.positions).all(axis=1).tolist()
+    return {i: STATUS_OK if o else STATUS_NO_CONSENSUS for i, o in enumerate(ok)}
+
+
+def ok_joints(skeleton) -> set[int]:
+    """Indices of the joints of a skeleton that are ok."""
+    return {i for i, s in joint_statuses(skeleton).items() if s == STATUS_OK}
+
+
+def joint_ok(skeleton, idx) -> bool:
+    return bool(np.isfinite(skeleton.positions[idx]).all())
+
+
 class ZeroLengthBone(ValueError):
     """Bone endpoints coincide; no direction can be derived."""
 
@@ -234,7 +251,7 @@ def bone_vector(skeleton, bone_name, topology):
     """
     bone = topology.bone(bone_name)
     for idx in (bone.parent_joint, bone.child_joint):
-        if not skeleton.joint_ok(idx):
+        if not joint_ok(skeleton, idx):
             raise MissingJoint(f"joint {idx} has no position")
     d = skeleton.positions[bone.child_joint] - skeleton.positions[bone.parent_joint]
     if np.linalg.norm(d) < 1e-6:

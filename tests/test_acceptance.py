@@ -11,7 +11,7 @@ over smallest below 2x).
 import time
 
 import numpy as np
-from oracles import dlt_triangulate
+from oracles import dlt_triangulate, joint_ok
 
 from mvmocap.cli import main
 from mvmocap.geometry import project
@@ -130,7 +130,7 @@ def test_criterion_3_delta_sweep_trend():
                 if round_ == 0:
                     nodes[i] += sum(est.nodes_visited for est in estimates)
                     positions = {idx: est.position for idx, est in zip(joints, estimates) if est.status == STATUS_OK}
-                    per_frame[i].append(mean_abs_3d_err(Skeleton3D.from_positions(frame.frame, positions), truth))
+                    per_frame[i].append(mean_abs_3d_err(Skeleton3D(frame.frame, positions), truth))
     times = best.sum(axis=0).tolist()
     errors = [sequence_mean(e) for e in per_frame]
 
@@ -161,7 +161,7 @@ def test_criterion_4_reprojection_bound():
         skel = estimate_skeleton(frame, scene.cameras, config, topology)
         points = np.full((len(topology.detected_joint_indices), 3), np.nan)
         for idx in topology.detected_joint_indices:
-            if skel.joint_ok(idx):
+            if joint_ok(skel, idx):
                 points[idx] = skel.positions[idx]
         detected = {view_id: frame.table[r, :, :2] for r, view_id in enumerate(frame.view_ids)}
         reprojected = {cam.id: project(points, cam) for cam in scene.cameras}
@@ -191,7 +191,7 @@ def test_criterion_5_rotation_invariants():
     checked = 0
     while checked < 100_000:
         positions = {i: rng.uniform(-800, 800, size=3) for i in joint_ids}
-        tset = retarget_frame(Skeleton3D.from_positions(0, positions), topology, template)
+        tset = retarget_frame(Skeleton3D(0, positions), topology, template)
         for T in tset.transforms.values():
             assert np.array_equal(T[:3, 3], np.zeros(3))
             assert np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
@@ -225,7 +225,7 @@ def test_criterion_6_fk_round_trip():
                 fk = tset.rotation(bone.name) @ template.rest_direction[bone.name]
                 worst_dir = max(worst_dir, float(np.linalg.norm(fk - observed)))
 
-    tpose = Skeleton3D.from_positions(0, tpose_positions())
+    tpose = Skeleton3D(0, tpose_positions())
     tset = retarget_frame(tpose, topology, template)
     worst_identity = max(float(np.max(np.abs(T[:3, :3] - np.eye(3)))) for T in tset.transforms.values())
 
@@ -290,8 +290,8 @@ def test_criterion_7_spin_injection_recovery():
 def test_criterion_8_metric_oracles():
     rng = np.random.default_rng(800)
 
-    a = Skeleton3D.from_positions(0, {0: np.zeros(3)})
-    b = Skeleton3D.from_positions(0, {0: np.array([3.0, 4.0, 0.0])})
+    a = Skeleton3D(0, {0: np.zeros(3)})
+    b = Skeleton3D(0, {0: np.array([3.0, 4.0, 0.0])})
     exact_345 = mean_abs_3d_err(a, b) == 5.0
     exact_6810 = avg_2d_err({0: np.zeros((1, 2))}, {0: np.array([[6.0, 8.0]])}) == {0: 10.0}
 
@@ -302,7 +302,7 @@ def test_criterion_8_metric_oracles():
         pa = {i: rng.uniform(-1000, 1000, size=3) for i in range(n)}
         pb = {i: rng.uniform(-1000, 1000, size=3) for i in range(n)}
         oracle = sum(float(np.linalg.norm(pa[i] - pb[i])) for i in range(n)) / n
-        got = mean_abs_3d_err(Skeleton3D.from_positions(0, pa), Skeleton3D.from_positions(0, pb))
+        got = mean_abs_3d_err(Skeleton3D(0, pa), Skeleton3D(0, pb))
         worst_3d = max(worst_3d, abs(got - oracle))
 
         det = {0: rng.uniform(0, 1920, size=(n, 2))}

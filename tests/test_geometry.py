@@ -46,7 +46,7 @@ def test_project_matches_per_point_oracle(rng):
     behind = 0
     for preset in ("walk", "wave", "squat"):
         scene = generate_scene(preset, frames=10, seed=3)
-        truth = np.array([[s.positions[i] for i in sorted(s.positions)] for s in scene.truth])  # (10, 15, 3)
+        truth = np.array([s.positions for s in scene.truth])  # (10, 15, 3)
         # Jitter on the scale of the 3 m ring radius puts some points behind each camera.
         points = np.concatenate([truth, truth + rng.normal(0.0, 3000.0, size=truth.shape)])
         for cam in scene.cameras:
@@ -69,7 +69,7 @@ def test_one_stacked_call_matches_the_per_view_calls(rng):
     any order, equals one call per camera bit for bit, with NaN rows for NaN
     points and for points on or behind a camera."""
     scene = generate_scene("walk", frames=12, seed=5)
-    truth = np.array([[s.positions[i] for i in sorted(s.positions)] for s in scene.truth])
+    truth = np.array([s.positions for s in scene.truth])
     points = np.concatenate([truth, truth + rng.normal(0.0, 3000.0, size=truth.shape)])  # (24, 15, 3)
     points[rng.random(points.shape[:2]) < 0.2] = np.nan
     cameras = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]

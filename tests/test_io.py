@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import read_transforms
+from oracles import joint_statuses, read_transforms
 
 from mvmocap import io as mio
 from mvmocap.retarget import BoneTransformSet, retarget_frame
@@ -39,12 +39,31 @@ def test_skeleton_round_trip_preserves_statuses(tmp_path):
         positions={0: np.array([1.25, -2.5, 3.0])},
         statuses={0: STATUS_OK, 1: STATUS_NO_CONSENSUS},
     )
+    # The form perfbench/scenes.py builds: the root left out of positions, statuses listing all 15 joints.
+    rootless = Skeleton3D(
+        frame=8,
+        positions={i: np.full(3, float(i)) for i in range(14)},
+        statuses={**dict.fromkeys(range(14), STATUS_OK), 14: STATUS_NO_CONSENSUS},
+    )
     path = tmp_path / "skel.jsonl"
-    mio.write_skeletons(path, [skel])
-    loaded = list(mio.read_skeletons(path))[0]
+    mio.write_skeletons(path, [skel, rootless])
+    loaded, loaded_rootless = mio.read_skeletons(path)
     assert loaded.frame == 7
-    assert loaded.statuses == skel.statuses
+    assert joint_statuses(loaded) == joint_statuses(skel)
     assert np.allclose(loaded.positions[0], skel.positions[0], atol=1e-6)
+    assert mio.skeleton_line(rootless).endswith('{"idx": 13, "status": "ok", "p": [13.000000, 13.000000, 13.000000]}, '
+                                                '{"idx": 14, "status": "no_consensus"}]}')
+    assert joint_statuses(loaded_rootless) == joint_statuses(rootless)
+
+
+def test_skeleton_record_leaving_a_joint_out_reads_as_nan_row(tmp_path):
+    path = tmp_path / "skel.jsonl"
+    path.write_text('{"frame": 0, "joints": [{"idx": 2, "status": "ok", "p": [1, 2.5, -3]}]}\n', encoding="utf-8")
+    (skel,) = mio.read_skeletons(path)
+    assert np.array_equal(skel.positions[2], [1.0, 2.5, -3.0])
+    assert np.isnan(np.delete(skel.positions, 2, axis=0)).all()
+    joints = mio.skeleton_line(skel).split('"joints": ')[1]
+    assert joints.count('"status": "no_consensus"') == 14 and joints.count('"idx"') == 15
 
 
 def test_transform_round_trip(tmp_path):
@@ -87,9 +106,12 @@ def test_templated_transform_line_matches_per_value_format(rng):
 
 
 def test_floats_serialized_with_fixed_precision(tmp_path):
-    skel = Skeleton3D.from_positions(0, {0: np.array([1.0, 0.5, -2.0])})
+    skel = Skeleton3D(0, {0: np.array([1.0, 0.5, -2.0])})
     line = mio.skeleton_line(skel)
     assert '"p": [1.000000, 0.500000, -2.000000]' in line
+    rows = np.full((15, 3), np.nan)
+    rows[0] = [1.0, 0.5, -2.0]
+    assert mio.skeleton_line(Skeleton3D(0, rows)) == line  # the array form writes what the mapping form does
 
 
 def test_negative_zero_is_written_as_zero():

@@ -15,7 +15,7 @@ from mvmocap.skeleton import Skeleton3D
 
 
 def skeleton(positions, frame=0):
-    return Skeleton3D.from_positions(frame, {i: np.asarray(p, dtype=float) for i, p in positions.items()})
+    return Skeleton3D(frame, {i: np.asarray(p, dtype=float) for i, p in positions.items()})
 
 
 # -- mean_abs_3d_err ----------------------------------------------------------

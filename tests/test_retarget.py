@@ -11,6 +11,7 @@ from oracles import (
     class_frame_retarget,
     frame_from_bone,
     is_rotation,
+    joint_statuses,
     retarget_frame_alone,
 )
 
@@ -73,7 +74,7 @@ def test_frame_action_and_orthonormality(rng):
 
 
 def test_tpose_accumulates_identity(topology, template):
-    skel = Skeleton3D.from_positions(0, tpose_positions())
+    skel = Skeleton3D(0, tpose_positions())
     ts = retarget_frame(skel, topology, template)
     assert set(ts.statuses.values()) == {STATUS_OK}
     for name in ts.transforms:
@@ -84,7 +85,7 @@ def test_bent_elbow_is_pure_z_rotation(topology, template):
     positions = dict(tpose_positions())
     # Bend the left elbow 90 degrees about template z: hand moves straight up.
     positions[7] = positions[6] + np.array([0.0, 260.0, 0.0])
-    skel = Skeleton3D.from_positions(0, positions)
+    skel = Skeleton3D(0, positions)
     ts = retarget_frame(skel, topology, template)
     # The left frame class is the identity, so global rotations are the local ones.
     assert np.allclose(ts.rotation("l_upper_arm"), np.eye(3), atol=1e-9)
@@ -149,7 +150,7 @@ def test_degenerate_reference_plane_returns_input():
 
 
 def test_tpose_transforms_are_identity(topology, template):
-    skel = Skeleton3D.from_positions(0, tpose_positions())
+    skel = Skeleton3D(0, tpose_positions())
     ts = retarget_frame(skel, topology, template)
     for name, T in ts.transforms.items():
         assert np.allclose(T[:3, :3], np.eye(3), atol=1e-9), name
@@ -172,8 +173,7 @@ def test_missing_hands_only_affect_lower_arms(topology, template):
     skel = scene.truth[2]
     full = retarget_frame(skel, topology, template)
 
-    reduced_positions = {i: p for i, p in skel.positions.items() if i not in (4, 7)}
-    reduced = Skeleton3D.from_positions(skel.frame, reduced_positions)
+    reduced = _without(skel, (4, 7), skel.frame)
     ablated = retarget_frame(reduced, topology, template)
 
     for name in ("r_lower_arm", "l_lower_arm"):
@@ -187,7 +187,7 @@ def test_missing_hands_only_affect_lower_arms(topology, template):
 def test_sequence_holds_previous_rotation_for_missing_bones(topology, template):
     scene = generate_scene("walk", frames=2, seed=41)
     first, second = scene.truth
-    reduced = Skeleton3D.from_positions(second.frame, {i: p for i, p in second.positions.items() if i != 7})
+    reduced = _without(second, (7,), second.frame)
     sets = list(retarget_sequence([first, reduced], topology, template))
     assert sets[1].statuses["l_lower_arm"] == STATUS_FELL_BACK
     assert np.allclose(sets[1].rotation("l_lower_arm"), sets[0].rotation("l_lower_arm"), atol=1e-12)
@@ -230,7 +230,7 @@ def _assert_matches_class_frame_chain(skeletons, topology, template):
 def _left_hand_moved(offset):
     positions = dict(tpose_positions())
     positions[7] = positions[6] + np.array(offset)
-    return Skeleton3D.from_positions(0, positions)
+    return Skeleton3D(0, positions)
 
 
 def test_matches_class_frame_chain_on_truth(topology, template):
@@ -250,7 +250,7 @@ def test_matches_class_frame_chain_on_noisy_reconstruction(topology, template, r
     scene = generate_scene("walk", frames=30, noise_px=1.0, dropout=0.05, seed=62)
     config = EstimatorConfig(delta=(20.0, 20.0, 20.0))
     skeletons = [estimate_skeleton(f, ring, config, topology) for f in render_observations(scene)]
-    assert any(s != STATUS_OK for skel in skeletons for s in skel.statuses.values())
+    assert any(s != STATUS_OK for skel in skeletons for s in joint_statuses(skel).values())
     _assert_matches_class_frame_chain(skeletons, topology, template)
 
 
@@ -261,7 +261,7 @@ def test_matches_class_frame_chain_on_random_gappy_skeletons(topology, template,
         positions = {i: rng.uniform(-800, 800, size=3) for i in joint_ids if rng.random() > 0.15}
         if rng.random() < 0.2 and 1 in positions and 0 in positions:
             positions[0] = positions[1].copy()  # zero-length head bone
-        skeletons.append(Skeleton3D.from_positions(f, positions))
+        skeletons.append(Skeleton3D(f, positions))
     _assert_matches_class_frame_chain(skeletons, topology, template)
 
 
@@ -269,7 +269,9 @@ def test_matches_class_frame_chain_on_random_gappy_skeletons(topology, template,
 
 
 def _without(skeleton, joints, frame):
-    return Skeleton3D.from_positions(frame, {i: p for i, p in skeleton.positions.items() if i not in joints})
+    positions = skeleton.positions.copy()
+    positions[list(joints)] = np.nan
+    return Skeleton3D(frame, positions)
 
 
 def test_chunks_match_per_frame_loop(topology, template, monkeypatch):

@@ -63,14 +63,14 @@ def test_bone_vector_axis_aligned(topology):
     positions = dict(tpose_positions())
     positions[8] = np.array([0.0, 0.0, 0.0])
     positions[9] = np.array([0.0, -500.0, 0.0])
-    skel = Skeleton3D.from_positions(0, positions)
+    skel = Skeleton3D(0, positions)
     assert np.allclose(bone_vector(skel, "r_upper_leg", topology), [0.0, -1.0, 0.0], atol=1e-12)
 
 
 def test_bone_vector_zero_length(topology):
     positions = dict(tpose_positions())
     positions[9] = positions[8].copy()
-    skel = Skeleton3D.from_positions(0, positions)
+    skel = Skeleton3D(0, positions)
     with pytest.raises(ZeroLengthBone):
         bone_vector(skel, "r_upper_leg", topology)
 
@@ -78,7 +78,7 @@ def test_bone_vector_zero_length(topology):
 def test_bone_vector_missing_joint(topology):
     positions = dict(tpose_positions())
     del positions[9]
-    skel = Skeleton3D.from_positions(0, positions)
+    skel = Skeleton3D(0, positions)
     with pytest.raises(MissingJoint):
         bone_vector(skel, "r_upper_leg", topology)
 
@@ -88,7 +88,7 @@ def test_bone_vector_normalization_oracle(topology, rng):
     for _ in range(100):
         positions[8] = rng.uniform(-500, 500, size=3)
         positions[9] = rng.uniform(-500, 500, size=3)
-        skel = Skeleton3D.from_positions(0, positions)
+        skel = Skeleton3D(0, positions)
         v = bone_vector(skel, "r_upper_leg", topology)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         diff = positions[9] - positions[8]
