@@ -334,56 +334,65 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
 # -- argument wiring --------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help, its handler, and its flags as add_argument arguments.
+COMMANDS = {
+    "synth": ("generate a synthetic scene with ground truth", cmd_synth, [
+        ("--preset", dict(required=True, help="tpose-static, walk, wave, or squat")),
+        ("--frames", dict(type=int, default=1)),
+        ("--noise", dict(type=float, default=0.0, help="pixel noise standard deviation")),
+        ("--dropout", dict(type=float, default=0.0, help="per-joint per-view miss probability")),
+        ("--seed", dict(type=int, default=0, help="non-negative random seed")),
+        ("--out", dict(required=True, help="output directory")),
+    ]),
+    "reconstruct": ("estimate per-frame 3D skeletons from keypoints", cmd_reconstruct, [
+        ("--calib", dict(required=True, help="calibration JSON file")),
+        ("--keypoints", dict(required=True, help="keypoints JSONL file")),
+        ("--out", dict(required=True, help="output skeleton JSONL file")),
+        ("--sigma", dict(type=int, default=RunConfig.sigma, help="minimum consenting views (default %(default)s)")),
+        ("--delta", dict(help="terminal cube size WxHxL in mm")),
+        ("--volume", dict(help="initial volume WxHxL[@X,Y,Z] in mm")),
+        ("--min-conf", dict(type=float, default=RunConfig.min_confidence,
+                            help="minimum keypoint confidence (default %(default)s)")),
+        ("--timing", dict(action="store_true", help="print per-phase timing to stderr")),
+    ]),
+    "retarget": ("convert skeletons to per-bone transforms", cmd_retarget, [
+        ("--skeleton", dict(required=True, help="skeleton JSONL file")),
+        ("--out", dict(required=True, help="output transform JSONL file")),
+    ]),
+    "eval": ("compare estimated skeletons against truth", cmd_eval, [
+        ("--skeleton", dict(required=True, help="estimated skeleton JSONL file")),
+        ("--truth", dict(required=True, help="ground-truth skeleton JSONL file")),
+        ("--calib", dict(help="calibration JSON file; with --keypoints, adds reprojection error")),
+        ("--keypoints", dict(help="keypoints JSONL file; with --calib, adds reprojection error")),
+        ("--out", dict(required=True, help="report path; .json and .csv are written next to it")),
+    ]),
+    "render-overlay": ("write per-frame per-view SVG overlays", cmd_render_overlay, [
+        ("--calib", dict(required=True, help="calibration JSON file")),
+        ("--keypoints", dict(required=True, help="keypoints JSONL file")),
+        ("--skeleton", dict(required=True, help="estimated skeleton JSONL file")),
+        ("--out", dict(required=True, help="output directory")),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the sub-parser of command alone when it names a
+    subcommand, and with every subcommand's otherwise, so that help, usage
+    and the error for an unknown command list all of them."""
     parser = argparse.ArgumentParser(prog="mvmocap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
-    p.add_argument("--preset", required=True, help="tpose-static, walk, wave, or squat")
-    p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.0, help="pixel noise standard deviation")
-    p.add_argument("--dropout", type=float, default=0.0, help="per-joint per-view miss probability")
-    p.add_argument("--seed", type=int, default=0, help="non-negative random seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("reconstruct", help="estimate per-frame 3D skeletons from keypoints")
-    p.add_argument("--calib", required=True, help="calibration JSON file")
-    p.add_argument("--keypoints", required=True, help="keypoints JSONL file")
-    p.add_argument("--out", required=True, help="output skeleton JSONL file")
-    p.add_argument("--sigma", type=int, default=RunConfig.sigma, help="minimum consenting views (default %(default)s)")
-    p.add_argument("--delta", help="terminal cube size WxHxL in mm")
-    p.add_argument("--volume", help="initial volume WxHxL[@X,Y,Z] in mm")
-    p.add_argument("--min-conf", type=float, default=RunConfig.min_confidence,
-                   help="minimum keypoint confidence (default %(default)s)")
-    p.add_argument("--timing", action="store_true", help="print per-phase timing to stderr")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("retarget", help="convert skeletons to per-bone transforms")
-    p.add_argument("--skeleton", required=True, help="skeleton JSONL file")
-    p.add_argument("--out", required=True, help="output transform JSONL file")
-    p.set_defaults(func=cmd_retarget)
-
-    p = sub.add_parser("eval", help="compare estimated skeletons against truth")
-    p.add_argument("--skeleton", required=True, help="estimated skeleton JSONL file")
-    p.add_argument("--truth", required=True, help="ground-truth skeleton JSONL file")
-    p.add_argument("--calib", help="calibration JSON file; with --keypoints, adds reprojection error")
-    p.add_argument("--keypoints", help="keypoints JSONL file; with --calib, adds reprojection error")
-    p.add_argument("--out", required=True, help="report path; .json and .csv are written next to it")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("render-overlay", help="write per-frame per-view SVG overlays")
-    p.add_argument("--calib", required=True, help="calibration JSON file")
-    p.add_argument("--keypoints", required=True, help="keypoints JSONL file")
-    p.add_argument("--skeleton", required=True, help="estimated skeleton JSONL file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_render_overlay)
+    for name, (help_text, handler, flags) in COMMANDS.items():
+        if command not in COMMANDS or command == name:
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except mio.InputParseError as exc:

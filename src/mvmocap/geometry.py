@@ -51,7 +51,7 @@ class CameraParams:
             raise ValueError(f"intrinsic must be upper triangular with last row [0, 0, 1], got {K.tolist()}")
         if K[0, 0] <= 0 or K[1, 1] <= 0:
             raise ValueError("intrinsic focal entries must be positive")
-        if not np.allclose(R @ R.T, np.eye(3), atol=_ROTATION_TOL):
+        if (np.abs(R @ R.T - np.eye(3)) > _ROTATION_TOL).any():
             raise ValueError("rotation must be orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ROTATION_TOL:
             raise ValueError("rotation must have determinant +1")

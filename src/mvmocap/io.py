@@ -84,11 +84,11 @@ def _finite_numbers(value, n: int) -> list:
     return value
 
 
-def _finite_matrix(value, n: int) -> np.ndarray:
-    """An n x n list of finite numbers as an array; ValueError otherwise."""
+def _finite_matrix(value, n: int) -> list:
+    """value if it is an n x n list of finite numbers; ValueError otherwise."""
     if len(value) != n:
         raise ValueError(f"expected {n} rows, got {value!r}")
-    return np.array([_finite_numbers(row, n) for row in value], dtype=float)
+    return [_finite_numbers(row, n) for row in value]
 
 
 def _fmt(x: float) -> str:
@@ -129,20 +129,18 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
         data = DECODER.decode(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InputParseError(f"{path}: cannot parse calibration: {exc}") from exc
-    cameras = []
     try:
-        for entry in data:
-            cameras.append(
-                CameraParams(
-                    id=_integer(entry["id"]),
-                    intrinsic=_finite_matrix(entry["K"], 3),
-                    rotation=_snap_rotation(_finite_matrix(entry["R"], 3)),
-                    translation=np.array(_finite_numbers(entry["t"], 3), dtype=float),
-                    resolution=(_integer(entry["width"]), _integer(entry["height"])),
-                )
-            )
-            if cameras[-1].id in {c.id for c in cameras[:-1]}:
-                raise ValueError(f"duplicate id {cameras[-1].id}")
+        entries = [
+            (_integer(entry["id"]), _finite_matrix(entry["K"], 3), _finite_matrix(entry["R"], 3),
+             _finite_numbers(entry["t"], 3), (_integer(entry["width"]), _integer(entry["height"])))
+            for entry in data
+        ]
+        rotations = np.array([rotation for _, _, rotation, _, _ in entries], dtype=float).reshape(-1, 3, 3)
+        cameras = [CameraParams(i, K, R, t, size) for (i, K, _, t, size), R in zip(entries, _snap_rotations(rotations))]
+        ids = [c.id for c in cameras]
+        for k, camera_id in enumerate(ids):
+            if camera_id in ids[:k]:
+                raise ValueError(f"duplicate id {camera_id}")
     except _RECORD_ERRORS as exc:
         raise InputParseError(f"{path}: invalid camera entry: {exc}") from exc
     if not cameras:
@@ -150,18 +148,18 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
     return cameras
 
 
-def _snap_rotation(r: np.ndarray) -> np.ndarray:
-    """Project a file-precision rotation back onto an exact rotation.
+def _snap_rotations(r: np.ndarray) -> np.ndarray:
+    """Project file-precision rotations, a (C, 3, 3) stack, back onto exact rotations.
 
     Serialized matrices carry only 6 decimals, which breaks strict
     orthonormality checks. Matrices further than 1e-4 from orthonormal are
     rejected as genuinely invalid.
     """
-    if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-4 or np.linalg.det(r) < 0:
+    if (np.abs(r @ r.swapaxes(1, 2) - np.eye(3)) > 1e-4).any() or (np.linalg.det(r) < 0).any():
         raise ValueError("R is not a rotation matrix")
     u, _, vt = np.linalg.svd(r)
     snapped = u @ vt
-    if np.linalg.det(snapped) < 0:
+    if (np.linalg.det(snapped) < 0).any():
         raise ValueError("R is not a rotation matrix")
     return snapped
 

@@ -24,6 +24,9 @@ angle roll search, against which the world-frame retarget is checked.
 a time, from the 3-vectors of `bone_vector`, against which the chunked
 stacks of `retarget_sequence` are checked.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
+`snap_rotation` is the calibration reader's rotation check and projection
+one camera at a time, against which the stacked `io.load_cameras` is
+checked bit for bit.
 `joint_statuses`, `ok_joints` and `joint_ok` read a Skeleton3D's per-joint status
 off its (15, 3) positions: a joint is ok exactly where its row is finite.
 """
@@ -222,6 +225,18 @@ _Y = np.array([0.0, 1.0, 0.0])
 
 class MissingJoint(ValueError):
     """A bone endpoint has no reconstructed position."""
+
+
+def snap_rotation(r: np.ndarray) -> np.ndarray:
+    """One file-precision rotation projected back onto an exact rotation;
+    ValueError if it is further than 1e-4 from orthonormal or reflects."""
+    if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-4 or np.linalg.det(r) < 0:
+        raise ValueError("R is not a rotation matrix")
+    u, _, vt = np.linalg.svd(r)
+    snapped = u @ vt
+    if np.linalg.det(snapped) < 0:
+        raise ValueError("R is not a rotation matrix")
+    return snapped
 
 
 def joint_statuses(skeleton) -> dict[int, str]:

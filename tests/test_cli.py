@@ -829,6 +829,42 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         assert taken == FLAGS[name], name
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _described(parser):
+    """Each action's flags, destination, default, type, arity, requiredness and help."""
+    return [(a.option_strings, a.dest, a.default, a.type, a.nargs, a.const, a.required, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_one_subcommand_parser_matches_its_part_of_the_full_one(command):
+    alone = _subparsers(build_parser(command))
+    full = _subparsers(build_parser())[command]
+    assert list(alone) == [command]
+    assert _described(alone[command]) == _described(full)
+    assert alone[command].format_help() == full.format_help()
+    assert alone[command].get_default("func") is full.get_default("func")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
+def test_missing_or_unknown_command_exits_2_listing_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "usage: mvmocap [-h] {" + ",".join(FLAGS) + "}" in capsys.readouterr().err
+
+
+def test_subcommand_help_exits_0_from_argv_and_from_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["mvmocap", "reconstruct", "--help"])
+    for argv in (["reconstruct", "--help"], None):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "--min-conf" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

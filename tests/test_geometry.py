@@ -217,6 +217,10 @@ def test_camera_params_validation():
         CameraParams(id=0, intrinsic=K, rotation=2 * np.eye(3), translation=np.zeros(3), resolution=(10, 10))
     with pytest.raises(ValueError):
         CameraParams(id=0, intrinsic=K, rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3), resolution=(10, 10))
+    # R R^T is off by 8e-6 on the diagonal, past the 1e-9 limit, though det R - 1 is only -1.6e-11.
+    stretched = np.diag([1 + 4e-6, 1 - 4e-6, 1.0])
+    with pytest.raises(ValueError, match="orthonormal"):
+        CameraParams(id=0, intrinsic=K, rotation=stretched, translation=np.zeros(3), resolution=(10, 10))
     bad_k = K.copy()
     bad_k[2, 2] = 2.0
     with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
-from oracles import joint_statuses, read_transforms
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import joint_statuses, read_transforms, snap_rotation
 
 from mvmocap import io as mio
+from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import BoneTransformSet, retarget_frame
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, default_template, default_topology
-from mvmocap.synth import generate_scene, render_observations
+from mvmocap.synth import PRESETS, generate_scene, render_observations
 
 
 def test_camera_round_trip(tmp_path, ring):
@@ -18,6 +23,52 @@ def test_camera_round_trip(tmp_path, ring):
         assert np.allclose(a.intrinsic, b.intrinsic, atol=1e-6)
         assert np.allclose(a.rotation, b.rotation, atol=1e-6)
         assert np.allclose(a.translation, b.translation, atol=1e-6)
+
+
+def _assert_loads_as_one_camera_at_a_time(path, entries):
+    """load_cameras(path) gives, bit for bit, the K, R and t that checking and
+    snapping each entry's rotation on its own gives."""
+    loaded = mio.load_cameras(path)
+    assert [c.id for c in loaded] == [e["id"] for e in entries]
+    for camera, entry in zip(loaded, entries):
+        assert camera.intrinsic.tobytes() == np.array(entry["K"], dtype=float).tobytes()
+        assert camera.rotation.tobytes() == snap_rotation(np.array(entry["R"], dtype=float)).tobytes()
+        assert camera.translation.tobytes() == np.array(entry["t"], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_stacked_calibration_check_matches_one_camera_at_a_time(tmp_path, preset):
+    path = tmp_path / "calib.json"
+    mio.save_cameras(path, generate_scene(preset, frames=1, seed=3).cameras)
+    _assert_loads_as_one_camera_at_a_time(path, json.loads(path.read_text(encoding="utf-8")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_calibration_check_matches_one_camera_at_a_time_on_perturbed_rotations(tmp_path_factory, ring, data):
+    """Rotations rounded to 6 decimals and moved by up to 1e-7 to 1e-4 per entry, on both
+    sides of the 1e-4 limit, and some of them reflections."""
+    scale = data.draw(st.sampled_from((1e-7, 1e-6, 1e-5, 3e-5, 1e-4)))
+    entries = []
+    for camera in ring[: data.draw(st.integers(1, len(ring)))]:
+        axis = data.draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+        R = rotation_about_axis(np.array(axis), data.draw(st.floats(-np.pi, np.pi)))
+        R = R.round(6) + scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+        if data.draw(st.integers(0, 9)) == 0:
+            R = -R
+        w, h = camera.resolution
+        entries.append({"id": camera.id, "K": camera.intrinsic.tolist(), "R": R.tolist(),
+                        "t": camera.translation.tolist(), "width": w, "height": h})
+    path = tmp_path_factory.getbasetemp() / "perturbed_calib.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    try:
+        for entry in entries:
+            snap_rotation(np.array(entry["R"], dtype=float))
+    except ValueError:
+        with pytest.raises(mio.InputParseError, match="invalid camera entry: R is not a rotation matrix"):
+            mio.load_cameras(path)
+    else:
+        _assert_loads_as_one_camera_at_a_time(path, entries)
 
 
 def test_keypoints_round_trip(tmp_path):
