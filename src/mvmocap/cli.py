@@ -14,10 +14,10 @@ with the keypoint tables. `eval` takes `--calib` and `--keypoints` together
 or not at all.
 Exit codes: 0 on success, 2 for input or parse errors and for an output that
 cannot be created or written, 3 at the first frame where streams read together
-disagree or one ends early. A run that exits 2 or 3 leaves no partial skeleton
-stream, transform stream, report or overlay set behind: the single files are
-written to a temporary sibling, renamed on success, and every command creates
-its output's parent directory. Warnings go to stderr.
+disagree or one ends early. A run that exits 2 or 3 leaves no partial scene,
+skeleton stream, transform stream, report or overlay set behind: the single
+files are written to a temporary sibling, renamed on success, and every command
+creates its output's parent directory. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -146,10 +146,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise mio.InputParseError(str(exc)) from exc
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mio.save_cameras(out_dir / "calib.json", scene.cameras)
-    mio.write_keypoints(out_dir / "keypoints.jsonl", render_observations(scene))
-    mio.write_skeletons(out_dir / "truth.jsonl", scene.truth)
+    with (_output(out_dir / "calib.json") as calib, _output(out_dir / "keypoints.jsonl") as keypoints,
+          _output(out_dir / "truth.jsonl") as truth):  # renamed only once all three are written
+        mio.save_cameras(calib, scene.cameras)
+        mio.write_keypoints(keypoints, render_observations(scene))
+        mio.write_skeletons(truth, scene.truth)
     print(f"wrote scene '{args.preset}' ({args.frames} frames) to {out_dir}")
     return EXIT_OK
 

@@ -16,13 +16,14 @@ Formats:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
 All matrices are row-major; K is upper triangular with positive focal
 entries and last row [0, 0, 1]. Readers reject NaN and Infinity tokens; record
-and calibration numbers must be finite and positions and matrices of the
-stated length. Frame indices, view and camera ids, joint indices and image
-sizes must be JSON integers: 3.0, 3.7 and true are all rejected. A
-calibration lists each camera id once, a keypoint frame each view once and a
-view each joint once, by an index in 0-13; a skeleton record lists each
-joint once, by an index in 0-14, with status "ok" or "no_consensus". Within
-a keypoint or skeleton stream the frame indices strictly increase.
+and calibration numbers must be finite JSON numbers, not strings or bools, and
+positions and matrices of the stated length. Frame indices, view and camera
+ids, joint indices and image sizes must be JSON integers: 3.0, 3.7 and true
+are all rejected. A calibration lists each camera id once, a keypoint frame
+each view once and a view each joint once, by an index in 0-13; a skeleton
+record lists each joint once, by an index in 0-14, with status "ok" or
+"no_consensus". Within a keypoint or skeleton stream the frame indices
+strictly increase.
 
 A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
@@ -77,11 +78,38 @@ def _integer(value) -> int:
     return value
 
 
+# The types json gives a number. Checked by exact type: a bool is an int,
+# and float() would read "512.5" and true as numbers.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(values: list) -> list:
+    """values if each of them is a JSON number; TypeError for a string, a bool or any other type."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) not in _NUMBER_TYPES)
+        raise TypeError(f"expected a number, got {bad!r}")
+    return values
+
+
 def _finite_numbers(value, n: int) -> list:
-    """value if it is a list of exactly n finite numbers; ValueError otherwise."""
-    if len(value) != n or not all(map(math.isfinite, value)):
+    """value if it is a list of exactly n finite numbers; TypeError or ValueError otherwise."""
+    if len(value) != n or not all(map(math.isfinite, _numbers(value))):
         raise ValueError(f"expected {n} finite numbers, got {value!r}")
     return value
+
+
+def _joint_table(cells: list, shape: tuple[int, ...]) -> np.ndarray:
+    """The decoded values of a record, a flat list, as a float array of shape (..., joints, 3).
+
+    TypeError for a value that is not a JSON number, OverflowError for an
+    integer too large for a double, and ValueError for an infinite one:
+    json reads 1e400 as inf, and it has no NaN token, so every NaN is a
+    cell the record left out.
+    """
+    table = np.array(_numbers(cells), dtype=float).reshape(shape)
+    if np.isinf(table).any():
+        raise ValueError(f"non-finite number for joint {np.argwhere(np.isinf(table))[0, -2]}")
+    return table
 
 
 def _finite_matrix(value, n: int) -> list:
@@ -194,7 +222,9 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
             frame = _next_frame(rec, last)
             views = rec["views"]
             view_ids: list[int] = []
-            # The table as one flat list, filled cell by cell and converted once.
+            # The table as one flat list, filled cell by cell with the values
+            # as decoded, then checked and converted once. An unlisted cell
+            # holds this very NaN object, which no decoded value is.
             cells = [math.nan] * (len(views) * _JOINTS * 3)
             for r, view in enumerate(views):
                 view_id = _integer(view["view_id"])
@@ -206,13 +236,10 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
                     if not 0 <= idx < _JOINTS:
                         raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
                     at = (r * _JOINTS + idx) * 3
-                    if not math.isnan(cells[at + 2]):
+                    if cells[at + 2] is not math.nan:
                         raise ValueError(f"joint {idx} listed twice in view {view_id}")
-                    u, v, c = float(j["u"]), float(j["v"]), float(j["c"])
-                    if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(c)):
-                        raise ValueError(f"non-finite number in joint {j!r}")
-                    cells[at : at + 3] = (u, v, c)
-            table = np.array(cells).reshape(len(views), _JOINTS, 3)
+                    cells[at : at + 3] = j["u"], j["v"], j["c"]
+            table = _joint_table(cells, (len(views), _JOINTS, 3))
             yield JointObservationFrame(frame=frame, view_ids=view_ids, table=table)
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad keypoint record: {exc}") from exc
@@ -254,7 +281,8 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
             listed: set[int] = set()
-            # The (15, 3) positions as one flat list, filled joint by joint and converted once.
+            # The (15, 3) positions as one flat list, filled joint by joint with
+            # the values as decoded, then checked and converted once.
             cells = [math.nan] * (len(JOINT_NAMES) * 3)
             for j in rec["joints"]:
                 idx = _integer(j["idx"])
@@ -267,8 +295,11 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
                 if status not in (STATUS_OK, STATUS_NO_CONSENSUS):
                     raise ValueError(f"unknown status {status!r}")
                 if status == STATUS_OK:
-                    cells[idx * 3 : idx * 3 + 3] = _finite_numbers(j["p"], 3)
-            yield Skeleton3D(frame, np.array(cells, dtype=float).reshape(len(JOINT_NAMES), 3))
+                    p = j["p"]
+                    if len(p) != 3:
+                        raise ValueError(f"expected 3 numbers, got {p!r}")
+                    cells[idx * 3 : idx * 3 + 3] = p
+            yield Skeleton3D(frame, _joint_table(cells, (len(JOINT_NAMES), 3)))
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc
         last = frame

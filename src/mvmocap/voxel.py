@@ -20,15 +20,20 @@ Every joint starts from the same volume and every cube at a given depth
 has the same edge lengths, so all joints of up to CHUNK_FRAMES frames share
 one frontier: cube centers plus a joint-id column, processed one depth
 level at a time, each level a single vectorized batch over every joint's
-cubes and every calibrated view. The search reads a (J, V, 3) table of
-(u, v, confidence), one column per calibrated view in view-id order, NaN
-where a view has no detection. estimate_joints and estimate_joint take that
-table as it is; estimate_skeletons stacks it from the frames' keypoint
-tables, whose rows may list the views in any order. Results are
-independent of that order and of which other joints share the search:
-votes are integer counts per row, the runaway cap and the candidates are
-per joint in canonical order, and the triangulation stacks its rows in
-view-id order.
+cubes and every calibrated view, whose votes form a (V, M) matrix over the
+level's M cubes. Along each axis the eight children of a parent take only
+two center coordinates, c ± e/4, so a level is voted from its parents'
+per-axis slabs, (V, 2, n) arrays over the n parents, folded into all eight
+children at once. The root level, and a level whose children the runaway
+cap trimmed, are voted one cube per column through the same function.
+The search reads a (J, V, 3) table of (u, v, confidence), one column per
+calibrated view in view-id order, NaN where a view has no detection.
+estimate_joints and estimate_joint take that table as it is;
+estimate_skeletons stacks it from the frames' keypoint tables, whose rows
+may list the views in any order. Results are independent of that order and
+of which other joints share the search: votes are integer counts per cube,
+the runaway cap and the candidates are per joint in canonical order, and
+the triangulation stacks its rows in view-id order.
 
 The refinement of all joints that reached consensus runs as one SVD per
 distinct number s of supporting views, over an (n_s, 2s, 4) stack of
@@ -58,6 +63,8 @@ from .skeleton import (
 
 # Unit corner signs of an axis-aligned cube, in a fixed canonical order.
 _CORNER_SIGNS = np.array(sorted(itertools.product((-1.0, 1.0), repeat=3)))
+# The same signs along one axis, as a column: x varies slowest in _CORNER_SIGNS, z fastest.
+_HALF_SIGNS = np.array([[-1.0], [1.0]])
 
 # Containment is boundary-inclusive. Noiseless joints on a grid plane of
 # the volume project onto cube edges up to rounding, so the slab test pads
@@ -176,6 +183,7 @@ def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tu
 
 def _views_containing(
     centers: np.ndarray,
+    parents: np.ndarray,
     jid: np.ndarray,
     edges: np.ndarray,
     R: np.ndarray,
@@ -183,30 +191,41 @@ def _views_containing(
     origins: np.ndarray,
     directions: np.ndarray,
 ) -> np.ndarray:
-    """Vote matrix (N, V): does view v's ray of joint jid[n] hit cube n?
+    """Vote matrix (V, M): does view v's ray of joint jid[p] hit box m?
 
-    origins and directions are (J, V, 3), one ray per joint and view. A
-    slab test against each box padded by _BOX_PAD, boundary inclusive, one
-    axis at a time on (N, V) arrays and folded over the axes in order. An
-    axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
+    The M boxes of edge lengths edges are the n parents themselves (k = 1)
+    or their eight children in (corner, parent) order as _subdivide gives
+    them (k = 2); centers holds them, and parents (n, 3) and jid (n,) the
+    parents' centers and joint ids. origins and directions are (3, V, J),
+    one ray per axis, view and joint. A slab test against each box padded
+    by _BOX_PAD, boundary inclusive: along axis a the boxes of a parent take
+    only k coordinates, c or the children's c ± e/4, so the slab bounds are
+    (V, k, n) arrays, folded over the axes in order into (V, k, k, k, n).
+    An axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
     origin lies on a face plane; the reductions skip NaN, so such a ray
     crosses that slab iff lo <= 0 <= hi. An all-NaN ray hits nothing. Views
-    where the cube is not wholly in front of the camera do not vote: the
+    where the box is not wholly in front of the camera do not vote: the
     nearest vertex has depth R[2]·c + t_z - sum_i |R[2, i]| h_i.
     """
     half = edges / 2.0
-    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
+    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (M, V)
+    k = 1 if centers.shape[0] == parents.shape[0] else 2
     near = far = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(3):
-            rel = centers[:, a, None] - origins[:, :, a][jid]
-            d = directions[:, :, a][jid]
+            c = parents[:, a] if k == 1 else parents[:, a] + _HALF_SIGNS * half[a]  # (k, n)
+            rel = c - np.take(origins[a], jid, axis=1)[:, None, :]  # (V, k, n)
+            d = np.take(directions[a], jid, axis=1)[:, None, :]
             t_lo = (rel - (half[a] + _BOX_PAD)) / d
             t_hi = (rel + (half[a] + _BOX_PAD)) / d
-            lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+            shape = [rel.shape[0], 1, 1, 1, jid.size]
+            shape[1 + a] = k
+            lo, hi = np.minimum(t_lo, t_hi).reshape(shape), np.maximum(t_lo, t_hi).reshape(shape)
             near = lo if near is None else np.fmax(near, lo)
             far = hi if far is None else np.fmin(far, hi)
-    return in_front & (near <= far)
+    votes = (near <= far).reshape(rel.shape[0], -1)
+    votes &= in_front.T
+    return votes
 
 
 def estimate_joint(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> JointEstimate:
@@ -282,33 +301,37 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
         np.tile(t, (n_joints, 1)),
         pixels.reshape(-1, 2),
     )
-    origins = origins.reshape(n_joints, n_views, 3)
-    directions = directions.reshape(n_joints, n_views, 3)
+    # Axis-major (3, V, J) rays, so that each axis's gather over the frontier is one np.take.
+    origins = np.ascontiguousarray(origins.reshape(n_joints, n_views, 3).transpose(2, 1, 0))
+    directions = np.ascontiguousarray(directions.reshape(n_joints, n_views, 3).transpose(2, 1, 0))
 
     # The frontier of every joint with sigma usable views, one row per
     # cube: all joints start from the same volume and halve together, so
-    # each depth level is one batch and shares its edge lengths.
+    # each depth level is one batch and shares its edge lengths. A level is
+    # voted from its parents (k = 2) unless it is the root or was trimmed.
     delta = np.asarray(config.delta, dtype=float)
     edges = np.asarray(config.initial_volume.edges, dtype=float)
     jid = np.flatnonzero(usable.sum(axis=1) >= config.sigma)
     centers = np.repeat(config.initial_volume.center[None, :], jid.size, axis=0)
+    parents, pid = centers, jid
     nodes = np.zeros(n_joints, dtype=int)
-    inside = np.zeros((0, n_views), dtype=bool)
+    inside = np.zeros((n_views, 0), dtype=bool)
     while jid.size:
         nodes += np.bincount(jid, minlength=n_joints)
-        inside = _views_containing(centers, jid, edges, R, t, origins, directions)
-        keep = inside.sum(axis=1) >= config.sigma
-        centers, jid, inside = centers[keep], jid[keep], inside[keep]
+        inside = _views_containing(centers, parents, pid, edges, R, t, origins, directions)
+        keep = inside.sum(axis=0) >= config.sigma
+        centers, jid, inside = centers[keep], jid[keep], inside[:, keep]
         if not jid.size or np.all(edges < delta):
             break
-        centers = _subdivide(centers, edges)
-        jid = np.repeat(jid, 8)
+        parents, pid = centers, jid
+        centers, jid = _cap_frontier(_subdivide(centers, edges), np.tile(jid, 8), config.max_candidates)
         edges = edges / 2.0
-        centers, jid = _cap_frontier(centers, jid, config.max_candidates)
+        if jid.size < 8 * pid.size:  # the cap trimmed the children: vote them as they are (k = 1)
+            parents, pid = centers, jid
 
     # Survivors exist only at the terminal level: they are the candidates.
     order = _by_joint(centers, jid)
-    centers, jid, inside = centers[order], jid[order], inside[order]
+    centers, jid, inside = centers[order], jid[order], inside.T[order]
     counts = np.bincount(jid, minlength=n_joints)
     ok = np.flatnonzero(counts)
     counts = counts[ok]
@@ -360,8 +383,9 @@ def _refine(
 
 
 def _subdivide(centers: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The eight children of each parent cube of edge lengths edges, in (corner, parent) order."""
     offs = _CORNER_SIGNS * (edges / 4.0)
-    return (centers[:, None, :] + offs[None, :, :]).reshape(-1, 3)
+    return (centers[None, :, :] + offs[:, None, :]).reshape(-1, 3)
 
 
 def _by_joint(centers: np.ndarray, jid: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def hull_contains(cube, cam, pixel) -> bool:
 
 
 def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> np.ndarray:
-    """Vote matrix (N, V) of voxel._views_containing, from (N, V, 3) slab bounds."""
+    """Vote matrix (N, V), the transpose of voxel._views_containing's, from (N, V, 3) slab bounds."""
     half = edges / 2.0
     in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
     rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
@@ -98,9 +98,9 @@ def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> 
 
 
 def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
-    """Vote matrix (V, M) of one joint's rays against M boxes."""
+    """Vote matrix (V, M) of one joint's (V, 3) rays against M boxes, one box per row (k = 1)."""
     jid = np.zeros(centers.shape[0], dtype=int)
-    return _views_containing(centers, jid, edges, R, t, origins[None], directions[None]).T
+    return _views_containing(centers, centers, jid, edges, R, t, origins.T[:, :, None], directions.T[:, :, None])
 
 
 def slab_votes(center, edges, cameras, pixels) -> np.ndarray:

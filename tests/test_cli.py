@@ -291,6 +291,45 @@ def test_non_integer_calibration_field_exits_2(tmp_path, capsys, field, value):
     assert f"error: {calib}: invalid camera entry: expected an integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, at, value",
+    [("t", (0,), True), ("t", (2,), "2500.0"), ("K", (0, 0), "1000"), ("K", (2, 2), True), ("R", (1, 1), True),
+     ("R", (0, 2), "0.0")],
+)
+def test_non_number_calibration_entry_exits_2(tmp_path, capsys, field, at, value):
+    """float() would read a numeric string or a bool in K, R or t as a number."""
+    scene = run_synth(tmp_path, frames=1)
+    calib = scene / "calib.json"
+    entries = json.loads(calib.read_text(encoding="utf-8"))
+    *rows, col = at
+    target = entries[0][field]
+    for r in rows:
+        target = target[r]
+    target[col] = value
+    calib.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert f"error: {calib}: invalid camera entry: expected a number, got {value!r}" in capsys.readouterr().err
+
+
+def test_non_number_keypoint_on_a_one_line_file_exits_2(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    path = scene / "keypoints.jsonl"
+    line = path.read_text(encoding="utf-8")
+    for key, value in (("u", "512.5"), ("v", True), ("c", False)):
+        rec = json.loads(line)
+        rec["views"][2]["joints"][5][key] = value
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        assert main([
+            "reconstruct", "--calib", str(scene / "calib.json"), "--keypoints", str(path),
+            "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
+        ]) == EXIT_PARSE
+        assert f"error: {path}:1: bad keypoint record: expected a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_duplicate_camera_id_exits_2(tmp_path, capsys):
     scene = run_synth(tmp_path, frames=1)
     calib = scene / "calib.json"
@@ -425,6 +464,13 @@ def _edit_record_2(path, edit):
             "expected an integer, got True",
             "reconstruct",
         ),
+        # float() would read these as numbers.
+        ("keypoints.jsonl", lambda rec: rec["views"][0]["joints"][0].update(u="512.5"), "expected a number, got '512.5'",
+         "reconstruct"),
+        ("keypoints.jsonl", lambda rec: rec["views"][1]["joints"][3].update(v=True), "expected a number, got True",
+         "reconstruct"),
+        ("truth.jsonl", lambda rec: rec["joints"][2]["p"].__setitem__(1, True), "expected a number, got True", "retarget"),
+        ("truth.jsonl", lambda rec: rec["joints"][4]["p"].__setitem__(0, "1.5"), "expected a number, got '1.5'", "eval"),
     ],
     ids=[
         "duplicate-view",
@@ -443,6 +489,10 @@ def _edit_record_2(path, edit):
         "fractional-view-id",
         "integral-float-keypoint-frame",
         "boolean-joint-index",
+        "string-keypoint-coordinate",
+        "boolean-keypoint-coordinate",
+        "boolean-skeleton-position",
+        "string-skeleton-position",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
@@ -668,6 +718,23 @@ def test_failed_write_exits_2_with_the_output_path(tmp_path, capsys, monkeypatch
     assert main([command, *inputs, "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
     assert list(out.parent.iterdir()) == []
+
+
+def test_synth_failing_on_its_last_file_leaves_no_partial_scene(tmp_path, capsys, monkeypatch):
+    """synth renames its three files only once all of them are written."""
+    written = []
+
+    def full_disk(path, skeletons):
+        Path(path).write_text("{", encoding="utf-8")  # a partial first line
+        written.append(Path(path))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(mio, "write_skeletons", full_disk)
+    out = tmp_path / "scene"
+    assert main(["synth", "--preset", "walk", "--frames", "2", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert [p.name for p in written] == ["truth.jsonl.part"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 Each example takes a valid line of a synthetic scene's keypoint or skeleton
 stream and breaks one field: drops a key, gives a value the wrong type,
-writes a non-finite token or a number too large for a double, puts a
-fraction, a float or a bool where an integer belongs, changes the length of
+writes a non-finite token, a number too large for a double, a numeric
+string or a bool where a number belongs, puts a fraction, a float or a bool
+where an integer belongs, changes the length of
 a position, gives a skeleton joint an unknown status, gives a
 joint an index outside 0-13 (keypoints) or 0-14 (skeletons) or the index of
 another joint of the same list, or gives a record after the first a frame
@@ -29,10 +30,11 @@ from mvmocap.cli import EXIT_PARSE, main
 # Placeholder replaced by an overflowing literal after json.dumps.
 HUGE = "__huge__"
 
-NUMBER_RETYPES = ("x", None, {}, [])
+# A numeric string or a bool would read as a number through float().
+NUMBER_RETYPES = ("x", "512.5", True, False, None, {}, [])
 STATUS_RETYPES = (None, 1, {}, [])
 LIST_RETYPES = ("x", None, 5)
-ARRAY_RETYPES = ("x", None, 5, {}, [])
+ARRAY_RETYPES = ("x", "xyz", None, 5, {}, [], [True, 0.0, 0.0])
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 # Fields that must be JSON integers.
 INTEGER_KINDS = ("frame", "joint index", "view id")
@@ -76,7 +78,7 @@ def _sites(stream, rec):
 
 
 def _bad_number(draw):
-    return draw(st.sampled_from(NON_FINITE + (HUGE,)))
+    return draw(st.sampled_from(NON_FINITE + (HUGE, "1.5", True, False)))
 
 
 def _mutate(draw, stream, rec, previous_frame):

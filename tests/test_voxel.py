@@ -15,6 +15,7 @@ from oracles import (
     views_containing_stacked,
 )
 
+from mvmocap import voxel
 from mvmocap.geometry import CameraParams, project
 from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.synth import generate_scene, render_observations
@@ -23,6 +24,7 @@ from mvmocap.voxel import (
     EstimatorConfig,
     JointObservationFrame,
     _BOX_PAD,
+    _CORNER_SIGNS,
     _subdivide,
     _views_containing,
     estimate_joint,
@@ -115,39 +117,51 @@ def test_votes_match_hull_oracle(ring, rng):
     n_boxes=st.integers(3, 30),
     kinds=st.lists(st.sampled_from("fff0p"), min_size=45, max_size=45),
     lost=st.lists(st.booleans(), min_size=15, max_size=15),
+    split=st.booleans(),
 )
-def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes, kinds, lost):
-    """The per-axis vote matrix equals the (N, V, 3) slab test bit for bit.
+def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes, kinds, lost, split):
+    """The vote matrix equals the (N, V, 3) slab test bit for bit, for boxes
+    voted one per row (k = 1) and for the eight children of each parent
+    voted from the parent's slabs (k = 2), which the oracle gets materialized
+    by _subdivide.
 
     Per joint, view and axis a ray component is free (f), zero (0), or zero
     with its origin on a face plane of one box (p: 0/0 gives NaN); whole
-    rays may be all NaN (lost), and one box sits on a camera center, partly
-    behind it.
+    rays may be all NaN (lost), and one box (k = 1) or parent (k = 2) sits
+    on a camera center, partly behind it.
     """
     rng = np.random.default_rng(seed)
     R = np.stack([c.rotation for c in ring])
     t = np.stack([c.translation for c in ring])
     n_views = len(ring)
-    edges = rng.uniform(1.0, 3000.0, size=3)
+    parent_edges = rng.uniform(2.0, 6000.0, size=3)
+    edges = parent_edges / 2.0 if split else parent_edges  # of the voted boxes
     half = edges / 2.0
+    padded = half + _BOX_PAD
     jid = np.concatenate([np.arange(n_joints), rng.integers(0, n_joints, size=n_boxes - n_joints)])
-    centers = rng.uniform(-1500.0, 1500.0, size=(n_boxes, 3))
+    parents = rng.uniform(-1500.0, 1500.0, size=(n_boxes, 3))
     cam_centers = -np.einsum("vji,vj->vi", R, t)
-    centers[-1] = cam_centers[rng.integers(n_views)]
+    parents[-1] = cam_centers[rng.integers(n_views)]
     origins = np.repeat(cam_centers[None], n_joints, axis=0)
-    # Box j is joint j's: each ray aims near it.
-    directions = centers[:n_joints, None, :] + rng.uniform(-1.0, 1.0, size=(n_joints, n_views, 3)) * half - origins
+    # Parent j is joint j's: each ray aims near it.
+    directions = parents[:n_joints, None, :] + rng.uniform(-1.0, 1.0, size=(n_joints, n_views, 3)) * half - origins
     kinds = np.array(kinds).reshape(3, n_views, 3)[:n_joints]
     directions[kinds != "f"] = 0.0
-    for j, v, a in zip(*np.nonzero(kinds == "p")):
-        centers[j, a] = 0.0  # so that the origin's offset is exact
-        origins[j, v, a] = rng.choice([-1.0, 1.0]) * (half[a] + _BOX_PAD)
+    for j, v, a in zip(*np.nonzero(kinds == "p")):  # so that the origin's offset is exact
+        if split:  # the upper child along a is centered on padded[a]: its face planes are 0 and 2 padded[a]
+            parents[j, a] = padded[a] - half[a]
+            origins[j, v, a] = rng.choice([0.0, 2.0]) * padded[a]
+        else:
+            parents[j, a] = 0.0
+            origins[j, v, a] = rng.choice([-1.0, 1.0]) * padded[a]
     lost = np.array(lost).reshape(3, n_views)[:n_joints]
     origins[lost] = directions[lost] = np.nan
 
-    want = views_containing_stacked(centers, jid, edges, R, t, origins, directions)
-    got = _views_containing(centers, jid, edges, R, t, origins, directions)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    centers, box_jid = (_subdivide(parents, parent_edges), np.tile(jid, 8)) if split else (parents, jid)
+    want = views_containing_stacked(centers, box_jid, edges, R, t, origins, directions)
+    axis_major = lambda rays: np.ascontiguousarray(rays.transpose(2, 1, 0))  # (J, V, 3) -> (3, V, J)
+    got = _views_containing(centers, parents, jid, edges, R, t, axis_major(origins), axis_major(directions))
+    assert got.dtype == want.dtype and np.array_equal(got, want.T)
 
 
 # -- estimate_joint -------------------------------------------------------------
@@ -336,6 +350,35 @@ def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropo
         assert cut, "the per-joint cap never cut a frontier"
 
 
+def test_capped_level_votes_only_the_trimmed_frontier(topology, monkeypatch):
+    """A level the runaway cap trims is voted one cube per row (k = 1), and the
+    next, untrimmed level from its parents' slabs (k = 2). No vote covers
+    more of a joint's cubes than the cap, and every joint gets the result of
+    its own search."""
+    scene = generate_scene("walk", frames=1, seed=101)
+    tables = render_observations(scene)[0].table[:, topology.detected_joint_indices].transpose(1, 0, 2)
+    config = EstimatorConfig(max_candidates=16)
+    want = [_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
+
+    calls = []
+    vote = voxel._views_containing
+
+    def counted(centers, parents, jid, *args):
+        votes = vote(centers, parents, jid, *args)
+        per_parent = centers.shape[0] // parents.shape[0]  # 1 or 8 boxes
+        calls.append((per_parent, int(np.bincount(jid).max()) * per_parent))
+        assert votes.shape == (len(scene.cameras), centers.shape[0])
+        return votes
+
+    monkeypatch.setattr(voxel, "_views_containing", counted)
+    got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
+    assert got == want
+    assert max(rows for _, rows in calls) <= config.max_candidates
+    per_parent = [k for k, _ in calls]
+    assert per_parent[0] == 1  # the root
+    assert any(a == 1 and b == 8 for a, b in zip(per_parent[1:], per_parent[2:])), per_parent
+
+
 def test_degenerate_solve_falls_back_to_candidate_mean():
     """Parallel rays put the least-squares point at infinity; that joint is
     placed at its candidates' mean, as in its own search, while a joint in
@@ -464,3 +507,7 @@ def test_cube_children_halve_edges():
     assert len({tuple(k) for k in kids}) == 8
     for k in kids:
         assert np.all(np.abs(k - cube.center) == [25.0, 20.0, 15.0])
+    # Several parents: (corner, parent) order, corners in canonical order.
+    parents = np.array([cube.center, -cube.center, 2.0 * cube.center])
+    kids = _subdivide(parents, np.asarray(cube.edges)).reshape(8, 3, 3)
+    assert np.array_equal(kids - parents, np.broadcast_to(_CORNER_SIGNS[:, None, :] * [25.0, 20.0, 15.0], kids.shape))
