@@ -8,12 +8,7 @@ per-bone transforms against a T-pose template, and evaluates accuracy with
 
 from .geometry import CameraParams, project
 from .metrics import ErrorReport, avg_2d_err, mean_abs_3d_err, sequence_mean
-from .retarget import (
-    BoneTransformSet,
-    retarget_frame,
-    retarget_sequence,
-    spin_correct,
-)
+from .retarget import BoneTransformSet, retarget_sequence
 from .skeleton import (
     Skeleton3D,
     SkeletonTopology,
@@ -22,15 +17,6 @@ from .skeleton import (
     default_topology,
 )
 from .synth import SyntheticScene, generate_scene, render_observations
-from .voxel import (
-    Cube,
-    EstimatorConfig,
-    JointEstimate,
-    JointObservationFrame,
-    estimate_joint,
-    estimate_joints,
-    estimate_skeleton,
-    estimate_skeletons,
-)
+from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeletons
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -112,6 +113,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _out_file(text: str) -> Path:
+    """--out as the path of a file; InputParseError when it names none, as "", "." and "/" do."""
+    path = Path(text)
+    if not path.name:
+        raise mio.InputParseError(f"--out {text!r} names no file")
+    return path
+
+
 @contextmanager
 def _output(path: str | Path) -> Iterator[Path]:
     """A temporary sibling of path to write to, renamed to path when the block succeeds.
@@ -167,6 +176,7 @@ def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[J
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    out_file = _out_file(cfg.out)
     phases = dict.fromkeys(("load_inputs", "parse_inputs", "estimate_3d_joints", "write_output"), 0.0)  # ms
     frames = 0
     wall_start = time.perf_counter()
@@ -174,7 +184,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cameras = mio.load_cameras(cfg.calib)
     config = cfg.estimator_config()
-    topology = default_topology()
     phases["load_inputs"] += (time.perf_counter() - t0) * 1e3
     if cfg.sigma > len(cameras):
         print(
@@ -185,7 +194,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     reader = _calibrated_frames(cfg.keypoints, cameras)
     t0 = time.perf_counter()
-    with _output(cfg.out) as part, open(part, "w", encoding="utf-8") as out:
+    with _output(out_file) as part, open(part, "w", encoding="utf-8") as out:
         phases["write_output"] += (time.perf_counter() - t0) * 1e3  # creating the temporary file
         while True:
             t0 = time.perf_counter()
@@ -195,7 +204,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 break
 
             t0 = time.perf_counter()
-            skeletons = estimate_skeletons(chunk, cameras, config, topology)
+            skeletons = estimate_skeletons(chunk, cameras, config)
             phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
@@ -213,10 +222,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_retarget(args: argparse.Namespace) -> int:
+    out_file = _out_file(args.out)
     topology = default_topology()
     template = default_template()
     skeletons = mio.read_skeletons(args.skeleton)
-    with _output(args.out) as part:
+    with _output(out_file) as part:
         mio.write_transforms(part, retarget_sequence(skeletons, topology, template))
     return EXIT_OK
 
@@ -236,6 +246,7 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    out_base = _out_file(args.out)
     streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
     views = None
     if args.calib or args.keypoints:
@@ -261,6 +272,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             except NoComparableJoints:
                 print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
             else:
+                if not math.isfinite(d3):
+                    raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: 3D error against {args.truth} is not finite")
                 per_frame.append(d3)
                 frames_used.append(est.frame)
                 total_joints += int(np.sum(~np.isnan(est.positions - tru.positions).any(axis=1)))  # the rows d3 averages
@@ -274,6 +287,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             except NoComparableJoints:
                 continue
             for view_id, err in frame_err.items():
+                if not math.isfinite(err):
+                    raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: reprojection error in view {view_id} is not finite")
                 sums[view_id] = sums.get(view_id, 0.0) + err
                 counts[view_id] = counts.get(view_id, 0) + 1
 
@@ -281,7 +296,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")
     per_view = {v: sums[v] / counts[v] for v in sorted(sums)}
     report = ErrorReport.build(per_frame, per_view, total_joints)
-    _write_report(Path(args.out), report, frames_used)
+    _write_report(out_base, report, frames_used)
     print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
     return EXIT_OK
 
@@ -324,7 +339,7 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
                     svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected, topology)
                     written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
                     written[-1].write_text(svg, encoding="utf-8")
-    except (mio.InputParseError, FrameMismatch, OSError):
+    except BaseException:
         for path in written:  # no partial set of overlays on a failed run
             path.unlink(missing_ok=True)
         raise

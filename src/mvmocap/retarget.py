@@ -85,24 +85,6 @@ def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([direction, y, _cross(direction, y)], axis=-1)
 
 
-def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
-    """Remove free roll about the bone axis.
-
-    Keeps the bone x-axis and replaces the y-axis by the parent frame's
-    y-axis made orthogonal to it (one Gram-Schmidt step), so the corrected
-    y-axis lies in the plane of the bone axis and the parent's y-axis and
-    points to the same side as the parent's. The bone axis is preserved
-    exactly.
-
-    Returns the input unchanged when the bone axis is parallel to the
-    parent's y-axis (no reference plane exists).
-    """
-    x_axis, y_ref = rotation[:, 0], parent_frame[:, 1]
-    if np.linalg.norm(y_ref - np.dot(y_ref, x_axis) * x_axis) < PARALLEL_TOL:
-        return rotation
-    return _posed_frame(x_axis, parent_frame)
-
-
 def _rotations(
     points: np.ndarray, topology: SkeletonTopology, template: TPoseTemplate, held: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +92,9 @@ def _rotations(
 
     Bones run in topology order, so a parent's rotations, held ones
     included, are complete before its children use them. A bone is ok in a
-    frame where both endpoints are finite and at least MIN_BONE_LENGTH
-    apart; elsewhere it holds its rotation from the last ok frame, or
-    held[b] before the first.
+    frame where both endpoints are finite and its length is finite and at
+    least MIN_BONE_LENGTH; elsewhere it holds its rotation from the last ok
+    frame, or held[b] before the first.
     """
     index = {bone.name: b for b, bone in enumerate(topology.bones)}
     rot = np.empty((points.shape[0], len(index), 3, 3))
@@ -120,7 +102,8 @@ def _rotations(
     for b, bone in enumerate(topology.bones):
         d = points[:, bone.child_joint] - points[:, bone.parent_joint]
         length = np.linalg.norm(d, axis=1)
-        good = ok[:, b] = length >= MIN_BONE_LENGTH  # False where an endpoint is NaN
+        # False where an endpoint is NaN, and where the length overflows to inf.
+        good = ok[:, b] = (length >= MIN_BONE_LENGTH) & (length < np.inf)
         rc = template.frame_rotation[bone.frame_class]
         q = rot[good, index[bone.parent_bone]] @ rc if bone.parent_bone else rc
         posed = _posed_frame(d[good] / length[good, None], q) @ rc.T

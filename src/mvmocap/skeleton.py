@@ -79,7 +79,6 @@ _BONE_ROWS = (
 
 # Reference T-pose joint positions in millimeters for a 1700 mm figure,
 # root at the origin, facing +z. Arms horizontal, legs straight down.
-T_POSE_STATURE_MM = 1700.0
 T_POSE_POSITIONS = {
     0: np.array([0.0, 700.0, 0.0]),
     1: np.array([0.0, 510.0, 0.0]),
@@ -115,44 +114,26 @@ class SkeletonTopology:
         roots = [b for b in self.bones if b.parent_bone is None]
         if len(roots) != 1:
             raise ValueError("bone tree must have exactly one root bone")
-        by_name: dict[str, Bone] = {}
+        seen: set[str] = set()
         for b in self.bones:
             if b.parent_joint not in joint_ids or b.child_joint not in joint_ids:
                 raise ValueError(f"bone {b.name} references an unknown joint")
             # Parents come first: this also rules out cycles and unknown parents.
-            if b.parent_bone is not None and b.parent_bone not in by_name:
+            if b.parent_bone is not None and b.parent_bone not in seen:
                 raise ValueError(f"bone {b.name} is listed before its parent {b.parent_bone}, or the parent is unknown")
             if b.frame_class not in FRAME_CLASSES:
                 raise ValueError(f"bone {b.name} has unknown frame class {b.frame_class}")
-            by_name[b.name] = b
-        object.__setattr__(self, "_by_name", by_name)
-
-    def bone(self, name: str) -> Bone:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(name) from None
-
-    @property
-    def detected_joint_indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.joints if idx != ROOT_JOINT)
+            seen.add(b.name)
 
 
 @dataclass(frozen=True)
 class TPoseTemplate:
-    """Rest directions and local-to-global frame rotations per bone class.
+    """Local-to-global frame rotation per bone class; its x-axis is the
+    direction at rest of every bone of that class."""
 
-    rest_direction maps bone name -> unit global direction at rest, which
-    always equals frame_rotation[class] applied to the local x-axis.
-    """
-
-    rest_direction: dict[str, np.ndarray]
     frame_rotation: dict[str, np.ndarray]
 
     def __post_init__(self):
-        for name, d in self.rest_direction.items():
-            if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-                raise ValueError(f"rest direction of {name} is not unit length")
         for cls, m in self.frame_rotation.items():
             m = np.asarray(m, dtype=float)
             if not np.allclose(m @ m.T, np.eye(3), atol=1e-12) or abs(np.linalg.det(m) - 1.0) > 1e-12:
@@ -200,12 +181,9 @@ def default_template() -> TPoseTemplate:
         "up": rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.pi / 2.0),
         "down": rotation_about_axis(np.array([0.0, 0.0, 1.0]), -np.pi / 2.0),
     }
-    x = np.array([1.0, 0.0, 0.0])
-    rest = {Bone(*row).name: frame_rotation[Bone(*row).frame_class] @ x for row in _BONE_ROWS}
-    return TPoseTemplate(rest_direction=rest, frame_rotation=frame_rotation)
+    return TPoseTemplate(frame_rotation=frame_rotation)
 
 
-def tpose_positions(stature_mm: float = T_POSE_STATURE_MM) -> dict[int, np.ndarray]:
-    """Template joint positions scaled to the requested stature."""
-    s = stature_mm / T_POSE_STATURE_MM
-    return {i: s * p.copy() for i, p in T_POSE_POSITIONS.items()}
+def tpose_positions() -> dict[int, np.ndarray]:
+    """A copy of the template joint positions."""
+    return {i: p.copy() for i, p in T_POSE_POSITIONS.items()}

@@ -18,14 +18,7 @@ import numpy as np
 
 from .geometry import CameraParams, project
 from .mathutil import rotation_about_axis, unit
-from .skeleton import (
-    DETECTED_JOINTS,
-    ROOT_JOINT,
-    T_POSE_STATURE_MM,
-    Skeleton3D,
-    default_topology,
-    tpose_positions,
-)
+from .skeleton import DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, Skeleton3D, default_topology, tpose_positions
 from .voxel import JointObservationFrame
 
 PRESETS = ("tpose-static", "walk", "wave", "squat")
@@ -51,51 +44,40 @@ class SyntheticScene:
     noise_px: float
     dropout: float
     rng_seed: int
-    preset: str
 
 
-def camera_ring(
-    count: int = _RING_VIEWS,
-    radius_mm: float = _RING_RADIUS_MM,
-    height_mm: float = _RING_HEIGHT_MM,
-    resolution: tuple[int, int] = _RESOLUTION,
-    focal_px: float = _FOCAL_PX,
-) -> list[CameraParams]:
+def camera_ring() -> list[CameraParams]:
     """Evenly spaced cameras on a ring, all aimed at the origin."""
-    w, h = resolution
-    K = np.array([[focal_px, 0.0, w / 2.0], [0.0, focal_px, h / 2.0], [0.0, 0.0, 1.0]])
+    w, h = _RESOLUTION
+    K = np.array([[_FOCAL_PX, 0.0, w / 2.0], [0.0, _FOCAL_PX, h / 2.0], [0.0, 0.0, 1.0]])
     up = np.array([0.0, 1.0, 0.0])
     cams = []
-    for i in range(count):
-        angle = 2.0 * np.pi * i / count
-        center = np.array([radius_mm * np.sin(angle), height_mm, radius_mm * np.cos(angle)])
+    for i in range(_RING_VIEWS):
+        angle = 2.0 * np.pi * i / _RING_VIEWS
+        center = np.array([_RING_RADIUS_MM * np.sin(angle), _RING_HEIGHT_MM, _RING_RADIUS_MM * np.cos(angle)])
         z_axis = unit(-center)  # look at the origin
         x_axis = unit(np.cross(z_axis, up))
         y_axis = np.cross(z_axis, x_axis)
         R = np.stack([x_axis, y_axis, z_axis])
         t = -R @ center
-        cams.append(CameraParams(id=i, intrinsic=K, rotation=R, translation=t, resolution=resolution))
+        cams.append(CameraParams(id=i, intrinsic=K, rotation=R, translation=t, resolution=_RESOLUTION))
     return cams
 
 
-def _pose_from_rotations(
-    bone_rotations: dict[str, np.ndarray],
-    root_offset: np.ndarray,
-    stature_mm: float,
-) -> dict[int, np.ndarray]:
-    """Place joints by rotating template bone offsets rigidly.
+def _pose_from_rotations(bone_rotations: dict[str, np.ndarray], root_offset: np.ndarray) -> np.ndarray:
+    """(15, 3) joint positions from rotating template bone offsets rigidly.
 
     bone_rotations maps bone name -> global rotation applied to that
     bone's template offset; unspecified bones stay at rest. Hip joints
     ride on the torso rotation so the pelvis stays rigid.
     """
-    template = tpose_positions(stature_mm)
-    topology = default_topology()
+    template = tpose_positions()
     torso_rot = bone_rotations.get("torso", np.eye(3))
-    positions = {ROOT_JOINT: template[ROOT_JOINT] + root_offset}
+    positions = np.full((len(JOINT_NAMES), 3), np.nan)
+    positions[ROOT_JOINT] = template[ROOT_JOINT] + root_offset
     for hip in (8, 11):
         positions[hip] = positions[ROOT_JOINT] + torso_rot @ (template[hip] - template[ROOT_JOINT])
-    for bone in topology.bones:
+    for bone in default_topology().bones:
         rot = bone_rotations.get(bone.name, np.eye(3))
         offset = template[bone.child_joint] - template[bone.parent_joint]
         positions[bone.child_joint] = positions[bone.parent_joint] + rot @ offset
@@ -177,15 +159,13 @@ def generate_scene(
     for f in range(frames):
         phase = 2.0 * np.pi * f / period
         rotations, root_offset = motion(phase)
-        positions = _pose_from_rotations(rotations, root_offset, T_POSE_STATURE_MM)
-        truth.append(Skeleton3D(frame=f, positions=positions))
+        truth.append(Skeleton3D(frame=f, positions=_pose_from_rotations(rotations, root_offset)))
     return SyntheticScene(
         cameras=camera_ring(),
         truth=truth,
         noise_px=float(noise_px),
         dropout=float(dropout),
         rng_seed=int(seed),
-        preset=preset,
     )
 
 

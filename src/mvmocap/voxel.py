@@ -52,14 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraParams, stack_cameras
-from .skeleton import (
-    JOINT_NAMES,
-    ROOT_JOINT,
-    STATUS_NO_CONSENSUS,
-    STATUS_OK,
-    Skeleton3D,
-    SkeletonTopology,
-)
+from .skeleton import DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 
 # Unit corner signs of an axis-aligned cube, in a fixed canonical order.
 _CORNER_SIGNS = np.array(sorted(itertools.product((-1.0, 1.0), repeat=3)))
@@ -405,21 +398,13 @@ def _cap_frontier(centers: np.ndarray, jid: np.ndarray, limit: int) -> tuple[np.
     return centers[keep], jid[keep]
 
 
-def estimate_skeleton(
-    frame: JointObservationFrame,
-    cameras: list[CameraParams],
-    config: EstimatorConfig,
-    topology: SkeletonTopology,
-) -> Skeleton3D:
+def estimate_skeleton(frame: JointObservationFrame, cameras: list[CameraParams], config: EstimatorConfig) -> Skeleton3D:
     """Estimate the skeleton of one frame; see estimate_skeletons."""
-    return estimate_skeletons([frame], cameras, config, topology)[0]
+    return estimate_skeletons([frame], cameras, config)[0]
 
 
 def estimate_skeletons(
-    frames: list[JointObservationFrame],
-    cameras: list[CameraParams],
-    config: EstimatorConfig,
-    topology: SkeletonTopology,
+    frames: list[JointObservationFrame], cameras: list[CameraParams], config: EstimatorConfig
 ) -> list[Skeleton3D]:
     """Estimate every detected joint of every frame in one search, then synthesize each root.
 
@@ -430,13 +415,12 @@ def estimate_skeletons(
     """
     view_ids, K, R, t = stack_cameras(cameras)
     column = {v: i for i, v in enumerate(view_ids)}
-    indices = topology.detected_joint_indices
-    n = len(indices)
+    n = len(DETECTED_JOINTS)
     table = np.full((len(frames), n, len(view_ids), 3), np.nan)
     for f, frame in enumerate(frames):
-        table[f][:, [column[v] for v in frame.view_ids]] = frame.table[:, indices].transpose(1, 0, 2)
+        table[f][:, [column[v] for v in frame.view_ids]] = frame.table.transpose(1, 0, 2)
     found = _search(table.reshape(-1, len(view_ids), 3), K, R, t, config)
     points = np.full((len(frames), len(JOINT_NAMES), 3), np.nan)
-    points[found.ok // n, np.asarray(indices)[found.ok % n]] = found.positions
+    points[found.ok // n, found.ok % n] = found.positions  # detected joint j is row j
     points[:, ROOT_JOINT] = 0.5 * (points[:, 8] + points[:, 11])  # the hips' midpoint, NaN unless both are ok
     return [Skeleton3D(frame.frame, p) for frame, p in zip(frames, points)]

@@ -20,6 +20,9 @@ acceptance criterion 2, over (N, 2) pixels and their N cameras.
 class frame: pull-back through the parent, the minimal swing
 `frame_from_bone`, conjugations by the class rotation and a plus-or-minus
 angle roll search, against which the world-frame retarget is checked.
+`spin_correct` is the retarget's posed-frame step (`retarget._posed_frame`)
+on one bone frame and its parent's, which acceptance criterion 7 rolls
+and recovers.
 `retarget_frame_alone` is the world-frame chain one frame and one bone at
 a time, from the 3-vectors of `bone_vector`, against which the chunked
 stacks of `retarget_sequence` are checked.
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap.mathutil import rotation_about_axis
-from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet
+from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet, _posed_frame
 from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.voxel import (
     _BOX_PAD,
@@ -258,20 +261,28 @@ class ZeroLengthBone(ValueError):
     """Bone endpoints coincide; no direction can be derived."""
 
 
+class OverflowingBone(ZeroLengthBone):
+    """Bone endpoints are finite but so far apart that the length overflows to inf."""
+
+
 def bone_vector(skeleton, bone_name, topology):
     """Unit direction of a bone, child joint minus parent joint.
 
-    Raises MissingJoint if either endpoint is not ok and ZeroLengthBone if
-    the endpoints coincide within 1e-6 mm.
+    Raises MissingJoint if either endpoint is not ok, ZeroLengthBone if
+    the endpoints coincide within 1e-6 mm and OverflowingBone if their
+    distance is not finite.
     """
-    bone = topology.bone(bone_name)
+    bone = next(b for b in topology.bones if b.name == bone_name)
     for idx in (bone.parent_joint, bone.child_joint):
         if not joint_ok(skeleton, idx):
             raise MissingJoint(f"joint {idx} has no position")
     d = skeleton.positions[bone.child_joint] - skeleton.positions[bone.parent_joint]
-    if np.linalg.norm(d) < 1e-6:
+    length = np.linalg.norm(d)
+    if length < 1e-6:
         raise ZeroLengthBone(f"bone {bone_name} endpoints coincide")
-    return d / np.linalg.norm(d)
+    if length == np.inf:
+        raise OverflowingBone(f"bone {bone_name} is longer than a float holds")
+    return d / length
 
 
 class DegenerateParallel(ValueError):
@@ -320,6 +331,24 @@ def is_rotation(m, tol: float = 1e-9) -> bool:
     if not np.allclose(m @ m.T, np.eye(3), atol=tol):
         return False
     return abs(np.linalg.det(m) - 1.0) <= tol
+
+
+def spin_correct(rotation: np.ndarray, parent_frame: np.ndarray) -> np.ndarray:
+    """Remove free roll about the bone axis.
+
+    Keeps the bone x-axis and replaces the y-axis by the parent frame's
+    y-axis made orthogonal to it (one Gram-Schmidt step), so the corrected
+    y-axis lies in the plane of the bone axis and the parent's y-axis and
+    points to the same side as the parent's. The bone axis is preserved
+    exactly.
+
+    Returns the input unchanged when the bone axis is parallel to the
+    parent's y-axis (no reference plane exists).
+    """
+    x_axis, y_ref = rotation[:, 0], parent_frame[:, 1]
+    if np.linalg.norm(y_ref - np.dot(y_ref, x_axis) * x_axis) < PARALLEL_TOL:
+        return rotation
+    return _posed_frame(x_axis, parent_frame)
 
 
 def roll_search_spin_correct(rotation, parent_frame):
@@ -390,8 +419,9 @@ def posed_frame_alone(direction, q):
 def retarget_frame_alone(skeleton, topology, template, previous=None):
     """One frame's BoneTransformSet from a loop over the bones, parents first.
 
-    A bone with both endpoints gets posed_frame_alone(d, g_parent @ rc) @ rc.T;
-    one without holds its rotation in `previous`, or the identity.
+    A bone with a direction from bone_vector gets
+    posed_frame_alone(d, g_parent @ rc) @ rc.T; one without holds its
+    rotation in `previous`, or the identity.
     """
     transforms, statuses, global_rot = {}, {}, {}
     for bone in topology.bones:

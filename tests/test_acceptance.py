@@ -11,13 +11,14 @@ over smallest below 2x).
 import time
 
 import numpy as np
-from oracles import dlt_triangulate, joint_ok
+from oracles import dlt_triangulate, joint_ok, spin_correct
 
 from mvmocap.cli import main
 from mvmocap.geometry import project
 from mvmocap.metrics import avg_2d_err, mean_abs_3d_err, sequence_mean
-from mvmocap.retarget import retarget_frame, spin_correct
+from mvmocap.retarget import retarget_frame
 from mvmocap.skeleton import (
+    DETECTED_JOINTS,
     STATUS_OK,
     Skeleton3D,
     default_template,
@@ -52,10 +53,9 @@ def test_criterion_1_noiseless_end_to_end_accuracy():
     scene = generate_scene("walk", frames=100, noise_px=0.0, dropout=0.0, seed=100)
     frames = render_observations(scene)
     config = EstimatorConfig(sigma=4, delta=(10.0, 10.0, 10.0))
-    topology = default_topology()
     per_frame = []
     for frame, truth in zip(frames, scene.truth):
-        skel = estimate_skeleton(frame, scene.cameras, config, topology)
+        skel = estimate_skeleton(frame, scene.cameras, config)
         per_frame.append(mean_abs_3d_err(skel, truth))
     mean_err = sequence_mean(per_frame)
     elapsed = time.perf_counter() - start
@@ -103,14 +103,12 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_delta_sweep_trend():
     scene = generate_scene("walk", frames=12, noise_px=0.0, dropout=0.0, seed=300)
     frames = render_observations(scene)
-    topology = default_topology()
     volume = Cube(center=np.zeros(3), edges=(3000.0, 3000.0, 3000.0))
 
     deltas = (5.0, 10.0, 20.0, 30.0)
     configs = [EstimatorConfig(sigma=4, delta=(d,) * 3, initial_volume=volume) for d in deltas]
-    joints = topology.detected_joint_indices
     # Each joint's (V, 3) column of its frame's table; synth lists the views in ascending id order.
-    observations = [[frame.table[:, idx] for idx in joints] for frame in frames]
+    observations = [[frame.table[:, idx] for idx in DETECTED_JOINTS] for frame in frames]
 
     # A delta's wall time is that of its estimate_joint calls alone. The
     # deltas take turns frame by frame, and each (frame, delta) counts with
@@ -129,7 +127,7 @@ def test_criterion_3_delta_sweep_trend():
                 best[f, i] = min(best[f, i], time.perf_counter() - start)
                 if round_ == 0:
                     nodes[i] += sum(est.nodes_visited for est in estimates)
-                    positions = {idx: est.position for idx, est in zip(joints, estimates) if est.status == STATUS_OK}
+                    positions = {idx: est.position for idx, est in zip(DETECTED_JOINTS, estimates) if est.status == STATUS_OK}
                     per_frame[i].append(mean_abs_3d_err(Skeleton3D(frame.frame, positions), truth))
     times = best.sum(axis=0).tolist()
     errors = [sequence_mean(e) for e in per_frame]
@@ -153,14 +151,13 @@ def test_criterion_4_reprojection_bound():
     # Cube size matched to the 2 px detector noise, as the stop-condition
     # design requires: tolerance to detection error enters only through it.
     config = EstimatorConfig(sigma=4, delta=(30.0, 30.0, 30.0))
-    topology = default_topology()
 
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for frame in frames:
-        skel = estimate_skeleton(frame, scene.cameras, config, topology)
-        points = np.full((len(topology.detected_joint_indices), 3), np.nan)
-        for idx in topology.detected_joint_indices:
+        skel = estimate_skeleton(frame, scene.cameras, config)
+        points = np.full((len(DETECTED_JOINTS), 3), np.nan)
+        for idx in DETECTED_JOINTS:
             if joint_ok(skel, idx):
                 points[idx] = skel.positions[idx]
         detected = {view_id: frame.table[r, :, :2] for r, view_id in enumerate(frame.view_ids)}
@@ -222,7 +219,7 @@ def test_criterion_6_fk_round_trip():
             for bone in topology.bones:
                 observed = truth.positions[bone.child_joint] - truth.positions[bone.parent_joint]
                 observed = observed / np.linalg.norm(observed)
-                fk = tset.rotation(bone.name) @ template.rest_direction[bone.name]
+                fk = tset.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
                 worst_dir = max(worst_dir, float(np.linalg.norm(fk - observed)))
 
     tpose = Skeleton3D(0, tpose_positions())

@@ -545,6 +545,93 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, monkeypatch, comm
         assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
 
 
+@pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
+@pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
+def test_out_naming_no_file_exits_2(tmp_path, capsys, monkeypatch, command, out):
+    """An --out with no file name exits 2 with an error line naming --out,
+    before anything is written."""
+    scene = run_synth(tmp_path, frames=2)
+    monkeypatch.chdir(tmp_path)
+    s = lambda name: str(scene / name)
+    inputs = {
+        "reconstruct": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--delta", "100x100x100"],
+        "retarget": ["--skeleton", s("truth.jsonl")],
+        "eval": ["--skeleton", s("truth.jsonl"), "--truth", s("truth.jsonl")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: --out {out!r} names no file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+
+def _overflowing_skeletons(scene, path, frames=3):
+    """The scene's first truth frames with the head at x = 1e308 and the neck
+    at x = -1e308: finite numbers whose distance overflows to inf."""
+    skeletons = list(mio.read_skeletons(scene / "truth.jsonl"))[:frames]
+    for skel in skeletons:
+        skel.positions[0, 0], skel.positions[1, 0] = 1e308, -1e308
+    mio.write_skeletons(path, skeletons)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_retarget_overflowing_bone_falls_back(tmp_path):
+    """A bone whose length overflows lacks data: it falls back, and no NaN or
+    Infinity token reaches anim.jsonl."""
+    scene = run_synth(tmp_path, frames=3)
+    skel = _overflowing_skeletons(scene, tmp_path / "huge.jsonl")
+    anim = tmp_path / "anim.jsonl"
+    assert main(["retarget", "--skeleton", str(skel), "--out", str(anim)]) == EXIT_OK
+    lines = anim.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        rec = mio.DECODER.decode(line)  # rejects NaN and Infinity
+        statuses = {b["name"]: b["status"] for b in rec["bones"]}
+        assert statuses["head"] == "fell_back" and statuses["l_upper_leg"] == "ok"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("with_keypoints", [False, True], ids=["3d", "2d"])
+def test_eval_non_finite_error_exits_2(tmp_path, capsys, with_keypoints):
+    """A frame whose 3D or reprojection error is not finite exits 2 naming the
+    frame, and writes no report."""
+    scene = run_synth(tmp_path, frames=3)
+    huge = _overflowing_skeletons(scene, tmp_path / "huge.jsonl")
+    s = lambda name: str(scene / name)
+    if with_keypoints:  # the skeleton against itself: a 3D error of 0, and an inf reprojection
+        inputs = ["--truth", str(huge), "--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl")]
+        message = "frame 0: reprojection error in view 0 is not finite"
+    else:
+        inputs = ["--truth", s("truth.jsonl")]
+        message = "frame 0: 3D error against"
+    out = tmp_path / "out" / "report"
+    assert main(["eval", "--skeleton", str(huge), *inputs, "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"error: {huge}: {message}" in err
+    assert not out.parent.exists()
+
+
+def test_overlay_failing_on_any_error_leaves_no_svg(tmp_path, monkeypatch):
+    """render-overlay removes its SVGs on any failure, not only on the ones
+    that exit 2 or 3."""
+    scene = run_synth(tmp_path, frames=2)
+    calls = []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("renderer failed")
+        return render_overlay_svg(*args)
+
+    monkeypatch.setattr(cli, "render_overlay_svg", third_fails)
+    out = tmp_path / "ovl"
+    with pytest.raises(RuntimeError):
+        main(["render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+              "--skeleton", str(scene / "truth.jsonl"), "--out", str(out)])
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
 def test_output_parent_directory_is_created(tmp_path, command):
     scene = run_synth(tmp_path, frames=2)

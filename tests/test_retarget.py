@@ -7,12 +7,14 @@ import pytest
 
 from oracles import (
     DegenerateParallel,
+    OverflowingBone,
     bone_vector,
     class_frame_retarget,
     frame_from_bone,
     is_rotation,
     joint_statuses,
     retarget_frame_alone,
+    spin_correct,
 )
 
 from mvmocap import retarget
@@ -22,7 +24,6 @@ from mvmocap.retarget import (
     STATUS_OK,
     retarget_frame,
     retarget_sequence,
-    spin_correct,
 )
 from mvmocap.skeleton import Skeleton3D, tpose_positions
 from mvmocap.synth import generate_scene, render_observations
@@ -99,7 +100,7 @@ def test_chain_fk_reproduces_bone_directions(topology, template):
             ts = retarget_frame(skel, topology, template)
             for bone in topology.bones:
                 assert ts.statuses[bone.name] == STATUS_OK
-                fk = ts.rotation(bone.name) @ template.rest_direction[bone.name]
+                fk = ts.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
                 assert np.allclose(fk, bone_vector(skel, bone.name, topology), atol=1e-6)
 
 
@@ -163,7 +164,7 @@ def test_fk_round_trip_on_animated_skeletons(topology, template):
     for skel in scene.truth:
         ts = retarget_frame(skel, topology, template)
         for bone in topology.bones:
-            fk = ts.rotation(bone.name) @ template.rest_direction[bone.name]
+            fk = ts.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
             assert np.allclose(fk, bone_vector(skel, bone.name, topology), atol=1e-6)
             assert is_rotation(ts.rotation(bone.name), tol=1e-9)
 
@@ -249,7 +250,7 @@ def test_matches_class_frame_chain_on_truth(topology, template):
 def test_matches_class_frame_chain_on_noisy_reconstruction(topology, template, ring):
     scene = generate_scene("walk", frames=30, noise_px=1.0, dropout=0.05, seed=62)
     config = EstimatorConfig(delta=(20.0, 20.0, 20.0))
-    skeletons = [estimate_skeleton(f, ring, config, topology) for f in render_observations(scene)]
+    skeletons = [estimate_skeleton(f, ring, config) for f in render_observations(scene)]
     assert any(s != STATUS_OK for skel in skeletons for s in joint_statuses(skel).values())
     _assert_matches_class_frame_chain(skeletons, topology, template)
 
@@ -303,3 +304,26 @@ def test_chunks_match_per_frame_loop(topology, template, monkeypatch):
     assert np.array_equal(sets[1].rotation("torso"), np.eye(3))
     assert np.array_equal(sets[5].rotation("r_lower_arm"), sets[2].rotation("r_lower_arm"))
     assert np.array_equal(sets[11].rotation("r_lower_leg"), sets[6].rotation("r_lower_leg"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_bone_falls_back_like_per_frame_loop(topology, template):
+    """Finite endpoints whose distance overflows to inf give no direction: the
+    bone holds, as bone_vector's OverflowingBone does in the per-frame loop."""
+    truth = generate_scene("walk", frames=6, seed=72).truth
+    for f in (1, 2, 4):
+        truth[f].positions[0, 0], truth[f].positions[1, 0] = 1e308, -1e308  # head bone length inf
+    with pytest.raises(OverflowingBone):
+        bone_vector(truth[1], "head", topology)
+    sets = list(retarget_sequence(truth, topology, template))
+    previous = None
+    for ts, skel in zip(sets, truth, strict=True):
+        expected = retarget_frame_alone(skel, topology, template, previous)
+        assert ts.statuses == expected.statuses
+        for name, T in expected.transforms.items():
+            assert np.max(np.abs(ts.transforms[name] - T)) <= 1e-12, (ts.frame, name)
+        assert all(np.isfinite(T).all() for T in ts.transforms.values())
+        previous = expected
+    assert [ts.statuses["head"] for ts in sets] == [STATUS_OK, STATUS_FELL_BACK, STATUS_FELL_BACK, STATUS_OK,
+                                                   STATUS_FELL_BACK, STATUS_OK]
+    assert np.array_equal(sets[2].rotation("head"), sets[0].rotation("head"))

@@ -15,7 +15,7 @@ def test_unknown_preset_rejected():
 
 def test_tpose_preset_matches_template():
     scene = generate_scene("tpose-static", frames=1, noise_px=0.0, dropout=0.0, seed=0)
-    template = tpose_positions(1700.0)
+    template = tpose_positions()
     truth = scene.truth[0]
     assert ok_joints(truth) == set(template)
     for idx, p in template.items():

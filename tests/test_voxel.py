@@ -17,7 +17,7 @@ from oracles import (
 
 from mvmocap import voxel
 from mvmocap.geometry import CameraParams, project
-from mvmocap.skeleton import ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
+from mvmocap.skeleton import DETECTED_JOINTS, ROOT_JOINT, STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import (
     Cube,
@@ -242,7 +242,7 @@ def test_resolution_bound_on_candidates(ring, config, rng):
             assert np.linalg.norm(center - point) <= parent_half_diag
 
 
-def test_determinism_under_observation_order(ring, config, topology, rng):
+def test_determinism_under_observation_order(ring, config, rng):
     """Neither the order of the calibration list nor the order in which a
     keypoint frame lists its views changes a result."""
     point = rng.uniform(-500, 500, size=3)
@@ -256,7 +256,7 @@ def test_determinism_under_observation_order(ring, config, topology, rng):
 
     frame = render_observations(generate_scene("walk", frames=1, noise_px=1.0, seed=9))[0]
     flipped = JointObservationFrame(frame.frame, frame.view_ids[::-1], frame.table[::-1])
-    a, b = (estimate_skeleton(f, ring, config, topology) for f in (frame, flipped))
+    a, b = (estimate_skeleton(f, ring, config) for f in (frame, flipped))
     assert joint_statuses(a) == joint_statuses(b)
     assert all(a.positions[i].tobytes() == b.positions[i].tobytes() for i in ok_joints(a))
 
@@ -321,20 +321,19 @@ def _fields(est):
     ],
     ids=["clean-d10", "1px-dropout-d20", "2px-d60", "2px-d60-capped"],
 )
-def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropout, delta, max_candidates):
+def test_shared_frontier_matches_per_joint_search(frames, noise, dropout, delta, max_candidates):
     """Each joint's result from the shared frontier is bit-identical to its own search."""
     scene = generate_scene("walk", frames=frames, noise_px=noise, dropout=dropout, seed=101)
     config = EstimatorConfig(delta=(delta, delta, delta), max_candidates=max_candidates)
     uncapped = EstimatorConfig(delta=config.delta)
-    indices = topology.detected_joint_indices
     outcomes, cut = [], False
     for frame in render_observations(scene):
-        tables = frame.table[:, indices].transpose(1, 0, 2)  # (J, V, 3); the views are in ascending id order
+        tables = frame.table[:, DETECTED_JOINTS].transpose(1, 0, 2)  # (J, V, 3); the views are in ascending id order
         want = [estimate_joint_alone(table, scene.cameras, config) for table in tables]
         got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
         assert got == [_fields(e) for e in want]
-        skel = estimate_skeleton(frame, scene.cameras, config, topology)
-        for idx, est in zip(indices, want):
+        skel = estimate_skeleton(frame, scene.cameras, config)
+        for idx, est in zip(DETECTED_JOINTS, want):
             assert joint_statuses(skel)[idx] == est.status
             assert est.position is None or skel.positions[idx].tobytes() == est.position.tobytes()
         outcomes += [(e.status, e.nodes_visited) for e in want]
@@ -350,13 +349,13 @@ def test_shared_frontier_matches_per_joint_search(topology, frames, noise, dropo
         assert cut, "the per-joint cap never cut a frontier"
 
 
-def test_capped_level_votes_only_the_trimmed_frontier(topology, monkeypatch):
+def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
     """A level the runaway cap trims is voted one cube per row (k = 1), and the
     next, untrimmed level from its parents' slabs (k = 2). No vote covers
     more of a joint's cubes than the cap, and every joint gets the result of
     its own search."""
     scene = generate_scene("walk", frames=1, seed=101)
-    tables = render_observations(scene)[0].table[:, topology.detected_joint_indices].transpose(1, 0, 2)
+    tables = render_observations(scene)[0].table[:, DETECTED_JOINTS].transpose(1, 0, 2)
     config = EstimatorConfig(max_candidates=16)
     want = [_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
 
@@ -404,7 +403,7 @@ def _skeleton_fields(skel):
     return skel.frame, list(joint_statuses(skel).items()), [(i, skel.positions[i].tobytes()) for i in sorted(ok_joints(skel))]
 
 
-def test_chunk_matches_per_frame_estimates(topology):
+def test_chunk_matches_per_frame_estimates():
     """One search over a chunk of frames gives each frame the skeleton it gets alone."""
     scene = generate_scene("walk", frames=6, noise_px=1.0, dropout=0.05, seed=101)
     frames = render_observations(scene)
@@ -420,13 +419,13 @@ def test_chunk_matches_per_frame_estimates(topology):
     frames[3] = JointObservationFrame(f.frame, f.view_ids, np.stack([np.roll(t, r, axis=0) for r, t in enumerate(f.table)]))
     frames[4] = render_observations(generate_scene("walk", frames=6, seed=101))[4]  # noiseless: the cap cuts it
 
-    got = estimate_skeletons(frames, scene.cameras, config, topology)
-    want = [estimate_skeleton(f, scene.cameras, config, topology) for f in frames]
+    got = estimate_skeletons(frames, scene.cameras, config)
+    want = [estimate_skeleton(f, scene.cameras, config) for f in frames]
     assert [_skeleton_fields(s) for s in got] == [_skeleton_fields(s) for s in want]
 
     ok = [len(ok_joints(s)) for s in got]
     assert ok[2] == ok[3] == 0 and all(ok[i] > 0 for i in (0, 1, 4, 5))
-    cut = [_skeleton_fields(s) != _skeleton_fields(estimate_skeleton(f, scene.cameras, uncapped, topology))
+    cut = [_skeleton_fields(s) != _skeleton_fields(estimate_skeleton(f, scene.cameras, uncapped))
            for f, s in zip(frames, got)]
     assert cut == [False, False, False, False, True, False]
 
@@ -434,28 +433,28 @@ def test_chunk_matches_per_frame_estimates(topology):
 # -- estimate_skeleton -----------------------------------------------------------
 
 
-def test_full_noiseless_frame_reconstructs_all_joints(ring, config, topology):
+def test_full_noiseless_frame_reconstructs_all_joints(ring, config):
     scene = generate_scene("walk", frames=1, seed=2)
     frame = render_observations(scene)[0]
-    skel = estimate_skeleton(frame, ring, config, topology)
+    skel = estimate_skeleton(frame, ring, config)
     truth = scene.truth[0]
     for idx in ok_joints(truth):
         assert joint_ok(skel, idx), idx
         assert np.linalg.norm(skel.positions[idx] - truth.positions[idx]) <= HALF_DIAGONAL_10MM
 
 
-def test_missing_joint_is_isolated(ring, config, topology):
+def test_missing_joint_is_isolated(ring, config):
     scene = generate_scene("tpose-static", frames=1, seed=3)
     frame = render_observations(scene)[0]
     dropped = 4  # right hand: a leaf joint
     frame.table[:, dropped] = np.nan
-    skel = estimate_skeleton(frame, ring, config, topology)
+    skel = estimate_skeleton(frame, ring, config)
     assert joint_statuses(skel)[dropped] == STATUS_NO_CONSENSUS
     for idx in set(joint_statuses(skel)) - {dropped}:
         assert joint_ok(skel, idx)
 
 
-def test_joint_visible_in_exactly_sigma_views_is_ok(ring, config, topology):
+def test_joint_visible_in_exactly_sigma_views_is_ok(ring, config):
     scene = generate_scene("tpose-static", frames=1, seed=4)
     frame = render_observations(scene)[0]
     target = 7  # left hand
@@ -463,23 +462,23 @@ def test_joint_visible_in_exactly_sigma_views_is_ok(ring, config, topology):
     assert not np.isnan(frame.table[first, target]).any()
     frame.table[first, target] = np.nan
     assert np.count_nonzero(~np.isnan(frame.table[:, target, 2])) == config.sigma
-    skel = estimate_skeleton(frame, ring, config, topology)
+    skel = estimate_skeleton(frame, ring, config)
     assert joint_ok(skel, target)
 
 
-def test_missing_hip_blocks_root(ring, config, topology):
+def test_missing_hip_blocks_root(ring, config):
     scene = generate_scene("tpose-static", frames=1, seed=6)
     frame = render_observations(scene)[0]
     frame.table[:, 8] = np.nan  # right hip gone everywhere
-    skel = estimate_skeleton(frame, ring, config, topology)
+    skel = estimate_skeleton(frame, ring, config)
     assert joint_statuses(skel)[ROOT_JOINT] == STATUS_NO_CONSENSUS
     assert joint_statuses(skel)[8] == STATUS_NO_CONSENSUS
 
 
-def test_root_is_hip_midpoint(ring, config, topology):
+def test_root_is_hip_midpoint(ring, config):
     scene = generate_scene("walk", frames=1, seed=8)
     frame = render_observations(scene)[0]
-    skel = estimate_skeleton(frame, ring, config, topology)
+    skel = estimate_skeleton(frame, ring, config)
     assert np.allclose(skel.positions[ROOT_JOINT], 0.5 * (skel.positions[8] + skel.positions[11]), atol=1e-12)
 
 
