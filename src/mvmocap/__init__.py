@@ -9,13 +9,7 @@ per-bone transforms against a T-pose template, and evaluates accuracy with
 from .geometry import CameraParams, project
 from .metrics import ErrorReport, avg_2d_err, mean_abs_3d_err, sequence_mean
 from .retarget import BoneTransformSet, retarget_sequence
-from .skeleton import (
-    Skeleton3D,
-    SkeletonTopology,
-    TPoseTemplate,
-    default_template,
-    default_topology,
-)
+from .skeleton import BONES, FRAME_ROTATION, Skeleton3D
 from .synth import SyntheticScene, generate_scene, render_observations
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeletons
 

@@ -41,7 +41,7 @@ from .geometry import CameraParams, project, stack_cameras
 from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
-from .skeleton import DETECTED_JOINTS, default_template, default_topology
+from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
 from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton, estimate_skeletons
@@ -154,11 +154,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise mio.InputParseError(str(exc)) from exc
+    observations = render_observations(scene)
+    if any(np.isinf(obs.table).any() for obs in observations):  # NaN marks a dropped detection
+        raise mio.InputParseError(f"--noise {args.noise} puts keypoints outside the range of a float")
     out_dir = Path(args.out)
     with (_output(out_dir / "calib.json") as calib, _output(out_dir / "keypoints.jsonl") as keypoints,
           _output(out_dir / "truth.jsonl") as truth):  # renamed only once all three are written
         mio.save_cameras(calib, scene.cameras)
-        mio.write_keypoints(keypoints, render_observations(scene))
+        mio.write_keypoints(keypoints, observations)
         mio.write_skeletons(truth, scene.truth)
     print(f"wrote scene '{args.preset}' ({args.frames} frames) to {out_dir}")
     return EXIT_OK
@@ -223,11 +226,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_retarget(args: argparse.Namespace) -> int:
     out_file = _out_file(args.out)
-    topology = default_topology()
-    template = default_template()
     skeletons = mio.read_skeletons(args.skeleton)
     with _output(out_file) as part:
-        mio.write_transforms(part, retarget_sequence(skeletons, topology, template))
+        mio.write_transforms(part, retarget_sequence(skeletons))
     return EXIT_OK
 
 
@@ -245,6 +246,7 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
+@np.errstate(over="ignore")  # an error that overflows to inf exits 2 below
 def cmd_eval(args: argparse.Namespace) -> int:
     out_base = _out_file(args.out)
     streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
@@ -317,12 +319,12 @@ def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -
         csv_part.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
 
+@np.errstate(over="ignore")  # a reprojection that overflows to inf exits 2 below
 def cmd_render_overlay(args: argparse.Namespace) -> int:
     cameras = mio.load_cameras(args.calib)
     views = stack_cameras(cameras, point_axes=1)
     column = {view_id: v for v, view_id in enumerate(views.ids)}
     by_id = {c.id: c for c in cameras}
-    topology = default_topology()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = _lockstep(
@@ -333,10 +335,14 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     try:
         while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
             pixels = project(np.stack([skel.positions for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
+            if np.isinf(pixels).any():  # NaN marks a missing joint; inf, a position whose projection overflows
+                k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
+                raise mio.InputParseError(
+                    f"{args.skeleton}: frame {chunk[k][1].frame}: reprojection in view {views.ids[v]} is not finite")
             for (obs_frame, _), frame_pixels in zip(chunk, pixels):
                 for r, view_id in enumerate(obs_frame.view_ids):
                     reprojected = frame_pixels[column[view_id]]
-                    svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected, topology)
+                    svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected)
                     written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
                     written[-1].write_text(svg, encoding="utf-8")
     except BaseException:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .geometry import CameraParams
-from .skeleton import SkeletonTopology
+from .skeleton import BONES
 
 _MARKER_RADIUS = 5
 _BONE_WIDTH = 2
@@ -22,9 +22,7 @@ def _present(points: np.ndarray) -> dict[int, tuple[float, float]]:
     return {i: (x, y) for i, (x, y) in enumerate(points.tolist()) if not math.isnan(x)}
 
 
-def render_overlay_svg(
-    cam: CameraParams, detected: np.ndarray, reprojected: np.ndarray, topology: SkeletonTopology
-) -> str:
+def render_overlay_svg(cam: CameraParams, detected: np.ndarray, reprojected: np.ndarray) -> str:
     """One view's overlay at the camera's native resolution.
 
     detected and reprojected hold one (u, v) row per joint index, NaN where
@@ -38,7 +36,7 @@ def render_overlay_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
-    for bone in topology.bones:
+    for bone in BONES:
         a = reprojected.get(bone.parent_joint)
         b = reprojected.get(bone.child_joint)
         if a is None or b is None:

@@ -1,8 +1,9 @@
 """Bone rotation construction from 3D skeletons.
 
-Everything happens in world coordinates. Walking the tree in topological
-order, each bone's rest frame is first carried along by its parent's
-rotation: q = g_parent @ rc, where rc is the bone's class frame, so q's
+Everything happens in world coordinates, on the one body of
+skeleton.BONES and skeleton.FRAME_ROTATION. Walking BONES parents first,
+each bone's rest frame is first carried along by its parent's rotation:
+q = g_parent @ rc, where rc is the bone's class frame, so q's
 x-axis is where the bone would point had it not moved relative to its
 parent. The posed frame is the right-handed basis [d, y, d x y] on the
 observed bone direction d, with y the part of q's y-axis orthogonal to d
@@ -33,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .skeleton import STATUS_OK, Skeleton3D, SkeletonTopology, TPoseTemplate
+from .skeleton import BONES, FRAME_ROTATION, STATUS_OK, Skeleton3D
 
 STATUS_FELL_BACK = "fell_back"
 
@@ -47,6 +48,9 @@ MIN_BONE_LENGTH = 1e-6
 CHUNK_FRAMES = 256
 
 _STATUS = (STATUS_FELL_BACK, STATUS_OK)  # indexed by the bone's ok flag
+
+_NAMES = tuple(bone.name for bone in BONES)
+_PARENT = tuple(_NAMES.index(bone.parent_bone) if bone.parent_bone else None for bone in BONES)
 
 
 @dataclass
@@ -85,27 +89,25 @@ def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([direction, y, _cross(direction, y)], axis=-1)
 
 
-def _rotations(
-    points: np.ndarray, topology: SkeletonTopology, template: TPoseTemplate, held: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(over="ignore")  # a length that overflows to inf is caught below
+def _rotations(points: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bone rotations (N, B, 3, 3) and ok flags (N, B) of N frames' (N, 15, 3) joints, NaN where not ok.
 
-    Bones run in topology order, so a parent's rotations, held ones
-    included, are complete before its children use them. A bone is ok in a
-    frame where both endpoints are finite and its length is finite and at
-    least MIN_BONE_LENGTH; elsewhere it holds its rotation from the last ok
+    Bones run in BONES order, so a parent's rotations, held ones included,
+    are complete before its children use them. A bone is ok in a frame
+    where both endpoints are finite and its length is finite and at least
+    MIN_BONE_LENGTH; elsewhere it holds its rotation from the last ok
     frame, or held[b] before the first.
     """
-    index = {bone.name: b for b, bone in enumerate(topology.bones)}
-    rot = np.empty((points.shape[0], len(index), 3, 3))
-    ok = np.empty((points.shape[0], len(index)), dtype=bool)
-    for b, bone in enumerate(topology.bones):
+    rot = np.empty((points.shape[0], len(BONES), 3, 3))
+    ok = np.empty((points.shape[0], len(BONES)), dtype=bool)
+    for b, bone in enumerate(BONES):
         d = points[:, bone.child_joint] - points[:, bone.parent_joint]
         length = np.linalg.norm(d, axis=1)
         # False where an endpoint is NaN, and where the length overflows to inf.
         good = ok[:, b] = (length >= MIN_BONE_LENGTH) & (length < np.inf)
-        rc = template.frame_rotation[bone.frame_class]
-        q = rot[good, index[bone.parent_bone]] @ rc if bone.parent_bone else rc
+        rc = FRAME_ROTATION[bone.frame_class]
+        q = rot[good, _PARENT[b]] @ rc if bone.parent_bone else rc
         posed = _posed_frame(d[good] / length[good, None], q) @ rc.T
         if good.all():
             rot[:, b] = posed
@@ -116,26 +118,20 @@ def _rotations(
     return rot, ok
 
 
-def _transform_sets(frames: tuple[int, ...], rot: np.ndarray, ok: np.ndarray, topology: SkeletonTopology):
+def _transform_sets(frames: tuple[int, ...], rot: np.ndarray, ok: np.ndarray):
     """One BoneTransformSet per frame, its transforms views into one (N, B, 4, 4) array."""
-    names = [bone.name for bone in topology.bones]
     transforms = np.zeros(rot.shape[:2] + (4, 4))
     transforms[..., :3, :3] = rot
     transforms[..., 3, 3] = 1.0
     for frame, mats, flags in zip(frames, transforms, ok.tolist()):
         yield BoneTransformSet(
             frame=frame,
-            transforms=dict(zip(names, mats)),
-            statuses=dict(zip(names, [_STATUS[f] for f in flags])),
+            transforms=dict(zip(_NAMES, mats)),
+            statuses=dict(zip(_NAMES, [_STATUS[f] for f in flags])),
         )
 
 
-def retarget_frame(
-    skeleton: Skeleton3D,
-    topology: SkeletonTopology,
-    template: TPoseTemplate,
-    previous: BoneTransformSet | None = None,
-) -> BoneTransformSet:
+def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = None) -> BoneTransformSet:
     """Per-frame bone rotations as 4x4 transforms, parents before children.
 
     For each bone with both endpoints: carry the class frame by the
@@ -147,23 +143,23 @@ def retarget_frame(
     exactly (0, 0, 0, 1). This is one frame of retarget_sequence's chain.
     """
     held = np.stack([
-        previous.rotation(bone.name) if previous is not None and bone.name in previous.transforms else np.eye(3)
-        for bone in topology.bones
+        previous.rotation(name) if previous is not None and name in previous.transforms else np.eye(3)
+        for name in _NAMES
     ])
-    rot, ok = _rotations(skeleton.positions[None], topology, template, held)
-    return next(_transform_sets((skeleton.frame,), rot, ok, topology))
+    rot, ok = _rotations(skeleton.positions[None], held)
+    return next(_transform_sets((skeleton.frame,), rot, ok))
 
 
-def retarget_sequence(skeletons, topology: SkeletonTopology, template: TPoseTemplate):
+def retarget_sequence(skeletons):
     """Retarget an in-order skeleton stream, holding rotations across gaps.
 
     Reads up to CHUNK_FRAMES skeletons at a time and yields one
     BoneTransformSet per frame, in order.
     """
-    held = np.broadcast_to(np.eye(3), (len(topology.bones), 3, 3))
+    held = np.broadcast_to(np.eye(3), (len(BONES), 3, 3))
     stream = iter(skeletons)
     while chunk := [(s.frame, s.positions) for s in islice(stream, CHUNK_FRAMES)]:
         frames, points = zip(*chunk)
-        rot, ok = _rotations(np.stack(points), topology, template, held)
+        rot, ok = _rotations(np.stack(points), held)
         held = rot[-1].copy()
-        yield from _transform_sets(frames, rot, ok, topology)
+        yield from _transform_sets(frames, rot, ok)

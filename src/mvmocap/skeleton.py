@@ -1,8 +1,10 @@
-"""Body topology, T-pose template, and per-frame 3D skeletons.
+"""The body model as module data, and per-frame 3D skeletons.
 
 The skeleton uses 14 detected joints (indices 0-13) plus a synthesized
-pelvis root (index 14, "Torso") that anchors the bone tree. Each bone is
-assigned one of four local frame classes - left, right, up, down - named
+pelvis root (index 14, "Torso") that anchors the bone tree. The body is
+fixed: BONES lists its 12 bones parents first, T_POSE holds the rest pose
+as a (15, 3) array, and FRAME_ROTATION maps each of four local frame
+classes - left, right, up, down - to its rotation. The classes are named
 for the direction the body part extends in the rest pose:
 
   left   arms and shoulder on the anatomical left, extending +x
@@ -60,9 +62,9 @@ class Bone:
     frame_class: str
 
 
-# Bone table: (name, parent joint, child joint, parent bone, frame class).
-# The direction of a bone is child minus parent.
-_BONE_ROWS = (
+# Bone table: (name, parent joint, child joint, parent bone, frame class),
+# parents first. The direction of a bone is child minus parent.
+BONES = tuple(Bone(*row) for row in (
     ("torso", ROOT_JOINT, 1, None, "up"),
     ("head", 1, 0, "torso", "up"),
     ("r_shoulder", 1, 2, "torso", "right"),
@@ -75,69 +77,42 @@ _BONE_ROWS = (
     ("l_upper_leg", 11, 12, "torso", "down"),
     ("r_lower_leg", 9, 10, "r_upper_leg", "down"),
     ("l_lower_leg", 12, 13, "l_upper_leg", "down"),
-)
+))
 
-# Reference T-pose joint positions in millimeters for a 1700 mm figure,
-# root at the origin, facing +z. Arms horizontal, legs straight down.
-T_POSE_POSITIONS = {
-    0: np.array([0.0, 700.0, 0.0]),
-    1: np.array([0.0, 510.0, 0.0]),
-    2: np.array([-185.0, 510.0, 0.0]),
-    3: np.array([-465.0, 510.0, 0.0]),
-    4: np.array([-725.0, 510.0, 0.0]),
-    5: np.array([185.0, 510.0, 0.0]),
-    6: np.array([465.0, 510.0, 0.0]),
-    7: np.array([725.0, 510.0, 0.0]),
-    8: np.array([-95.0, 0.0, 0.0]),
-    9: np.array([-95.0, -430.0, 0.0]),
-    10: np.array([-95.0, -880.0, 0.0]),
-    11: np.array([95.0, 0.0, 0.0]),
-    12: np.array([95.0, -430.0, 0.0]),
-    13: np.array([95.0, -880.0, 0.0]),
-    ROOT_JOINT: np.array([0.0, 0.0, 0.0]),
+# Local-to-global frame rotation per bone class; its x-axis is the direction
+# at rest of every bone of that class. Each maps the local x-axis onto the
+# class direction and keeps the frame right-handed:
+#   left   identity
+#   right  half turn about global y
+#   up     +90 degrees about global z
+#   down   -90 degrees about global z
+FRAME_ROTATION = {
+    "left": np.eye(3),
+    "right": rotation_about_axis(np.array([0.0, 1.0, 0.0]), np.pi),
+    "up": rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.pi / 2.0),
+    "down": rotation_about_axis(np.array([0.0, 0.0, 1.0]), -np.pi / 2.0),
 }
 
-
-@dataclass(frozen=True)
-class SkeletonTopology:
-    """Joint index/name table plus the bone tree rooted at the torso.
-
-    Bones are listed parents first, so iterating `bones` visits every
-    parent before its children.
-    """
-
-    joints: tuple[tuple[int, str], ...]
-    bones: tuple[Bone, ...]
-
-    def __post_init__(self):
-        joint_ids = {idx for idx, _ in self.joints}
-        roots = [b for b in self.bones if b.parent_bone is None]
-        if len(roots) != 1:
-            raise ValueError("bone tree must have exactly one root bone")
-        seen: set[str] = set()
-        for b in self.bones:
-            if b.parent_joint not in joint_ids or b.child_joint not in joint_ids:
-                raise ValueError(f"bone {b.name} references an unknown joint")
-            # Parents come first: this also rules out cycles and unknown parents.
-            if b.parent_bone is not None and b.parent_bone not in seen:
-                raise ValueError(f"bone {b.name} is listed before its parent {b.parent_bone}, or the parent is unknown")
-            if b.frame_class not in FRAME_CLASSES:
-                raise ValueError(f"bone {b.name} has unknown frame class {b.frame_class}")
-            seen.add(b.name)
-
-
-@dataclass(frozen=True)
-class TPoseTemplate:
-    """Local-to-global frame rotation per bone class; its x-axis is the
-    direction at rest of every bone of that class."""
-
-    frame_rotation: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for cls, m in self.frame_rotation.items():
-            m = np.asarray(m, dtype=float)
-            if not np.allclose(m @ m.T, np.eye(3), atol=1e-12) or abs(np.linalg.det(m) - 1.0) > 1e-12:
-                raise ValueError(f"frame rotation for class {cls} is not a rotation")
+# Reference T-pose in millimeters for a 1700 mm figure, row i for joint i,
+# root at the origin, facing +z. Arms horizontal, legs straight down.
+T_POSE = np.array([
+    [0.0, 700.0, 0.0],
+    [0.0, 510.0, 0.0],
+    [-185.0, 510.0, 0.0],
+    [-465.0, 510.0, 0.0],
+    [-725.0, 510.0, 0.0],
+    [185.0, 510.0, 0.0],
+    [465.0, 510.0, 0.0],
+    [725.0, 510.0, 0.0],
+    [-95.0, 0.0, 0.0],
+    [-95.0, -430.0, 0.0],
+    [-95.0, -880.0, 0.0],
+    [95.0, 0.0, 0.0],
+    [95.0, -430.0, 0.0],
+    [95.0, -880.0, 0.0],
+    [0.0, 0.0, 0.0],
+])
+T_POSE.setflags(write=False)  # shared module data: Skeleton3D(f, T_POSE) must not write through to it
 
 
 class Skeleton3D:
@@ -158,32 +133,11 @@ class Skeleton3D:
         self.positions = positions
 
 
-def default_topology() -> SkeletonTopology:
-    joints = tuple(sorted(JOINT_NAMES.items()))
-    bones = tuple(Bone(*row) for row in _BONE_ROWS)
-    return SkeletonTopology(joints=joints, bones=bones)
+def default_topology() -> tuple[Bone, ...]:
+    """BONES. Nothing in the package calls this; perfbench/worker.py's set-up probe does."""
+    return BONES
 
 
-def default_template() -> TPoseTemplate:
-    """Canonical T-pose template.
-
-    Class rotations map the local x-axis onto the class direction while
-    keeping the frames right-handed:
-
-      left   identity
-      right  half turn about global y
-      up     +90 degrees about global z
-      down   -90 degrees about global z
-    """
-    frame_rotation = {
-        "left": np.eye(3),
-        "right": rotation_about_axis(np.array([0.0, 1.0, 0.0]), np.pi),
-        "up": rotation_about_axis(np.array([0.0, 0.0, 1.0]), np.pi / 2.0),
-        "down": rotation_about_axis(np.array([0.0, 0.0, 1.0]), -np.pi / 2.0),
-    }
-    return TPoseTemplate(frame_rotation=frame_rotation)
-
-
-def tpose_positions() -> dict[int, np.ndarray]:
-    """A copy of the template joint positions."""
-    return {i: p.copy() for i, p in T_POSE_POSITIONS.items()}
+def default_template() -> dict[str, np.ndarray]:
+    """FRAME_ROTATION. Nothing in the package calls this; perfbench/worker.py's set-up probe does."""
+    return FRAME_ROTATION

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import CameraParams, project
 from .mathutil import rotation_about_axis, unit
-from .skeleton import DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, Skeleton3D, default_topology, tpose_positions
+from .skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, T_POSE, Skeleton3D
 from .voxel import JointObservationFrame
 
 PRESETS = ("tpose-static", "walk", "wave", "squat")
@@ -71,15 +71,14 @@ def _pose_from_rotations(bone_rotations: dict[str, np.ndarray], root_offset: np.
     bone's template offset; unspecified bones stay at rest. Hip joints
     ride on the torso rotation so the pelvis stays rigid.
     """
-    template = tpose_positions()
     torso_rot = bone_rotations.get("torso", np.eye(3))
     positions = np.full((len(JOINT_NAMES), 3), np.nan)
-    positions[ROOT_JOINT] = template[ROOT_JOINT] + root_offset
+    positions[ROOT_JOINT] = T_POSE[ROOT_JOINT] + root_offset
     for hip in (8, 11):
-        positions[hip] = positions[ROOT_JOINT] + torso_rot @ (template[hip] - template[ROOT_JOINT])
-    for bone in default_topology().bones:
+        positions[hip] = positions[ROOT_JOINT] + torso_rot @ (T_POSE[hip] - T_POSE[ROOT_JOINT])
+    for bone in BONES:
         rot = bone_rotations.get(bone.name, np.eye(3))
-        offset = template[bone.child_joint] - template[bone.parent_joint]
+        offset = T_POSE[bone.child_joint] - T_POSE[bone.parent_joint]
         positions[bone.child_joint] = positions[bone.parent_joint] + rot @ offset
     return positions
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mvmocap.skeleton import default_template, default_topology
 from mvmocap.synth import camera_ring
 from mvmocap.voxel import EstimatorConfig
 
@@ -9,16 +8,6 @@ from mvmocap.voxel import EstimatorConfig
 @pytest.fixture(scope="session")
 def ring():
     return camera_ring()
-
-
-@pytest.fixture(scope="session")
-def topology():
-    return default_topology()
-
-
-@pytest.fixture(scope="session")
-def template():
-    return default_template()
 
 
 @pytest.fixture

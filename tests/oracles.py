@@ -41,7 +41,7 @@ from scipy.spatial import ConvexHull
 
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet, _posed_frame
-from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK
+from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK
 from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,
@@ -265,14 +265,14 @@ class OverflowingBone(ZeroLengthBone):
     """Bone endpoints are finite but so far apart that the length overflows to inf."""
 
 
-def bone_vector(skeleton, bone_name, topology):
+def bone_vector(skeleton, bone_name):
     """Unit direction of a bone, child joint minus parent joint.
 
     Raises MissingJoint if either endpoint is not ok, ZeroLengthBone if
     the endpoints coincide within 1e-6 mm and OverflowingBone if their
     distance is not finite.
     """
-    bone = next(b for b in topology.bones if b.name == bone_name)
+    bone = next(b for b in BONES if b.name == bone_name)
     for idx in (bone.parent_joint, bone.child_joint):
         if not joint_ok(skeleton, idx):
             raise MissingJoint(f"joint {idx} has no position")
@@ -379,17 +379,17 @@ def roll_search_spin_correct(rotation, parent_frame):
     return best
 
 
-def class_frame_retarget(skeletons, topology, template):
+def class_frame_retarget(skeletons):
     """Per-frame (rotations, statuses) dicts from the class-frame chain,
     holding a bone's previous rotation across gaps."""
     previous: dict = {}
     for skeleton in skeletons:
         rotations, statuses = {}, {}
-        for bone in topology.bones:
+        for bone in BONES:
             g_parent = rotations[bone.parent_bone] if bone.parent_bone else np.eye(3)
-            rc = template.frame_rotation[bone.frame_class]
+            rc = FRAME_ROTATION[bone.frame_class]
             try:
-                direction = bone_vector(skeleton, bone.name, topology)
+                direction = bone_vector(skeleton, bone.name)
             except (MissingJoint, ZeroLengthBone):
                 rotations[bone.name] = previous.get(bone.name, np.eye(3))
                 statuses[bone.name] = STATUS_FELL_BACK
@@ -416,7 +416,7 @@ def posed_frame_alone(direction, q):
     return np.column_stack([direction, y, np.cross(direction, y)])
 
 
-def retarget_frame_alone(skeleton, topology, template, previous=None):
+def retarget_frame_alone(skeleton, previous=None):
     """One frame's BoneTransformSet from a loop over the bones, parents first.
 
     A bone with a direction from bone_vector gets
@@ -424,14 +424,14 @@ def retarget_frame_alone(skeleton, topology, template, previous=None):
     rotation in `previous`, or the identity.
     """
     transforms, statuses, global_rot = {}, {}, {}
-    for bone in topology.bones:
+    for bone in BONES:
         try:
-            direction = bone_vector(skeleton, bone.name, topology)
+            direction = bone_vector(skeleton, bone.name)
         except (MissingJoint, ZeroLengthBone):
             rot = previous.rotation(bone.name).copy() if previous is not None else np.eye(3)
             statuses[bone.name] = STATUS_FELL_BACK
         else:
-            rc = template.frame_rotation[bone.frame_class]
+            rc = FRAME_ROTATION[bone.frame_class]
             q = global_rot[bone.parent_bone] @ rc if bone.parent_bone else rc
             rot = posed_frame_alone(direction, q) @ rc.T
             statuses[bone.name] = STATUS_OK

@@ -18,12 +18,13 @@ from mvmocap.geometry import project
 from mvmocap.metrics import avg_2d_err, mean_abs_3d_err, sequence_mean
 from mvmocap.retarget import retarget_frame
 from mvmocap.skeleton import (
+    BONES,
     DETECTED_JOINTS,
+    FRAME_ROTATION,
+    JOINT_NAMES,
     STATUS_OK,
+    T_POSE,
     Skeleton3D,
-    default_template,
-    default_topology,
-    tpose_positions,
 )
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.synth import generate_scene, render_observations
@@ -179,16 +180,14 @@ def test_criterion_4_reprojection_bound():
 
 
 def test_criterion_5_rotation_invariants():
-    topology = default_topology()
-    template = default_template()
     rng = np.random.default_rng(500)
-    joint_ids = [idx for idx, _ in topology.joints]
+    joint_ids = sorted(JOINT_NAMES)
 
     rotations = []
     checked = 0
     while checked < 100_000:
         positions = {i: rng.uniform(-800, 800, size=3) for i in joint_ids}
-        tset = retarget_frame(Skeleton3D(0, positions), topology, template)
+        tset = retarget_frame(Skeleton3D(0, positions))
         for T in tset.transforms.values():
             assert np.array_equal(T[:3, 3], np.zeros(3))
             assert np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
@@ -208,22 +207,19 @@ def test_criterion_5_rotation_invariants():
 
 
 def test_criterion_6_fk_round_trip():
-    topology = default_topology()
-    template = default_template()
-
     worst_dir = 0.0
     for preset in ("walk", "wave", "squat"):
         scene = generate_scene(preset, frames=15, seed=600)
         for truth in scene.truth:
-            tset = retarget_frame(truth, topology, template)
-            for bone in topology.bones:
+            tset = retarget_frame(truth)
+            for bone in BONES:
                 observed = truth.positions[bone.child_joint] - truth.positions[bone.parent_joint]
                 observed = observed / np.linalg.norm(observed)
-                fk = tset.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
+                fk = tset.rotation(bone.name) @ FRAME_ROTATION[bone.frame_class][:, 0]
                 worst_dir = max(worst_dir, float(np.linalg.norm(fk - observed)))
 
-    tpose = Skeleton3D(0, tpose_positions())
-    tset = retarget_frame(tpose, topology, template)
+    tpose = Skeleton3D(0, T_POSE)
+    tset = retarget_frame(tpose)
     worst_identity = max(float(np.max(np.abs(T[:3, :3] - np.eye(3)))) for T in tset.transforms.values())
 
     ok = worst_dir <= 1e-6 and worst_identity <= 1e-9
@@ -235,8 +231,6 @@ def test_criterion_6_fk_round_trip():
 
 
 def test_criterion_7_spin_injection_recovery():
-    topology = default_topology()
-    template = default_template()
     rng = np.random.default_rng(700)
 
     worst = 0.0
@@ -245,9 +239,9 @@ def test_criterion_7_spin_injection_recovery():
     for preset in ("walk", "squat"):
         scene = generate_scene(preset, frames=10, seed=701)
         for truth in scene.truth:
-            tset = retarget_frame(truth, topology, template)
-            for bone in topology.bones:
-                rc = template.frame_rotation[bone.frame_class]
+            tset = retarget_frame(truth)
+            for bone in BONES:
+                rc = FRAME_ROTATION[bone.frame_class]
                 local = rc.T @ tset.rotation(bone.name) @ rc
                 if bone.parent_bone is None:
                     parent_local = np.eye(3)

@@ -18,7 +18,7 @@ from mvmocap import cli, retarget, voxel
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, _output, build_parser, main
 from mvmocap.geometry import project
 from mvmocap.overlay import render_overlay_svg
-from mvmocap.skeleton import STATUS_NO_CONSENSUS, default_topology
+from mvmocap.skeleton import STATUS_NO_CONSENSUS
 
 
 def run_synth(tmp_path, preset="walk", frames=4, noise="0", dropout="0", seed="7"):
@@ -374,6 +374,8 @@ def test_synth_zero_frames_exits_2(tmp_path, capsys):
         (["--dropout", "2"], "dropout must lie in [0, 1]"),
         (["--dropout", "-1"], "dropout must lie in [0, 1]"),
         (["--seed", "-1"], "seed must be >= 0"),
+        # finite, but a keypoint overflows to inf, which reconstruct would reject
+        (["--noise", "1e308", "--seed", "1"], "--noise 1e+308 puts keypoints outside the range of a float"),
     ],
 )
 def test_synth_invalid_noise_or_dropout_exits_2(tmp_path, capsys, flags, message):
@@ -574,7 +576,7 @@ def _overflowing_skeletons(scene, path, frames=3):
     return path
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_retarget_overflowing_bone_falls_back(tmp_path):
     """A bone whose length overflows lacks data: it falls back, and no NaN or
     Infinity token reaches anim.jsonl."""
@@ -590,7 +592,7 @@ def test_retarget_overflowing_bone_falls_back(tmp_path):
         assert statuses["head"] == "fell_back" and statuses["l_upper_leg"] == "ok"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("with_keypoints", [False, True], ids=["3d", "2d"])
 def test_eval_non_finite_error_exits_2(tmp_path, capsys, with_keypoints):
     """A frame whose 3D or reprojection error is not finite exits 2 naming the
@@ -609,6 +611,22 @@ def test_eval_non_finite_error_exits_2(tmp_path, capsys, with_keypoints):
     err = capsys.readouterr().err
     assert f"error: {huge}: {message}" in err
     assert not out.parent.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 2])
+def test_overlay_non_finite_reprojection_exits_2(tmp_path, capsys, first):
+    """A joint whose reprojection overflows to inf exits 2 naming the first
+    such frame and view, and leaves no SVG with an inf coordinate behind."""
+    scene = run_synth(tmp_path, frames=3)
+    huge = _overflowing_skeletons(scene, tmp_path / "huge.jsonl")
+    truth, overflowing = list(mio.read_skeletons(scene / "truth.jsonl")), list(mio.read_skeletons(huge))
+    mio.write_skeletons(huge, truth[:first] + overflowing[first:])  # frames before `first` stay finite
+    out = tmp_path / "overlay"
+    inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"), "--skeleton", str(huge)]
+    assert main(["render-overlay", *inputs, "--out", str(out)]) == EXIT_PARSE
+    assert f"error: {huge}: frame {first}: reprojection in view 0 is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_overlay_failing_on_any_error_leaves_no_svg(tmp_path, monkeypatch):
@@ -745,7 +763,7 @@ def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monk
     for f in (3, frames - 2):
         for r, view_id in enumerate(observed[f].view_ids):
             cam = cameras[view_id]
-            svg = render_overlay_svg(cam, observed[f].table[r, :, :2], project(skeletons[f].positions, cam), default_topology())
+            svg = render_overlay_svg(cam, observed[f].table[r, :, :2], project(skeletons[f].positions, cam))
             assert default[Path(f"overlay/frame_{f:04d}_view_{view_id}.svg")] == svg.encode()
 
 

@@ -9,7 +9,7 @@ from oracles import joint_statuses, read_transforms, snap_rotation
 from mvmocap import io as mio
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import BoneTransformSet, retarget_frame
-from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, default_template, default_topology
+from mvmocap.skeleton import BONES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from mvmocap.synth import PRESETS, generate_scene, render_observations
 
 
@@ -119,7 +119,7 @@ def test_skeleton_record_leaving_a_joint_out_reads_as_nan_row(tmp_path):
 
 def test_transform_round_trip(tmp_path):
     scene = generate_scene("wave", frames=1, seed=6)
-    tset = retarget_frame(scene.truth[0], default_topology(), default_template())
+    tset = retarget_frame(scene.truth[0])
     path = tmp_path / "anim.jsonl"
     mio.write_transforms(path, [tset])
     loaded = list(read_transforms(path))[0]
@@ -143,7 +143,7 @@ def _reference_transform_line(tset):
 def test_templated_transform_line_matches_per_value_format(rng):
     # Around the rounding boundary of the 6th decimal, on both signs, and -0.0.
     crafted = np.array([-4e-7, -5e-7, -1e-6, 1e-7, -0.0, 5e-7, -5.000001e-7, -0.0000015, -1.0])
-    bones = default_topology().bones
+    bones = BONES
     for frame in range(30):
         values = rng.normal(size=(len(bones), 4, 4)) * 10.0 ** rng.integers(-8, 4, size=(len(bones), 4, 4))
         mask = rng.random(values.shape) < 0.3

@@ -25,7 +25,7 @@ from mvmocap.retarget import (
     retarget_frame,
     retarget_sequence,
 )
-from mvmocap.skeleton import Skeleton3D, tpose_positions
+from mvmocap.skeleton import BONES, FRAME_ROTATION, JOINT_NAMES, T_POSE, Skeleton3D
 from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import EstimatorConfig, estimate_skeleton
 
@@ -74,34 +74,34 @@ def test_frame_action_and_orthonormality(rng):
 # -- accumulated rotations -------------------------------------------------------
 
 
-def test_tpose_accumulates_identity(topology, template):
-    skel = Skeleton3D(0, tpose_positions())
-    ts = retarget_frame(skel, topology, template)
+def test_tpose_accumulates_identity():
+    skel = Skeleton3D(0, T_POSE)
+    ts = retarget_frame(skel)
     assert set(ts.statuses.values()) == {STATUS_OK}
     for name in ts.transforms:
         assert np.allclose(ts.rotation(name), np.eye(3), atol=1e-9), name
 
 
-def test_bent_elbow_is_pure_z_rotation(topology, template):
-    positions = dict(tpose_positions())
+def test_bent_elbow_is_pure_z_rotation():
+    positions = dict(enumerate(T_POSE))
     # Bend the left elbow 90 degrees about template z: hand moves straight up.
     positions[7] = positions[6] + np.array([0.0, 260.0, 0.0])
     skel = Skeleton3D(0, positions)
-    ts = retarget_frame(skel, topology, template)
+    ts = retarget_frame(skel)
     # The left frame class is the identity, so global rotations are the local ones.
     assert np.allclose(ts.rotation("l_upper_arm"), np.eye(3), atol=1e-9)
     assert np.allclose(ts.rotation("l_lower_arm"), rotation_about_axis(Z, np.pi / 2), atol=1e-9)
 
 
-def test_chain_fk_reproduces_bone_directions(topology, template):
+def test_chain_fk_reproduces_bone_directions():
     for preset in ("walk", "wave", "squat"):
         scene = generate_scene(preset, frames=8, seed=13)
         for skel in scene.truth:
-            ts = retarget_frame(skel, topology, template)
-            for bone in topology.bones:
+            ts = retarget_frame(skel)
+            for bone in BONES:
                 assert ts.statuses[bone.name] == STATUS_OK
-                fk = ts.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
-                assert np.allclose(fk, bone_vector(skel, bone.name, topology), atol=1e-6)
+                fk = ts.rotation(bone.name) @ FRAME_ROTATION[bone.frame_class][:, 0]
+                assert np.allclose(fk, bone_vector(skel, bone.name), atol=1e-6)
 
 
 # -- spin_correct ----------------------------------------------------------------
@@ -150,32 +150,32 @@ def test_degenerate_reference_plane_returns_input():
 # -- retarget_frame -----------------------------------------------------------------
 
 
-def test_tpose_transforms_are_identity(topology, template):
-    skel = Skeleton3D(0, tpose_positions())
-    ts = retarget_frame(skel, topology, template)
+def test_tpose_transforms_are_identity():
+    skel = Skeleton3D(0, T_POSE)
+    ts = retarget_frame(skel)
     for name, T in ts.transforms.items():
         assert np.allclose(T[:3, :3], np.eye(3), atol=1e-9), name
         assert np.array_equal(T[:3, 3], np.zeros(3))
         assert np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
 
 
-def test_fk_round_trip_on_animated_skeletons(topology, template):
+def test_fk_round_trip_on_animated_skeletons():
     scene = generate_scene("walk", frames=10, seed=21)
     for skel in scene.truth:
-        ts = retarget_frame(skel, topology, template)
-        for bone in topology.bones:
-            fk = ts.rotation(bone.name) @ template.frame_rotation[bone.frame_class][:, 0]
-            assert np.allclose(fk, bone_vector(skel, bone.name, topology), atol=1e-6)
+        ts = retarget_frame(skel)
+        for bone in BONES:
+            fk = ts.rotation(bone.name) @ FRAME_ROTATION[bone.frame_class][:, 0]
+            assert np.allclose(fk, bone_vector(skel, bone.name), atol=1e-6)
             assert is_rotation(ts.rotation(bone.name), tol=1e-9)
 
 
-def test_missing_hands_only_affect_lower_arms(topology, template):
+def test_missing_hands_only_affect_lower_arms():
     scene = generate_scene("wave", frames=3, seed=31)
     skel = scene.truth[2]
-    full = retarget_frame(skel, topology, template)
+    full = retarget_frame(skel)
 
     reduced = _without(skel, (4, 7), skel.frame)
-    ablated = retarget_frame(reduced, topology, template)
+    ablated = retarget_frame(reduced)
 
     for name in ("r_lower_arm", "l_lower_arm"):
         assert ablated.statuses[name] == STATUS_FELL_BACK
@@ -185,24 +185,24 @@ def test_missing_hands_only_affect_lower_arms(topology, template):
         assert np.allclose(ablated.transforms[name], full.transforms[name], atol=1e-9)
 
 
-def test_sequence_holds_previous_rotation_for_missing_bones(topology, template):
+def test_sequence_holds_previous_rotation_for_missing_bones():
     scene = generate_scene("walk", frames=2, seed=41)
     first, second = scene.truth
     reduced = _without(second, (7,), second.frame)
-    sets = list(retarget_sequence([first, reduced], topology, template))
+    sets = list(retarget_sequence([first, reduced]))
     assert sets[1].statuses["l_lower_arm"] == STATUS_FELL_BACK
     assert np.allclose(sets[1].rotation("l_lower_arm"), sets[0].rotation("l_lower_arm"), atol=1e-12)
     assert sets[1].statuses["l_upper_arm"] == STATUS_OK
 
 
-def test_spin_free_invariant_on_animated_poses(topology, template):
+def test_spin_free_invariant_on_animated_poses():
     """Corrected frames keep their y-axis in the plane of the bone axis and
     the parent frame's y-axis, wherever that plane is defined."""
     scene = generate_scene("squat", frames=6, seed=51)
     for skel in scene.truth:
-        ts = retarget_frame(skel, topology, template)
-        for bone in topology.bones:
-            rc = template.frame_rotation[bone.frame_class]
+        ts = retarget_frame(skel)
+        for bone in BONES:
+            rc = FRAME_ROTATION[bone.frame_class]
             acc = rc.T @ ts.rotation(bone.name) @ rc
             if bone.parent_bone is None:
                 parent_local = np.eye(3)
@@ -219,51 +219,51 @@ def test_spin_free_invariant_on_animated_poses(topology, template):
 # -- equivalence with the class-frame chain -------------------------------------------
 
 
-def _assert_matches_class_frame_chain(skeletons, topology, template):
+def _assert_matches_class_frame_chain(skeletons):
     skeletons = list(skeletons)
-    sets = list(retarget_sequence(skeletons, topology, template))
-    for ts, (rotations, statuses) in zip(sets, class_frame_retarget(skeletons, topology, template), strict=True):
+    sets = list(retarget_sequence(skeletons))
+    for ts, (rotations, statuses) in zip(sets, class_frame_retarget(skeletons), strict=True):
         assert ts.statuses == statuses
         for name, rot in rotations.items():
             assert np.max(np.abs(ts.rotation(name) - rot)) <= 1e-12, (ts.frame, name)
 
 
 def _left_hand_moved(offset):
-    positions = dict(tpose_positions())
+    positions = dict(enumerate(T_POSE))
     positions[7] = positions[6] + np.array(offset)
     return Skeleton3D(0, positions)
 
 
-def test_matches_class_frame_chain_on_truth(topology, template):
+def test_matches_class_frame_chain_on_truth():
     for preset in ("walk", "wave", "squat"):
-        _assert_matches_class_frame_chain(generate_scene(preset, frames=40, seed=61).truth, topology, template)
+        _assert_matches_class_frame_chain(generate_scene(preset, frames=40, seed=61).truth)
     # The left lower arm's carried frame is the identity, so a hand straight
     # up (bent elbow) or straight down from the elbow makes the bone parallel
     # or antiparallel to its y-axis: both signs of the degenerate branch.
     for offset in ([0.0, 260.0, 0.0], [0.0, -260.0, 0.0]):
         skeleton = _left_hand_moved(offset)
-        _assert_matches_class_frame_chain([skeleton], topology, template)
-        rot = retarget_frame(skeleton, topology, template).rotation("l_lower_arm")
+        _assert_matches_class_frame_chain([skeleton])
+        rot = retarget_frame(skeleton).rotation("l_lower_arm")
         assert is_rotation(rot, tol=1e-12)
 
 
-def test_matches_class_frame_chain_on_noisy_reconstruction(topology, template, ring):
+def test_matches_class_frame_chain_on_noisy_reconstruction(ring):
     scene = generate_scene("walk", frames=30, noise_px=1.0, dropout=0.05, seed=62)
     config = EstimatorConfig(delta=(20.0, 20.0, 20.0))
     skeletons = [estimate_skeleton(f, ring, config) for f in render_observations(scene)]
     assert any(s != STATUS_OK for skel in skeletons for s in joint_statuses(skel).values())
-    _assert_matches_class_frame_chain(skeletons, topology, template)
+    _assert_matches_class_frame_chain(skeletons)
 
 
-def test_matches_class_frame_chain_on_random_gappy_skeletons(topology, template, rng):
-    joint_ids = [idx for idx, _ in topology.joints]
+def test_matches_class_frame_chain_on_random_gappy_skeletons(rng):
+    joint_ids = sorted(JOINT_NAMES)
     skeletons = []
     for f in range(300):
         positions = {i: rng.uniform(-800, 800, size=3) for i in joint_ids if rng.random() > 0.15}
         if rng.random() < 0.2 and 1 in positions and 0 in positions:
             positions[0] = positions[1].copy()  # zero-length head bone
         skeletons.append(Skeleton3D(f, positions))
-    _assert_matches_class_frame_chain(skeletons, topology, template)
+    _assert_matches_class_frame_chain(skeletons)
 
 
 # -- chunked stacks against the per-frame loop -----------------------------------------
@@ -275,7 +275,7 @@ def _without(skeleton, joints, frame):
     return Skeleton3D(frame, positions)
 
 
-def test_chunks_match_per_frame_loop(topology, template, monkeypatch):
+def test_chunks_match_per_frame_loop(monkeypatch):
     """Chunks of 4 frames: holds at the stream start, across a chunk boundary
     and through a whole chunk, a zero-length bone and both parallel branches."""
     monkeypatch.setattr(retarget, "CHUNK_FRAMES", 4)
@@ -289,10 +289,10 @@ def test_chunks_match_per_frame_loop(topology, template, monkeypatch):
     skeletons[13] = _left_hand_moved([0.0, -260.0, 0.0])
     skeletons[6].frame, skeletons[13].frame = 6, 13
 
-    sets = list(retarget_sequence(skeletons, topology, template))
+    sets = list(retarget_sequence(skeletons))
     previous = None
     for ts, skel in zip(sets, skeletons, strict=True):
-        expected = retarget_frame_alone(skel, topology, template, previous)
+        expected = retarget_frame_alone(skel, previous)
         assert ts.frame == expected.frame and ts.statuses == expected.statuses
         for name, T in expected.transforms.items():
             assert np.max(np.abs(ts.transforms[name] - T)) <= 1e-12, (ts.frame, name)
@@ -306,19 +306,20 @@ def test_chunks_match_per_frame_loop(topology, template, monkeypatch):
     assert np.array_equal(sets[11].rotation("r_lower_leg"), sets[6].rotation("r_lower_leg"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_bone_falls_back_like_per_frame_loop(topology, template):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_bone_falls_back_like_per_frame_loop():
     """Finite endpoints whose distance overflows to inf give no direction: the
     bone holds, as bone_vector's OverflowingBone does in the per-frame loop."""
     truth = generate_scene("walk", frames=6, seed=72).truth
     for f in (1, 2, 4):
         truth[f].positions[0, 0], truth[f].positions[1, 0] = 1e308, -1e308  # head bone length inf
-    with pytest.raises(OverflowingBone):
-        bone_vector(truth[1], "head", topology)
-    sets = list(retarget_sequence(truth, topology, template))
+    with pytest.raises(OverflowingBone), np.errstate(over="ignore"):  # the oracle's own overflow
+        bone_vector(truth[1], "head")
+    sets = list(retarget_sequence(truth))
     previous = None
     for ts, skel in zip(sets, truth, strict=True):
-        expected = retarget_frame_alone(skel, topology, template, previous)
+        with np.errstate(over="ignore"):
+            expected = retarget_frame_alone(skel, previous)
         assert ts.statuses == expected.statuses
         for name, T in expected.transforms.items():
             assert np.max(np.abs(ts.transforms[name] - T)) <= 1e-12, (ts.frame, name)

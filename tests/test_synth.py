@@ -4,7 +4,7 @@ from oracles import RankDeficient, dlt_triangulate, ok_joints
 
 from mvmocap.geometry import project
 from mvmocap.io import keypoint_line
-from mvmocap.skeleton import ROOT_JOINT, tpose_positions
+from mvmocap.skeleton import BONES, ROOT_JOINT, T_POSE
 from mvmocap.synth import UnknownPreset, camera_ring, generate_scene, render_observations
 
 
@@ -15,7 +15,7 @@ def test_unknown_preset_rejected():
 
 def test_tpose_preset_matches_template():
     scene = generate_scene("tpose-static", frames=1, noise_px=0.0, dropout=0.0, seed=0)
-    template = tpose_positions()
+    template = dict(enumerate(T_POSE))
     truth = scene.truth[0]
     assert ok_joints(truth) == set(template)
     for idx, p in template.items():
@@ -30,14 +30,14 @@ def test_same_seed_gives_identical_scenes():
     assert lines_a == lines_b
 
 
-def test_bone_lengths_constant_across_frames(topology):
+def test_bone_lengths_constant_across_frames():
     for preset in ("walk", "wave", "squat"):
         scene = generate_scene(preset, frames=20, seed=9)
         reference = None
         for skel in scene.truth:
             lengths = {
                 b.name: np.linalg.norm(skel.positions[b.child_joint] - skel.positions[b.parent_joint])
-                for b in topology.bones
+                for b in BONES
             }
             if reference is None:
                 reference = lengths
