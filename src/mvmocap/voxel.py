@@ -22,12 +22,14 @@ one frontier: cube centers plus a joint-id column, processed one depth
 level at a time, each level a single vectorized batch over every joint's
 cubes and every calibrated view, whose votes form a (V, M) matrix over the
 level's M cubes. Along each axis the eight children of a parent take only
-two center coordinates, c ± e/4, so a level is voted from its parents'
-per-axis slabs, (V, 2, n) arrays over the n parents, folded into all eight
-children at once. The root level, and a level whose children the runaway
-cap trimmed, are voted one cube per column through the same function.
-The search reads a (J, V, 3) table of (u, v, confidence), one column per
-calibrated view in view-id order, NaN where a view has no detection.
+two center coordinates, c ± e/4, so a level's slab test runs on its
+parents' per-axis slabs, (V, 2, n) arrays over the n parents, folded into
+all eight children at once; the root level, and a level whose children the
+runaway cap trimmed, are slab-tested one cube per column. The slab test
+runs first: the depth test only removes votes, so only the cubes with sigma
+slab votes (about one in eight) get a center and a depth test. The search
+reads a (J, V, 3) table of (u, v, confidence), one column per calibrated
+view in view-id order, NaN where a view has no detection.
 estimate_joints and estimate_joint take that table as it is;
 estimate_skeletons stacks it from the frames' keypoint tables, whose rows
 may list the views in any order. Results are independent of that order and
@@ -174,51 +176,41 @@ def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tu
     return origins, directions
 
 
-def _views_containing(
-    centers: np.ndarray,
-    parents: np.ndarray,
-    jid: np.ndarray,
-    edges: np.ndarray,
-    R: np.ndarray,
-    t: np.ndarray,
-    origins: np.ndarray,
-    directions: np.ndarray,
-) -> np.ndarray:
-    """Vote matrix (V, M): does view v's ray of joint jid[p] hit box m?
+def _slab_votes(parents: np.ndarray, jid: np.ndarray, half: np.ndarray, k: int,
+                origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Slab-test votes (V, k³·n): does view v's ray of joint jid[p] hit box m?
 
-    The M boxes of edge lengths edges are the n parents themselves (k = 1)
+    The boxes of half edges half are the n parents (n, 3) themselves (k = 1)
     or their eight children in (corner, parent) order as _subdivide gives
-    them (k = 2); centers holds them, and parents (n, 3) and jid (n,) the
-    parents' centers and joint ids. origins and directions are (3, V, J),
-    one ray per axis, view and joint. A slab test against each box padded
-    by _BOX_PAD, boundary inclusive: along axis a the boxes of a parent take
-    only k coordinates, c or the children's c ± e/4, so the slab bounds are
-    (V, k, n) arrays, folded over the axes in order into (V, k, k, k, n).
-    An axis-parallel ray gets infinite slab bounds, or NaN (0/0) when its
-    origin lies on a face plane; the reductions skip NaN, so such a ray
-    crosses that slab iff lo <= 0 <= hi. An all-NaN ray hits nothing. Views
-    where the box is not wholly in front of the camera do not vote: the
-    nearest vertex has depth R[2]·c + t_z - sum_i |R[2, i]| h_i.
-    """
-    half = edges / 2.0
-    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (M, V)
-    k = 1 if centers.shape[0] == parents.shape[0] else 2
-    near = far = None
+    them (k = 2). origins and directions are (3, V, J), one ray per axis,
+    view and joint. Each box is padded by _BOX_PAD, boundary inclusive:
+    along axis a the boxes of a parent take only k coordinates, c or the
+    children's c ± e/4, so the slab bounds are one (3, V, k, n) stack,
+    folded over the axes in order into (V, k, k, k, n). An axis-parallel
+    ray gets infinite slab bounds, or NaN (0/0) when its origin lies on a
+    face plane; the reductions skip NaN, so such a ray crosses that slab
+    iff lo <= 0 <= hi. An all-NaN ray hits nothing."""
+    c = parents.T[:, None, :]  # (3, 1, n)
+    if k == 2:
+        c = c + _HALF_SIGNS * half[:, None, None]  # (3, 2, n)
+    rel = c[:, None] - np.take(origins, jid, axis=2)[:, :, None, :]  # (3, V, k, n)
+    d = np.take(directions, jid, axis=2)[:, :, None, :]
+    pad = (half + _BOX_PAD)[:, None, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(3):
-            c = parents[:, a] if k == 1 else parents[:, a] + _HALF_SIGNS * half[a]  # (k, n)
-            rel = c - np.take(origins[a], jid, axis=1)[:, None, :]  # (V, k, n)
-            d = np.take(directions[a], jid, axis=1)[:, None, :]
-            t_lo = (rel - (half[a] + _BOX_PAD)) / d
-            t_hi = (rel + (half[a] + _BOX_PAD)) / d
-            shape = [rel.shape[0], 1, 1, 1, jid.size]
-            shape[1 + a] = k
-            lo, hi = np.minimum(t_lo, t_hi).reshape(shape), np.maximum(t_lo, t_hi).reshape(shape)
-            near = lo if near is None else np.fmax(near, lo)
-            far = hi if far is None else np.fmin(far, hi)
-    votes = (near <= far).reshape(rel.shape[0], -1)
-    votes &= in_front.T
-    return votes
+        t_lo, t_hi = (rel - pad) / d, (rel + pad) / d
+    lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    del rel, t_lo, t_hi  # fewer (3, V, k, n) arrays live at once: a lower peak than the per-axis form
+    n_views, n = d.shape[1], jid.size
+    x, y, z = (n_views, k, 1, 1, n), (n_views, 1, k, 1, n), (n_views, 1, 1, k, n)
+    near = np.fmax(np.fmax(lo[0].reshape(x), lo[1].reshape(y)), lo[2].reshape(z))
+    del lo
+    far = np.fmin(np.fmin(hi[0].reshape(x), hi[1].reshape(y)), hi[2].reshape(z))
+    return (near <= far).reshape(n_views, -1)
+
+
+def _in_front(centers: np.ndarray, half: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(V, M): is box m wholly in front of camera v, its nearest vertex's depth R[2]·c + t_z - |R[2]|·half > 0?"""
+    return (centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0).T
 
 
 def estimate_joint(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> JointEstimate:
@@ -301,26 +293,33 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
     # The frontier of every joint with sigma usable views, one row per
     # cube: all joints start from the same volume and halve together, so
     # each depth level is one batch and shares its edge lengths. A level is
-    # voted from its parents (k = 2) unless it is the root or was trimmed.
+    # slab-tested from its parents (k = 2) unless it is the root or was trimmed.
     delta = np.asarray(config.delta, dtype=float)
     edges = np.asarray(config.initial_volume.edges, dtype=float)
-    jid = np.flatnonzero(usable.sum(axis=1) >= config.sigma)
-    centers = np.repeat(config.initial_volume.center[None, :], jid.size, axis=0)
-    parents, pid = centers, jid
-    nodes = np.zeros(n_joints, dtype=int)
-    inside = np.zeros((n_views, 0), dtype=bool)
-    while jid.size:
-        nodes += np.bincount(jid, minlength=n_joints)
-        inside = _views_containing(centers, parents, pid, edges, R, t, origins, directions)
+    pid = np.flatnonzero(usable.sum(axis=1) >= config.sigma)
+    parents = np.repeat(config.initial_volume.center[None, :], pid.size, axis=0)
+    k = 1
+    nodes = np.bincount(pid, minlength=n_joints)
+    while True:  # a search with no joint ends at the root, with no survivors
+        half = edges / 2.0
+        slab = _slab_votes(parents, pid, half, k, origins, directions)
+        cand = np.flatnonzero(slab.sum(axis=0) >= config.sigma)
+        p = cand % pid.size
+        centers = parents[p] if k == 1 else parents[p] + _CORNER_SIGNS[cand // pid.size] * half
+        inside = slab[:, cand] & _in_front(centers, half, R, t)
         keep = inside.sum(axis=0) >= config.sigma
-        centers, jid, inside = centers[keep], jid[keep], inside[:, keep]
+        centers, jid, inside = centers[keep], pid[p[keep]], inside[:, keep]
         if not jid.size or np.all(edges < delta):
             break
-        parents, pid = centers, jid
-        centers, jid = _cap_frontier(_subdivide(centers, edges), np.tile(jid, 8), config.max_candidates)
+        counts = np.bincount(jid, minlength=n_joints)
+        if 8 * counts.max() <= config.max_candidates:
+            parents, pid, k = centers, jid, 2
+            nodes += 8 * counts
+        else:  # the runaway cap trims the children: vote them as they are
+            parents, pid = _cap_frontier(_subdivide(centers, edges), np.tile(jid, 8), config.max_candidates)
+            k = 1
+            nodes += np.bincount(pid, minlength=n_joints)
         edges = edges / 2.0
-        if jid.size < 8 * pid.size:  # the cap trimmed the children: vote them as they are (k = 1)
-            parents, pid = centers, jid
 
     # Survivors exist only at the terminal level: they are the candidates.
     order = _by_joint(centers, jid)
@@ -389,8 +388,6 @@ def _by_joint(centers: np.ndarray, jid: np.ndarray) -> np.ndarray:
 def _cap_frontier(centers: np.ndarray, jid: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Runaway guard: keep each joint's first `limit` cubes in canonical order."""
     counts = np.bincount(jid)
-    if counts.max() <= limit:
-        return centers, jid
     order = _by_joint(centers, jid)
     centers, jid = centers[order], jid[order]
     rank = np.arange(jid.size) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -46,9 +46,10 @@ from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,
     JointEstimate,
+    _in_front,
     _rays,
+    _slab_votes,
     _subdivide,
-    _views_containing,
 )
 
 # Boundary tolerance of the oracle, pixels of perpendicular distance.
@@ -86,7 +87,7 @@ def hull_contains(cube, cam, pixel) -> bool:
 
 
 def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> np.ndarray:
-    """Vote matrix (N, V), the transpose of voxel._views_containing's, from (N, V, 3) slab bounds."""
+    """Vote matrix (N, V), the transpose of the estimator's _slab_votes & _in_front, from (N, V, 3) slab bounds."""
     half = edges / 2.0
     in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
     rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
@@ -103,7 +104,9 @@ def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> 
 def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
     """Vote matrix (V, M) of one joint's (V, 3) rays against M boxes, one box per row (k = 1)."""
     jid = np.zeros(centers.shape[0], dtype=int)
-    return _views_containing(centers, centers, jid, edges, R, t, origins.T[:, :, None], directions.T[:, :, None])
+    half = edges / 2.0
+    slab = _slab_votes(centers, jid, half, 1, origins.T[:, :, None], directions.T[:, :, None])
+    return slab & _in_front(centers, half, R, t)
 
 
 def slab_votes(center, edges, cameras, pixels) -> np.ndarray:

@@ -18,7 +18,7 @@ from mvmocap import cli, retarget, voxel
 from mvmocap.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, _output, build_parser, main
 from mvmocap.geometry import project
 from mvmocap.overlay import render_overlay_svg
-from mvmocap.skeleton import STATUS_NO_CONSENSUS
+from mvmocap.skeleton import STATUS_NO_CONSENSUS, STATUS_OK
 
 
 def run_synth(tmp_path, preset="walk", frames=4, noise="0", dropout="0", seed="7"):
@@ -88,6 +88,28 @@ def test_sigma_above_camera_count_warns_and_degrades(tmp_path, capsys):
     assert "warning" in err and "sigma=6" in err
     for s in mio.read_skeletons(skel):
         assert set(joint_statuses(s).values()) == {STATUS_NO_CONSENSUS}
+
+
+@pytest.mark.parametrize("volume, facing", [("8000x4000x8000", 0), ("4000x3000x4000@0,0,1200", 2), (None, None)])
+def test_volume_not_in_front_of_sigma_cameras_warns(tmp_path, capsys, volume, facing):
+    """A view votes only for cubes wholly in front of it. With fewer than
+    sigma such views for the whole volume every joint dies at the root, and
+    a warning says why; the default volume warns of nothing."""
+    scene = run_synth(tmp_path, frames=2)
+    skel = tmp_path / "skel.jsonl"
+    flags = ["--volume", volume] if volume else []
+    assert main([
+        "reconstruct", "--calib", str(scene / "calib.json"),
+        "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(skel), *flags,
+    ]) == EXIT_OK
+    err = capsys.readouterr().err
+    statuses = {status for s in mio.read_skeletons(skel) for status in joint_statuses(s).values()}
+    if volume:
+        assert err.count("warning:") == 1 and f"sigma=4 exceeds the {facing} of 5 calibrated cameras" in err
+        assert statuses == {STATUS_NO_CONSENSUS}
+    else:
+        assert err == ""
+        assert statuses == {STATUS_OK}
 
 
 def test_eval_truth_against_itself_is_zero(tmp_path):

@@ -25,8 +25,9 @@ from mvmocap.voxel import (
     JointObservationFrame,
     _BOX_PAD,
     _CORNER_SIGNS,
+    _in_front,
+    _slab_votes,
     _subdivide,
-    _views_containing,
     estimate_joint,
     estimate_joints,
     estimate_skeleton,
@@ -160,7 +161,8 @@ def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes
     centers, box_jid = (_subdivide(parents, parent_edges), np.tile(jid, 8)) if split else (parents, jid)
     want = views_containing_stacked(centers, box_jid, edges, R, t, origins, directions)
     axis_major = lambda rays: np.ascontiguousarray(rays.transpose(2, 1, 0))  # (J, V, 3) -> (3, V, J)
-    got = _views_containing(centers, parents, jid, edges, R, t, axis_major(origins), axis_major(directions))
+    got = _slab_votes(parents, jid, half, 2 if split else 1, axis_major(origins), axis_major(directions))
+    got &= _in_front(centers, half, R, t)
     assert got.dtype == want.dtype and np.array_equal(got, want.T)
 
 
@@ -311,22 +313,35 @@ def _fields(est):
     )
 
 
+_PARTLY_BEHIND_VIEW_0 = Cube((0.0, 0.0, 1500.0), (2000.0, 3000.0, 4000.0))
+
+
 @pytest.mark.parametrize(
-    "frames, noise, dropout, delta, max_candidates",
+    "frames, noise, dropout, delta, max_candidates, volume",
     [
-        (6, 0.0, 0.0, 10.0, 100_000),
-        (20, 1.0, 0.05, 20.0, 100_000),
-        (6, 2.0, 0.0, 60.0, 100_000),
-        (4, 2.0, 0.0, 60.0, 16),
+        (6, 0.0, 0.0, 10.0, 100_000, None),
+        (20, 1.0, 0.05, 20.0, 100_000, None),
+        (6, 2.0, 0.0, 60.0, 100_000, None),
+        (4, 2.0, 0.0, 60.0, 16, None),
+        (8, 1.0, 0.05, 20.0, 100_000, _PARTLY_BEHIND_VIEW_0),
     ],
-    ids=["clean-d10", "1px-dropout-d20", "2px-d60", "2px-d60-capped"],
+    ids=["clean-d10", "1px-dropout-d20", "2px-d60", "2px-d60-capped", "1px-dropout-d20-partly-behind-view-0"],
 )
-def test_shared_frontier_matches_per_joint_search(frames, noise, dropout, delta, max_candidates):
-    """Each joint's result from the shared frontier is bit-identical to its own search."""
+def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dropout, delta, max_candidates, volume):
+    """Each joint's result from the shared frontier is bit-identical to its own search.
+
+    With a volume not wholly in front of view 0, the depth test vetoes some
+    of that view's slab votes, and the results without it would differ.
+    """
     scene = generate_scene("walk", frames=frames, noise_px=noise, dropout=dropout, seed=101)
-    config = EstimatorConfig(delta=(delta, delta, delta), max_candidates=max_candidates)
+    volume_kw = {"initial_volume": volume} if volume else {}
+    config = EstimatorConfig(delta=(delta, delta, delta), max_candidates=max_candidates, **volume_kw)
     uncapped = EstimatorConfig(delta=config.delta)
-    outcomes, cut = [], False
+    if volume is not None:
+        R, t = np.stack([c.rotation for c in scene.cameras]), np.stack([c.translation for c in scene.cameras])
+        assert _in_front(volume.center[None, :], np.asarray(volume.edges) / 2.0, R, t)[:, 0].tolist() == [
+            False, True, True, True, True]
+    outcomes, cut, vetoed = [], False, False
     for frame in render_observations(scene):
         tables = frame.table[:, DETECTED_JOINTS].transpose(1, 0, 2)  # (J, V, 3); the views are in ascending id order
         want = [estimate_joint_alone(table, scene.cameras, config) for table in tables]
@@ -339,14 +354,20 @@ def test_shared_frontier_matches_per_joint_search(frames, noise, dropout, delta,
         outcomes += [(e.status, e.nodes_visited) for e in want]
         if max_candidates < uncapped.max_candidates:
             cut |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, uncapped)]
+        if volume is not None:
+            with monkeypatch.context() as m:
+                m.setattr(voxel, "_in_front", lambda centers, half, R, t: np.ones((len(R), len(centers)), dtype=bool))
+                vetoed |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
     assert any(s == STATUS_OK for s, _ in outcomes)
     if dropout:
-        # Joints short-circuited for having fewer than sigma views, and
+        # Joints short-circuited for having fewer than sigma usable views, and
         # joints that lost consensus partway, are both covered.
         assert (STATUS_NO_CONSENSUS, 0) in outcomes
         assert any(s == STATUS_NO_CONSENSUS and n > 0 for s, n in outcomes)
     if max_candidates < uncapped.max_candidates:
         assert cut, "the per-joint cap never cut a frontier"
+    if volume is not None:
+        assert vetoed, "the depth test never vetoed a slab vote"
 
 
 def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
@@ -360,16 +381,16 @@ def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
     want = [_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
 
     calls = []
-    vote = voxel._views_containing
+    vote = voxel._slab_votes
 
-    def counted(centers, parents, jid, *args):
-        votes = vote(centers, parents, jid, *args)
-        per_parent = centers.shape[0] // parents.shape[0]  # 1 or 8 boxes
+    def counted(parents, jid, half, k, *args):
+        votes = vote(parents, jid, half, k, *args)
+        per_parent = k**3  # 1 or 8 boxes
         calls.append((per_parent, int(np.bincount(jid).max()) * per_parent))
-        assert votes.shape == (len(scene.cameras), centers.shape[0])
+        assert votes.shape == (len(scene.cameras), per_parent * parents.shape[0])
         return votes
 
-    monkeypatch.setattr(voxel, "_views_containing", counted)
+    monkeypatch.setattr(voxel, "_slab_votes", counted)
     got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
     assert got == want
     assert max(rows for _, rows in calls) <= config.max_candidates
