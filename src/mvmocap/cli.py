@@ -38,7 +38,7 @@ import numpy as np
 from . import io as mio
 from . import voxel
 from .geometry import CameraParams, project, stack_cameras
-from .metrics import ErrorReport, NoComparableJoints, avg_2d_err, mean_abs_3d_err
+from .metrics import NoComparableJoints, avg_2d_err, mean_abs_3d_err, sequence_mean
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
 from .skeleton import DETECTED_JOINTS
@@ -300,26 +300,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not per_frame:
         raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")
     per_view = {v: sums[v] / counts[v] for v in sorted(sums)}
-    report = ErrorReport.build(per_frame, per_view, total_joints)
-    _write_report(out_base, report, frames_used)
-    print(f"sequence mean 3D error: {report.sequence_mean_3d:.3f} mm over {len(per_frame)} frames")
+    mean = _write_report(out_base, per_frame, per_view, total_joints, frames_used)
+    print(f"sequence mean 3D error: {mean:.3f} mm over {len(per_frame)} frames")
     return EXIT_OK
 
 
-def _write_report(out_base: Path, report: ErrorReport, frames_used: list[int]) -> None:
+def _write_report(
+    out_base: Path, per_frame: list[float], per_view: dict[int, float], joint_count: int, frames_used: list[int]
+) -> float:
+    """Write eval's .json and .csv reports; returns the sequence mean 3D error."""
+    mean = sequence_mean(per_frame)
     fmt = lambda x: format(float(x), ".6f")
     body = "{\n"
-    body += f'  "frame_count": {len(report.per_frame_3d)},\n'
-    body += f'  "joint_count": {report.joint_count},\n'
-    body += f'  "sequence_mean_3d_mm": {fmt(report.sequence_mean_3d)},\n'
-    body += '  "per_frame_3d_mm": [' + ", ".join(fmt(v) for v in report.per_frame_3d) + "],\n"
-    body += '  "per_view_2d_px": {' + ", ".join(f'"{v}": {fmt(e)}' for v, e in sorted(report.per_view_2d.items())) + "}\n"
+    body += f'  "frame_count": {len(per_frame)},\n'
+    body += f'  "joint_count": {joint_count},\n'
+    body += f'  "sequence_mean_3d_mm": {fmt(mean)},\n'
+    body += '  "per_frame_3d_mm": [' + ", ".join(fmt(v) for v in per_frame) + "],\n"
+    body += '  "per_view_2d_px": {' + ", ".join(f'"{v}": {fmt(e)}' for v, e in sorted(per_view.items())) + "}\n"
     body += "}\n"
     csv_lines = ["frame,mean_abs_3d_err_mm"]
-    csv_lines += [f"{f},{fmt(v)}" for f, v in zip(frames_used, report.per_frame_3d)]
+    csv_lines += [f"{f},{fmt(v)}" for f, v in zip(frames_used, per_frame)]
     with _output(out_base.with_suffix(".json")) as json_part, _output(out_base.with_suffix(".csv")) as csv_part:
         json_part.write_text(body, encoding="utf-8")
         csv_part.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    return mean
 
 
 @np.errstate(over="ignore")  # a reprojection that overflows to inf exits 2 below

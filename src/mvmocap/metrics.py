@@ -11,7 +11,6 @@ joint is undetected, not reconstructed or behind the camera.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +23,6 @@ class NoComparableJoints(ValueError):
 
 class EmptySequence(ValueError):
     """A sequence mean was requested over zero frames."""
-
-
-@dataclass
-class ErrorReport:
-    """Aggregated evaluation results for one sequence."""
-
-    per_frame_3d: list[float]
-    sequence_mean_3d: float
-    per_view_2d: dict[int, float]
-    joint_count: int
-
-    @classmethod
-    def build(cls, per_frame_3d: list[float], per_view_2d: dict[int, float], joint_count: int) -> "ErrorReport":
-        return cls(
-            per_frame_3d=list(per_frame_3d),
-            sequence_mean_3d=sequence_mean(per_frame_3d),
-            per_view_2d=dict(per_view_2d),
-            joint_count=int(joint_count),
-        )
 
 
 def _mean_length(d: np.ndarray) -> float | None:

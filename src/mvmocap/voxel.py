@@ -6,9 +6,10 @@ the cube and the whole cube lies in front of the camera. For a cube in
 front of the camera that is the same as the pixel lying inside the convex
 hull of the cube's eight projected vertices, but it needs only a slab test
 against the box (Williams et al., "An efficient and robust ray-box
-intersection algorithm", JGT 2005). Each view's ray is computed once per
-joint. Cubes with fewer than `sigma` votes are pruned. Cubes that keep
-consensus while all edges have shrunk below `delta` become candidates;
+intersection algorithm", JGT 2005). Each view's camera center is computed
+once per search, and its ray direction once per joint and view. Cubes
+with fewer than `sigma` votes are pruned. Cubes that keep consensus while
+all edges have shrunk below `delta` become candidates;
 everything else splits into eight half-size children. The joint position
 is the linear least-squares triangulation over the supporting views
 (those whose ray hits some candidate), clamped to the bounding box of the
@@ -25,7 +26,7 @@ level's M cubes. Along each axis the eight children of a parent take only
 two center coordinates, c ± e/4, so a level's slab test runs on its
 parents' per-axis slabs, (V, 2, n) arrays over the n parents, folded into
 all eight children at once; the root level, and a level whose children the
-runaway cap trimmed, are slab-tested one cube per column. The slab test
+runaway cap MAX_CANDIDATES trimmed, are slab-tested one cube per column. The slab test
 runs first: the depth test only removes votes, so only the cubes with sigma
 slab votes (about one in eight) get a center and a depth test. The search
 reads a (J, V, 3) table of (u, v, confidence), one column per calibrated
@@ -66,6 +67,10 @@ _HALF_SIGNS = np.array([[-1.0], [1.0]])
 # every box by this much, in mm.
 _BOX_PAD = 1e-7
 
+# Runaway guard against degenerate calibrations: after subdividing, each
+# joint keeps at most this many cubes of a level, the first in canonical order.
+MAX_CANDIDATES = 100_000
+
 # Frames per search in `reconstruct`; whole-file runs at 8, 16 and 32 were no faster than at 4.
 CHUNK_FRAMES = 4
 
@@ -101,15 +106,14 @@ class EstimatorConfig:
         edges are all strictly below delta becomes a candidate.
     initial_volume: the level-zero cube covering the capture space.
     min_confidence: observations below this confidence are ignored.
-    max_candidates: safety cap against runaway traversals caused by
-        degenerate calibrations.
+
+    The runaway cap is the module constant MAX_CANDIDATES, not a setting.
     """
 
     sigma: int = 4
     delta: tuple[float, float, float] = (10.0, 10.0, 10.0)
     initial_volume: Cube = field(default_factory=_default_volume)
     min_confidence: float = 0.1
-    max_candidates: int = 100_000
 
     def __post_init__(self):
         if self.sigma < 2:
@@ -121,8 +125,6 @@ class EstimatorConfig:
             raise ValueError("initial volume must be at least delta in every axis")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValueError("min_confidence must lie in [0, 1]")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
         object.__setattr__(self, "delta", d)
 
 
@@ -161,18 +163,18 @@ class JointEstimate:
 
 
 def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame viewing rays (V, 3): camera centers -R^T t and directions R^T K^-1 [u, v, 1].
+    """World-frame viewing rays of pixels (..., V, 2) in the V calibrated views.
 
-    A view whose direction is not finite (an inf or NaN pixel) gets an
-    all-NaN ray, which hits no cube.
+    Returns the camera centers -R^T t (V, 3), one per view, and the
+    directions R^T K^-1 [u, v, 1] (..., V, 3). A direction that is not
+    finite (an inf or NaN pixel) becomes all NaN, which fails every slab,
+    so its ray hits no cube.
     """
-    homog = np.concatenate([pixels, np.ones((pixels.shape[0], 1))], axis=1)
-    cam_dirs = np.linalg.solve(K, homog[:, :, None])[:, :, 0]
+    homog = np.concatenate([pixels, np.ones(pixels.shape[:-1] + (1,))], axis=-1)
+    cam_dirs = np.linalg.solve(K, homog[..., None])[..., 0]
     origins = -np.einsum("vji,vj->vi", R, t)
-    directions = np.einsum("vji,vj->vi", R, cam_dirs)
-    bad = ~np.isfinite(directions).all(axis=1)
-    origins[bad] = np.nan
-    directions[bad] = np.nan
+    directions = np.einsum("vji,...vj->...vi", R, cam_dirs)
+    directions[~np.isfinite(directions).all(axis=-1)] = np.nan
     return origins, directions
 
 
@@ -182,18 +184,20 @@ def _slab_votes(parents: np.ndarray, jid: np.ndarray, half: np.ndarray, k: int,
 
     The boxes of half edges half are the n parents (n, 3) themselves (k = 1)
     or their eight children in (corner, parent) order as _subdivide gives
-    them (k = 2). origins and directions are (3, V, J), one ray per axis,
-    view and joint. Each box is padded by _BOX_PAD, boundary inclusive:
+    them (k = 2). origins (3, V) are the camera centers, one per axis and
+    view, and directions (3, V, J) one per axis, view and joint. Each box
+    is padded by _BOX_PAD, boundary inclusive:
     along axis a the boxes of a parent take only k coordinates, c or the
     children's c ± e/4, so the slab bounds are one (3, V, k, n) stack,
     folded over the axes in order into (V, k, k, k, n). An axis-parallel
     ray gets infinite slab bounds, or NaN (0/0) when its origin lies on a
     face plane; the reductions skip NaN, so such a ray crosses that slab
-    iff lo <= 0 <= hi. An all-NaN ray hits nothing."""
+    iff lo <= 0 <= hi. An all-NaN direction hits nothing: the fold of NaN
+    bounds is NaN, and NaN <= NaN is False."""
     c = parents.T[:, None, :]  # (3, 1, n)
     if k == 2:
         c = c + _HALF_SIGNS * half[:, None, None]  # (3, 2, n)
-    rel = c[:, None] - np.take(origins, jid, axis=2)[:, :, None, :]  # (3, V, k, n)
+    rel = c[:, None] - origins[:, :, None, None]  # (3, V, k, n)
     d = np.take(directions, jid, axis=2)[:, :, None, :]
     pad = (half + _BOX_PAD)[:, None, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,18 +281,12 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
     below min_confidence counts as missing; a missing view keeps a NaN
     pixel, whose ray votes for no cube.
     """
-    n_joints, n_views = table.shape[:2]
+    n_joints = table.shape[0]
     usable = table[:, :, 2] >= config.min_confidence
     pixels = np.where(usable[:, :, None], table[:, :, :2], np.nan)
-    origins, directions = _rays(
-        np.tile(K, (n_joints, 1, 1)),
-        np.tile(R, (n_joints, 1, 1)),
-        np.tile(t, (n_joints, 1)),
-        pixels.reshape(-1, 2),
-    )
-    # Axis-major (3, V, J) rays, so that each axis's gather over the frontier is one np.take.
-    origins = np.ascontiguousarray(origins.reshape(n_joints, n_views, 3).transpose(2, 1, 0))
-    directions = np.ascontiguousarray(directions.reshape(n_joints, n_views, 3).transpose(2, 1, 0))
+    origins, directions = _rays(K, R, t, pixels)
+    # Axis-major rays, (3, V) centers and (3, V, J) directions: a level gathers its directions with one np.take.
+    origins, directions = origins.T, np.ascontiguousarray(directions.transpose(2, 1, 0))
 
     # The frontier of every joint with sigma usable views, one row per
     # cube: all joints start from the same volume and halve together, so
@@ -312,11 +310,11 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
         if not jid.size or np.all(edges < delta):
             break
         counts = np.bincount(jid, minlength=n_joints)
-        if 8 * counts.max() <= config.max_candidates:
+        if 8 * counts.max() <= MAX_CANDIDATES:
             parents, pid, k = centers, jid, 2
             nodes += 8 * counts
         else:  # the runaway cap trims the children: vote them as they are
-            parents, pid = _cap_frontier(_subdivide(centers, edges), np.tile(jid, 8), config.max_candidates)
+            parents, pid = _cap_frontier(_subdivide(centers, edges), np.tile(jid, 8), MAX_CANDIDATES)
             k = 1
             nodes += np.bincount(pid, minlength=n_joints)
         edges = edges / 2.0

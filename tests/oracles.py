@@ -13,7 +13,8 @@ checked bit for bit.
 per joint and one SVD per refined joint (`refine_alone`), against which
 the shared frontier and the stacked refinement of `estimate_joints` are
 checked; like the estimator, it takes a joint's (V, 3) detection table,
-columns in ascending camera id, NaN where a view has no detection.
+columns in ascending camera id, NaN where a view has no detection, and
+reads the runaway cap `voxel.MAX_CANDIDATES` when it is called.
 `dlt_triangulate` is the independent least-squares triangulation of
 acceptance criterion 2, over (N, 2) pixels and their N cameras.
 `class_frame_retarget` is the bone rotation chain written in each bone's
@@ -39,6 +40,7 @@ import json
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from mvmocap import voxel
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet, _posed_frame
 from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK
@@ -102,10 +104,10 @@ def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> 
 
 
 def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
-    """Vote matrix (V, M) of one joint's (V, 3) rays against M boxes, one box per row (k = 1)."""
+    """Vote matrix (V, M) of one joint's rays, (V, 3) camera centers and directions, against M boxes, one box per row (k = 1)."""
     jid = np.zeros(centers.shape[0], dtype=int)
     half = edges / 2.0
-    slab = _slab_votes(centers, jid, half, 1, origins.T[:, :, None], directions.T[:, :, None])
+    slab = _slab_votes(centers, jid, half, 1, origins.T, directions.T[:, :, None])
     return slab & _in_front(centers, half, R, t)
 
 
@@ -175,8 +177,8 @@ def estimate_joint_alone(table, cameras, config) -> JointEstimate:
             break
         centers = _subdivide(centers, edges)
         edges = edges / 2.0
-        if centers.shape[0] > config.max_candidates:
-            centers = _canonical_order(centers)[: config.max_candidates]
+        if centers.shape[0] > voxel.MAX_CANDIDATES:
+            centers = _canonical_order(centers)[: voxel.MAX_CANDIDATES]
 
     if candidates is None:
         return JointEstimate(None, 0, frozenset(), STATUS_NO_CONSENSUS, nodes_visited=nodes)

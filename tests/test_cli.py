@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests on small synthetic scenes."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -143,6 +144,42 @@ def test_eval_uniform_offset_is_exact(tmp_path):
     assert csv[0] == "frame,mean_abs_3d_err_mm"
     assert len(csv) == 4
 
+
+
+def test_eval_report_mean_and_joint_count(tmp_path):
+    """The report's sequence mean is the mean of its per-frame errors, not of
+    the pooled joints, and joint_count counts the joints compared."""
+    scene = run_synth(tmp_path, frames=3)
+    truth = list(mio.read_skeletons(scene / "truth.jsonl"))
+    shifted = []
+    for s, dx in zip(mio.read_skeletons(scene / "truth.jsonl"), (1.0, 2.0, 6.0)):
+        s.positions = s.positions + np.array([dx, 0.0, 0.0])
+        shifted.append(s)
+    shifted[1].positions[4] = np.nan  # one joint dropped in one frame
+    mio.write_skeletons(tmp_path / "shifted.jsonl", shifted)
+    report = tmp_path / "report"
+    assert main([
+        "eval", "--skeleton", str(tmp_path / "shifted.jsonl"), "--truth", str(scene / "truth.jsonl"),
+        "--out", str(report),
+    ]) == EXIT_OK
+    data = json.loads(report.with_suffix(".json").read_text())
+    assert data["per_frame_3d_mm"] == pytest.approx([1.0, 2.0, 6.0], abs=1e-6)
+    assert round(data["sequence_mean_3d_mm"], 6) == round(float(np.mean(data["per_frame_3d_mm"])), 6)
+    compared = sum(int(np.isfinite(e.positions - t.positions).all(axis=1).sum()) for e, t in zip(shifted, truth))
+    assert data["joint_count"] == compared == 3 * 15 - 1
+
+
+def test_reconstruct_defaults_are_the_estimators():
+    """reconstruct's settings without flags, from RunConfig and from the parser, are EstimatorConfig's defaults."""
+    want = voxel.EstimatorConfig()
+    args = build_parser("reconstruct").parse_args(["reconstruct", "--calib", "c", "--keypoints", "k", "--out", "o"])
+    for got in (cli.RunConfig().estimator_config(), cli._config_from_args(args).estimator_config()):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "initial_volume":
+                assert np.array_equal(a.center, b.center) and a.edges == b.edges
+            else:
+                assert a == b, field.name
 
 def _pick_lines(src, dst, order):
     """Write the lines of src at the indices in order to dst; returns dst."""

@@ -5,7 +5,6 @@ import pytest
 
 from mvmocap.metrics import (
     EmptySequence,
-    ErrorReport,
     NoComparableJoints,
     avg_2d_err,
     mean_abs_3d_err,
@@ -164,12 +163,3 @@ def test_avg_2d_matches_loop_oracle(rng):
             if count:
                 expected[v] = total / count
         assert avg_2d_err(det, rep) == expected
-
-
-# -- ErrorReport -----------------------------------------------------------------------
-
-
-def test_report_mean_consistent_with_frames():
-    report = ErrorReport.build([1.0, 2.0, 3.0], {0: 0.5}, joint_count=42)
-    assert report.sequence_mean_3d == pytest.approx(np.mean([1.0, 2.0, 3.0]), abs=1e-12)
-    assert report.joint_count == 42

@@ -126,10 +126,12 @@ def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes
     voted from the parent's slabs (k = 2), which the oracle gets materialized
     by _subdivide.
 
-    Per joint, view and axis a ray component is free (f), zero (0), or zero
-    with its origin on a face plane of one box (p: 0/0 gives NaN); whole
-    rays may be all NaN (lost), and one box (k = 1) or parent (k = 2) sits
-    on a camera center, partly behind it.
+    Each view has one camera center (V, 3), which the oracle gets broadcast
+    to every joint. Per joint, view and axis a ray component is free (f),
+    zero (0), or zero with view v's center on a face plane of joint 0's box
+    along axis a (p: 0/0 gives NaN; for the other joints p acts as 0);
+    whole directions may be all NaN (lost) with a finite center, and one
+    box (k = 1) or parent (k = 2) sits on a camera center, partly behind it.
     """
     rng = np.random.default_rng(seed)
     R = np.stack([c.rotation for c in ring])
@@ -143,25 +145,24 @@ def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes
     parents = rng.uniform(-1500.0, 1500.0, size=(n_boxes, 3))
     cam_centers = -np.einsum("vji,vj->vi", R, t)
     parents[-1] = cam_centers[rng.integers(n_views)]
-    origins = np.repeat(cam_centers[None], n_joints, axis=0)
+    origins = cam_centers.copy()
     # Parent j is joint j's: each ray aims near it.
     directions = parents[:n_joints, None, :] + rng.uniform(-1.0, 1.0, size=(n_joints, n_views, 3)) * half - origins
     kinds = np.array(kinds).reshape(3, n_views, 3)[:n_joints]
     directions[kinds != "f"] = 0.0
-    for j, v, a in zip(*np.nonzero(kinds == "p")):  # so that the origin's offset is exact
+    for v, a in zip(*np.nonzero(kinds[0] == "p")):  # so that the center's offset is exact
         if split:  # the upper child along a is centered on padded[a]: its face planes are 0 and 2 padded[a]
-            parents[j, a] = padded[a] - half[a]
-            origins[j, v, a] = rng.choice([0.0, 2.0]) * padded[a]
+            parents[0, a] = padded[a] - half[a]
+            origins[v, a] = rng.choice([0.0, 2.0]) * padded[a]
         else:
-            parents[j, a] = 0.0
-            origins[j, v, a] = rng.choice([-1.0, 1.0]) * padded[a]
+            parents[0, a] = 0.0
+            origins[v, a] = rng.choice([-1.0, 1.0]) * padded[a]
     lost = np.array(lost).reshape(3, n_views)[:n_joints]
-    origins[lost] = directions[lost] = np.nan
+    directions[lost] = np.nan
 
     centers, box_jid = (_subdivide(parents, parent_edges), np.tile(jid, 8)) if split else (parents, jid)
-    want = views_containing_stacked(centers, box_jid, edges, R, t, origins, directions)
-    axis_major = lambda rays: np.ascontiguousarray(rays.transpose(2, 1, 0))  # (J, V, 3) -> (3, V, J)
-    got = _slab_votes(parents, jid, half, 2 if split else 1, axis_major(origins), axis_major(directions))
+    want = views_containing_stacked(centers, box_jid, edges, R, t, np.broadcast_to(origins, directions.shape), directions)
+    got = _slab_votes(parents, jid, half, 2 if split else 1, origins.T, directions.transpose(2, 1, 0))
     got &= _in_front(centers, half, R, t)
     assert got.dtype == want.dtype and np.array_equal(got, want.T)
 
@@ -335,8 +336,9 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
     """
     scene = generate_scene("walk", frames=frames, noise_px=noise, dropout=dropout, seed=101)
     volume_kw = {"initial_volume": volume} if volume else {}
-    config = EstimatorConfig(delta=(delta, delta, delta), max_candidates=max_candidates, **volume_kw)
-    uncapped = EstimatorConfig(delta=config.delta)
+    config = EstimatorConfig(delta=(delta, delta, delta), **volume_kw)
+    uncapped = voxel.MAX_CANDIDATES
+    monkeypatch.setattr(voxel, "MAX_CANDIDATES", max_candidates)
     if volume is not None:
         R, t = np.stack([c.rotation for c in scene.cameras]), np.stack([c.translation for c in scene.cameras])
         assert _in_front(volume.center[None, :], np.asarray(volume.edges) / 2.0, R, t)[:, 0].tolist() == [
@@ -352,8 +354,10 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
             assert joint_statuses(skel)[idx] == est.status
             assert est.position is None or skel.positions[idx].tobytes() == est.position.tobytes()
         outcomes += [(e.status, e.nodes_visited) for e in want]
-        if max_candidates < uncapped.max_candidates:
-            cut |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, uncapped)]
+        if max_candidates < uncapped:
+            with monkeypatch.context() as m:
+                m.setattr(voxel, "MAX_CANDIDATES", uncapped)
+                cut |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
         if volume is not None:
             with monkeypatch.context() as m:
                 m.setattr(voxel, "_in_front", lambda centers, half, R, t: np.ones((len(R), len(centers)), dtype=bool))
@@ -364,7 +368,7 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
         # joints that lost consensus partway, are both covered.
         assert (STATUS_NO_CONSENSUS, 0) in outcomes
         assert any(s == STATUS_NO_CONSENSUS and n > 0 for s, n in outcomes)
-    if max_candidates < uncapped.max_candidates:
+    if max_candidates < uncapped:
         assert cut, "the per-joint cap never cut a frontier"
     if volume is not None:
         assert vetoed, "the depth test never vetoed a slab vote"
@@ -377,7 +381,8 @@ def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
     its own search."""
     scene = generate_scene("walk", frames=1, seed=101)
     tables = render_observations(scene)[0].table[:, DETECTED_JOINTS].transpose(1, 0, 2)
-    config = EstimatorConfig(max_candidates=16)
+    config = EstimatorConfig()
+    monkeypatch.setattr(voxel, "MAX_CANDIDATES", 16)
     want = [_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
 
     calls = []
@@ -393,7 +398,7 @@ def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
     monkeypatch.setattr(voxel, "_slab_votes", counted)
     got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
     assert got == want
-    assert max(rows for _, rows in calls) <= config.max_candidates
+    assert max(rows for _, rows in calls) <= 16
     per_parent = [k for k, _ in calls]
     assert per_parent[0] == 1  # the root
     assert any(a == 1 and b == 8 for a, b in zip(per_parent[1:], per_parent[2:])), per_parent
@@ -424,12 +429,13 @@ def _skeleton_fields(skel):
     return skel.frame, list(joint_statuses(skel).items()), [(i, skel.positions[i].tobytes()) for i in sorted(ok_joints(skel))]
 
 
-def test_chunk_matches_per_frame_estimates():
+def test_chunk_matches_per_frame_estimates(monkeypatch):
     """One search over a chunk of frames gives each frame the skeleton it gets alone."""
     scene = generate_scene("walk", frames=6, noise_px=1.0, dropout=0.05, seed=101)
     frames = render_observations(scene)
-    config = EstimatorConfig(delta=(20.0, 20.0, 20.0), max_candidates=24)
-    uncapped = EstimatorConfig(delta=config.delta)
+    config = EstimatorConfig(delta=(20.0, 20.0, 20.0))
+    uncapped = voxel.MAX_CANDIDATES
+    monkeypatch.setattr(voxel, "MAX_CANDIDATES", 24)
     rng = np.random.default_rng(12)
     f = frames[1]  # four of the five views, listed in shuffled order
     rows = rng.permutation(len(f.view_ids))[:4]
@@ -446,8 +452,10 @@ def test_chunk_matches_per_frame_estimates():
 
     ok = [len(ok_joints(s)) for s in got]
     assert ok[2] == ok[3] == 0 and all(ok[i] > 0 for i in (0, 1, 4, 5))
-    cut = [_skeleton_fields(s) != _skeleton_fields(estimate_skeleton(f, scene.cameras, uncapped))
-           for f, s in zip(frames, got)]
+    with monkeypatch.context() as m:
+        m.setattr(voxel, "MAX_CANDIDATES", uncapped)
+        cut = [_skeleton_fields(s) != _skeleton_fields(estimate_skeleton(f, scene.cameras, config))
+               for f, s in zip(frames, got)]
     assert cut == [False, False, False, False, True, False]
 
 
