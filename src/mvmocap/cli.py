@@ -188,15 +188,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     cameras = mio.load_cameras(cfg.calib)
     config = cfg.estimator_config()
     phases["load_inputs"] += (time.perf_counter() - t0) * 1e3
-    # A view votes only for cubes wholly in front of it, so the root needs sigma such views.
-    _, _, R, t = stack_cameras(cameras)
-    facing = int(voxel._in_front(np.asarray([cfg.volume_center]), np.asarray(cfg.volume_edges) / 2.0, R, t).sum())
-    if facing < cfg.sigma:
-        print(
-            f"warning: sigma={cfg.sigma} exceeds the {facing} of {len(cameras)} calibrated cameras that have "
-            "the whole --volume in front of them; no joint can reach consensus",
-            file=sys.stderr,
-        )
+    if cfg.sigma > len(cameras):
+        print(f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; no joint can reach consensus",
+              file=sys.stderr)
 
     reader = _calibrated_frames(cfg.keypoints, cameras)
     t0 = time.perf_counter()

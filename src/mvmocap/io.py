@@ -216,7 +216,7 @@ def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -
 def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
     path = Path(path)
     last = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+    for lineno, raw in _read_lines(path):
         try:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
@@ -276,7 +276,7 @@ def write_skeletons(path: str | Path, skeletons: Iterable[Skeleton3D]) -> None:
 def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
     path = Path(path)
     last = None
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+    for lineno, raw in _read_lines(path):
         try:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
@@ -334,13 +334,24 @@ def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None
             fh.write(transform_line(tset) + "\n")
 
 
-def _read_lines(path: Path) -> Iterator[str]:
+def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of path, numbered as in the file, from 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    yield line
+                    yield lineno, line
     except OSError as exc:
         raise InputParseError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised a block ahead of the lines yielded, so it names no line
+        raise InputParseError(f"{path}:{_undecodable_line(path.read_bytes())}: invalid UTF-8: {exc.reason}") from exc
 
+
+def _undecodable_line(data: bytes) -> int:
+    """The number, from 1, of the line of data that holds its first bytes that are not UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return len((data + b".").splitlines())  # bytes split at \n, \r\n and \r, as the text reader does

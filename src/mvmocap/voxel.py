@@ -1,12 +1,12 @@
 """3D joint estimation by iterative subdivision of a sampling volume.
 
 For each joint, the search starts from one large axis-aligned cube.
-A view votes for a cube when the viewing ray of its detected 2D joint hits
-the cube and the whole cube lies in front of the camera. For a cube in
-front of the camera that is the same as the pixel lying inside the convex
-hull of the cube's eight projected vertices, but it needs only a slab test
-against the box (Williams et al., "An efficient and robust ray-box
-intersection algorithm", JGT 2005). Each view's camera center is computed
+A view votes for a cube when the viewing ray of its detected 2D joint,
+from the camera center forward, hits the cube: a slab test whose ray
+interval starts at t = 0 (Williams et al., "An efficient and robust
+ray-box intersection algorithm", JGT 2005). For a cube wholly in front of
+the camera that is the pixel lying inside the convex hull of the cube's
+eight projected vertices. Each view's camera center is computed
 once per search, and its ray direction once per joint and view. Cubes
 with fewer than `sigma` votes are pruned. Cubes that keep consensus while
 all edges have shrunk below `delta` become candidates;
@@ -26,9 +26,8 @@ level's M cubes. Along each axis the eight children of a parent take only
 two center coordinates, c ± e/4, so a level's slab test runs on its
 parents' per-axis slabs, (V, 2, n) arrays over the n parents, folded into
 all eight children at once; the root level, and a level whose children the
-runaway cap MAX_CANDIDATES trimmed, are slab-tested one cube per column. The slab test
-runs first: the depth test only removes votes, so only the cubes with sigma
-slab votes (about one in eight) get a center and a depth test. The search
+runaway cap MAX_CANDIDATES trimmed, are slab-tested one cube per column;
+only the cubes with sigma votes (about one in eight) get a center. The search
 reads a (J, V, 3) table of (u, v, confidence), one column per calibrated
 view in view-id order, NaN where a view has no detection.
 estimate_joints and estimate_joint take that table as it is;
@@ -180,27 +179,29 @@ def _rays(K: np.ndarray, R: np.ndarray, t: np.ndarray, pixels: np.ndarray) -> tu
 
 def _slab_votes(parents: np.ndarray, jid: np.ndarray, half: np.ndarray, k: int,
                 origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Slab-test votes (V, k³·n): does view v's ray of joint jid[p] hit box m?
+    """Slab-test votes (V, k³·n): does view v's ray of joint jid[p] hit box m in front of the camera?
 
     The boxes of half edges half are the n parents (n, 3) themselves (k = 1)
     or their eight children in (corner, parent) order as _subdivide gives
     them (k = 2). origins (3, V) are the camera centers, one per axis and
-    view, and directions (3, V, J) one per axis, view and joint. Each box
-    is padded by _BOX_PAD, boundary inclusive:
+    view, and directions (3, V, J) one per axis, view and joint. A view votes
+    when the slab interval [near, far] is not empty and far > 0: t is the
+    camera depth, so a box holding a point the camera sees has far > 0. Each
+    box is padded by _BOX_PAD, boundary inclusive:
     along axis a the boxes of a parent take only k coordinates, c or the
     children's c ± e/4, so the slab bounds are one (3, V, k, n) stack,
     folded over the axes in order into (V, k, k, k, n). An axis-parallel
     ray gets infinite slab bounds, or NaN (0/0) when its origin lies on a
     face plane; the reductions skip NaN, so such a ray crosses that slab
     iff lo <= 0 <= hi. An all-NaN direction hits nothing: the fold of NaN
-    bounds is NaN, and NaN <= NaN is False."""
+    bounds is NaN, and NaN <= NaN and NaN > 0 are False."""
     c = parents.T[:, None, :]  # (3, 1, n)
     if k == 2:
         c = c + _HALF_SIGNS * half[:, None, None]  # (3, 2, n)
     rel = c[:, None] - origins[:, :, None, None]  # (3, V, k, n)
     d = np.take(directions, jid, axis=2)[:, :, None, :]
     pad = (half + _BOX_PAD)[:, None, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a subnormal component overflows to inf
         t_lo, t_hi = (rel - pad) / d, (rel + pad) / d
     lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
     del rel, t_lo, t_hi  # fewer (3, V, k, n) arrays live at once: a lower peak than the per-axis form
@@ -209,12 +210,7 @@ def _slab_votes(parents: np.ndarray, jid: np.ndarray, half: np.ndarray, k: int,
     near = np.fmax(np.fmax(lo[0].reshape(x), lo[1].reshape(y)), lo[2].reshape(z))
     del lo
     far = np.fmin(np.fmin(hi[0].reshape(x), hi[1].reshape(y)), hi[2].reshape(z))
-    return (near <= far).reshape(n_views, -1)
-
-
-def _in_front(centers: np.ndarray, half: np.ndarray, R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(V, M): is box m wholly in front of camera v, its nearest vertex's depth R[2]·c + t_z - |R[2]|·half > 0?"""
-    return (centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0).T
+    return ((near <= far) & (far > 0.0)).reshape(n_views, -1)
 
 
 def estimate_joint(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> JointEstimate:
@@ -301,12 +297,10 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
     while True:  # a search with no joint ends at the root, with no survivors
         half = edges / 2.0
         slab = _slab_votes(parents, pid, half, k, origins, directions)
-        cand = np.flatnonzero(slab.sum(axis=0) >= config.sigma)
+        cand = np.flatnonzero(slab.sum(axis=0) >= config.sigma)  # the level's survivors
         p = cand % pid.size
         centers = parents[p] if k == 1 else parents[p] + _CORNER_SIGNS[cand // pid.size] * half
-        inside = slab[:, cand] & _in_front(centers, half, R, t)
-        keep = inside.sum(axis=0) >= config.sigma
-        centers, jid, inside = centers[keep], pid[p[keep]], inside[:, keep]
+        jid = pid[p]
         if not jid.size or np.all(edges < delta):
             break
         counts = np.bincount(jid, minlength=n_joints)
@@ -321,7 +315,7 @@ def _search(table: np.ndarray, K: np.ndarray, R: np.ndarray, t: np.ndarray, conf
 
     # Survivors exist only at the terminal level: they are the candidates.
     order = _by_joint(centers, jid)
-    centers, jid, inside = centers[order], jid[order], inside.T[order]
+    centers, jid, inside = centers[order], jid[order], slab.T[cand[order]]
     counts = np.bincount(jid, minlength=n_joints)
     ok = np.flatnonzero(counts)
     counts = counts[ok]

@@ -12,7 +12,7 @@ checked bit for bit.
 `estimate_joint_alone` is the per-joint subdivision search, one work queue
 per joint and one SVD per refined joint (`refine_alone`), against which
 the shared frontier and the stacked refinement of `estimate_joints` are
-checked; like the estimator, it takes a joint's (V, 3) detection table,
+checked, field by field through `estimate_fields`; like the estimator, it takes a joint's (V, 3) detection table,
 columns in ascending camera id, NaN where a view has no detection, and
 reads the runaway cap `voxel.MAX_CANDIDATES` when it is called.
 `dlt_triangulate` is the independent least-squares triangulation of
@@ -48,7 +48,6 @@ from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,
     JointEstimate,
-    _in_front,
     _rays,
     _slab_votes,
     _subdivide,
@@ -88,10 +87,13 @@ def hull_contains(cube, cam, pixel) -> bool:
     return bool(np.all(eq[:, :2] @ np.asarray(pixel, dtype=float) + eq[:, 2] <= HULL_TOL_PX))
 
 
-def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> np.ndarray:
-    """Vote matrix (N, V), the transpose of the estimator's _slab_votes & _in_front, from (N, V, 3) slab bounds."""
+def views_containing_stacked(centers, jid, edges, origins, directions) -> np.ndarray:
+    """Vote matrix (N, V), the transpose of the estimator's _slab_votes, from (N, V, 3) slab bounds.
+
+    A view votes when its ray's slab interval is not empty and ends in front
+    of the camera: a direction has camera depth 1 per unit of t.
+    """
     half = edges / 2.0
-    in_front = centers @ R[:, 2, :].T + t[:, 2] - np.abs(R[:, 2, :]) @ half > 0.0  # (N, V)
     rel = centers[:, None, :] - origins[jid]  # (N, V, 3)
     d = directions[jid]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -100,15 +102,13 @@ def views_containing_stacked(centers, jid, edges, R, t, origins, directions) -> 
     lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
     near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
     far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
-    return in_front & (near <= far)
+    return (near <= far) & (far > 0.0)
 
 
-def _one_joint_votes(centers, edges, R, t, origins, directions) -> np.ndarray:
+def _one_joint_votes(centers, edges, origins, directions) -> np.ndarray:
     """Vote matrix (V, M) of one joint's rays, (V, 3) camera centers and directions, against M boxes, one box per row (k = 1)."""
     jid = np.zeros(centers.shape[0], dtype=int)
-    half = edges / 2.0
-    slab = _slab_votes(centers, jid, half, 1, origins.T, directions.T[:, :, None])
-    return slab & _in_front(centers, half, R, t)
+    return _slab_votes(centers, jid, edges / 2.0, 1, origins.T, directions.T[:, :, None])
 
 
 def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
@@ -116,7 +116,7 @@ def slab_votes(center, edges, cameras, pixels) -> np.ndarray:
     K, R, t = camera_arrays(list(cameras))
     origins, directions = _rays(K, R, t, np.atleast_2d(np.asarray(pixels, dtype=float)))
     center = np.asarray(center, dtype=float)[None, :]
-    return _one_joint_votes(center, np.asarray(edges, dtype=float), R, t, origins, directions)[:, 0]
+    return _one_joint_votes(center, np.asarray(edges, dtype=float), origins, directions)[:, 0]
 
 
 def _canonical_order(centers):
@@ -165,7 +165,7 @@ def estimate_joint_alone(table, cameras, config) -> JointEstimate:
 
     while centers.shape[0]:
         nodes += centers.shape[0]
-        inside = _one_joint_votes(centers, edges, R, t, origins, directions)
+        inside = _one_joint_votes(centers, edges, origins, directions)
         keep = inside.sum(axis=0) >= config.sigma
         if not keep.any():
             break
@@ -194,6 +194,19 @@ def estimate_joint_alone(table, cameras, config) -> JointEstimate:
         nodes_visited=nodes,
         candidates=candidates,
         terminal_edges=tuple(edges),
+    )
+
+
+def estimate_fields(est) -> tuple:
+    """Every JointEstimate field, arrays as bytes, for bit-for-bit comparison."""
+    return (
+        est.status,
+        None if est.position is None else est.position.tobytes(),
+        est.candidate_count,
+        est.supporting_views,
+        est.nodes_visited,
+        None if est.candidates is None else est.candidates.tobytes(),
+        est.terminal_edges,
     )
 
 

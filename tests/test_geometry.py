@@ -142,13 +142,21 @@ def test_ray_in_a_face_plane_is_inside():
     assert not slab_votes(center + [1e-3, 0.0, 0.0], np.full(3, 2.0 * half), [cam], [640.0, 360.0])[0]
 
 
-def test_vertex_behind_camera_gets_no_vote():
-    cam = simple_camera()
+def test_ray_votes_only_in_front_of_camera():
+    """A view votes for the cubes that its ray's segment in front of the
+    camera crosses, also where the cube reaches behind the camera, and not
+    for a cube that only the ray's line behind the camera meets."""
+    cam = simple_camera()  # camera center at the origin, depth along +z
     cube = Cube(center=np.array([0.0, 0.0, 100.0]), edges=(500.0, 500.0, 500.0))
     verts = cube_vertices(cube)
     assert np.array_equal(np.isnan(project(verts, cam)).all(axis=1), verts[:, 2] < 0.0)
-    # The principal ray hits the cube, but a cube not wholly in front gets no vote.
-    assert not slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]
+    assert slab_votes(cube.center, cube.edges, [cam], [640.0, 360.0])[0]  # the principal ray, from inside
+    assert not slab_votes(cube.center - [0.0, 0.0, 400.0], cube.edges, [cam], [640.0, 360.0])[0]  # wholly behind
+    # A box at x in [200, 400], z in [-250, 250]: the direction (1.2, 0, 1) crosses it at
+    # depths 167-250, and meets its mirror image in x only behind the camera, at depths -250 to -167.
+    side = np.array([300.0, 0.0, 0.0]), np.array([200.0, 500.0, 500.0])
+    assert slab_votes(*side, [cam], [640.0 + 1.2 * 800.0, 360.0])[0]
+    assert not slab_votes(side[0] * [-1.0, 1.0, 1.0], side[1], [cam], [640.0 + 1.2 * 800.0, 360.0])[0]
 
 
 def test_subcube_region_inside_parent_region(rng):

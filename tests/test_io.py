@@ -179,6 +179,24 @@ def test_parse_error_carries_file_and_line(tmp_path):
         list(mio.read_skeletons(path))
 
 
+@pytest.mark.parametrize("stream", ["keypoints", "skeletons"])
+def test_parse_error_names_the_line_in_the_file(tmp_path, stream):
+    """Blank lines are skipped but still counted: a bad record after one is
+    reported at its own line of the file."""
+    scene = generate_scene("walk", frames=2, seed=7)
+    path = tmp_path / "stream.jsonl"
+    if stream == "keypoints":
+        mio.write_keypoints(path, render_observations(scene))
+        read = mio.read_keypoints
+    else:
+        mio.write_skeletons(path, scene.truth)
+        read = mio.read_skeletons
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{first}\n\n  \n{second}\nnot json\n", encoding="utf-8")
+    with pytest.raises(mio.InputParseError, match=r"stream\.jsonl:5: "):
+        list(read(path))
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(mio.InputParseError):
         list(mio.read_skeletons(tmp_path / "absent.jsonl"))

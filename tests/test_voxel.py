@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cube_vertices,
     dlt_triangulate,
+    estimate_fields,
     estimate_joint_alone,
     hull_contains,
     joint_ok,
@@ -25,7 +27,6 @@ from mvmocap.voxel import (
     JointObservationFrame,
     _BOX_PAD,
     _CORNER_SIGNS,
-    _in_front,
     _slab_votes,
     _subdivide,
     estimate_joint,
@@ -161,9 +162,8 @@ def test_per_axis_slab_test_matches_stacked_oracle(ring, seed, n_joints, n_boxes
     directions[lost] = np.nan
 
     centers, box_jid = (_subdivide(parents, parent_edges), np.tile(jid, 8)) if split else (parents, jid)
-    want = views_containing_stacked(centers, box_jid, edges, R, t, np.broadcast_to(origins, directions.shape), directions)
+    want = views_containing_stacked(centers, box_jid, edges, np.broadcast_to(origins, directions.shape), directions)
     got = _slab_votes(parents, jid, half, 2 if split else 1, origins.T, directions.transpose(2, 1, 0))
-    got &= _in_front(centers, half, R, t)
     assert got.dtype == want.dtype and np.array_equal(got, want.T)
 
 
@@ -301,19 +301,6 @@ def test_node_count_decreases_as_delta_grows(ring, rng):
 # -- shared frontier ---------------------------------------------------------------
 
 
-def _fields(est):
-    """Every JointEstimate field, arrays as bytes."""
-    return (
-        est.status,
-        None if est.position is None else est.position.tobytes(),
-        est.candidate_count,
-        est.supporting_views,
-        est.nodes_visited,
-        None if est.candidates is None else est.candidates.tobytes(),
-        est.terminal_edges,
-    )
-
-
 _PARTLY_BEHIND_VIEW_0 = Cube((0.0, 0.0, 1500.0), (2000.0, 3000.0, 4000.0))
 
 
@@ -331,8 +318,8 @@ _PARTLY_BEHIND_VIEW_0 = Cube((0.0, 0.0, 1500.0), (2000.0, 3000.0, 4000.0))
 def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dropout, delta, max_candidates, volume):
     """Each joint's result from the shared frontier is bit-identical to its own search.
 
-    With a volume not wholly in front of view 0, the depth test vetoes some
-    of that view's slab votes, and the results without it would differ.
+    With a volume not wholly in front of view 0, that view still votes for
+    the cubes its ray crosses in front of it, and supports some joints.
     """
     scene = generate_scene("walk", frames=frames, noise_px=noise, dropout=dropout, seed=101)
     volume_kw = {"initial_volume": volume} if volume else {}
@@ -340,15 +327,14 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
     uncapped = voxel.MAX_CANDIDATES
     monkeypatch.setattr(voxel, "MAX_CANDIDATES", max_candidates)
     if volume is not None:
-        R, t = np.stack([c.rotation for c in scene.cameras]), np.stack([c.translation for c in scene.cameras])
-        assert _in_front(volume.center[None, :], np.asarray(volume.edges) / 2.0, R, t)[:, 0].tolist() == [
-            False, True, True, True, True]
-    outcomes, cut, vetoed = [], False, False
+        depths = [(cube_vertices(volume) @ c.rotation.T + c.translation)[:, 2] for c in scene.cameras]
+        assert [bool(d.min() > 0.0) for d in depths] == [False, True, True, True, True]
+    outcomes, cut, behind_votes = [], False, False
     for frame in render_observations(scene):
         tables = frame.table[:, DETECTED_JOINTS].transpose(1, 0, 2)  # (J, V, 3); the views are in ascending id order
         want = [estimate_joint_alone(table, scene.cameras, config) for table in tables]
-        got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
-        assert got == [_fields(e) for e in want]
+        got = [estimate_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
+        assert got == [estimate_fields(e) for e in want]
         skel = estimate_skeleton(frame, scene.cameras, config)
         for idx, est in zip(DETECTED_JOINTS, want):
             assert joint_statuses(skel)[idx] == est.status
@@ -357,11 +343,8 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
         if max_candidates < uncapped:
             with monkeypatch.context() as m:
                 m.setattr(voxel, "MAX_CANDIDATES", uncapped)
-                cut |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
-        if volume is not None:
-            with monkeypatch.context() as m:
-                m.setattr(voxel, "_in_front", lambda centers, half, R, t: np.ones((len(R), len(centers)), dtype=bool))
-                vetoed |= got != [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
+                cut |= got != [estimate_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
+        behind_votes |= any(0 in e.supporting_views for e in want)
     assert any(s == STATUS_OK for s, _ in outcomes)
     if dropout:
         # Joints short-circuited for having fewer than sigma usable views, and
@@ -371,7 +354,7 @@ def test_shared_frontier_matches_per_joint_search(monkeypatch, frames, noise, dr
     if max_candidates < uncapped:
         assert cut, "the per-joint cap never cut a frontier"
     if volume is not None:
-        assert vetoed, "the depth test never vetoed a slab vote"
+        assert behind_votes, "view 0, which has part of the volume behind it, supported no joint"
 
 
 def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
@@ -383,7 +366,7 @@ def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
     tables = render_observations(scene)[0].table[:, DETECTED_JOINTS].transpose(1, 0, 2)
     config = EstimatorConfig()
     monkeypatch.setattr(voxel, "MAX_CANDIDATES", 16)
-    want = [_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
+    want = [estimate_fields(estimate_joint_alone(table, scene.cameras, config)) for table in tables]
 
     calls = []
     vote = voxel._slab_votes
@@ -396,7 +379,7 @@ def test_capped_level_votes_only_the_trimmed_frontier(monkeypatch):
         return votes
 
     monkeypatch.setattr(voxel, "_slab_votes", counted)
-    got = [_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
+    got = [estimate_fields(e) for e in estimate_joints(tables, scene.cameras, config)]
     assert got == want
     assert max(rows for _, rows in calls) <= 16
     per_parent = [k for k, _ in calls]
@@ -418,7 +401,7 @@ def test_degenerate_solve_falls_back_to_candidate_mean():
     config = EstimatorConfig(sigma=2, initial_volume=Cube(center=np.zeros(3), edges=(400.0, 400.0, 400.0)))
     got = estimate_joints(np.stack([parallel, regular]), cams, config)
     want = [estimate_joint_alone(obs, cams, config) for obs in (parallel, regular)]
-    assert [_fields(e) for e in got] == [_fields(e) for e in want]
+    assert [estimate_fields(e) for e in got] == [estimate_fields(e) for e in want]
     assert got[0].candidate_count > 1 and got[1].status == STATUS_OK
     assert np.array_equal(got[0].position, got[0].candidates.mean(axis=0))
     assert len(got[0].supporting_views) == len(got[1].supporting_views) == 3
