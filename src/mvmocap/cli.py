@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -138,6 +139,16 @@ def _output(path: str | Path) -> Iterator[Path]:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Create or truncate the file at path and write all of data to it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -332,7 +343,7 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
         ("keypoints", _calibrated_frames(args.keypoints, cameras)),
         ("skeleton", mio.read_skeletons(args.skeleton)),
     )
-    written: list[Path] = []
+    written: list[str] = []
     try:
         while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
             pixels = project(np.stack([skel.positions for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
@@ -344,11 +355,11 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
                 for r, view_id in enumerate(obs_frame.view_ids):
                     reprojected = frame_pixels[column[view_id]]
                     svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected)
-                    written.append(out_dir / f"frame_{obs_frame.frame:04d}_view_{view_id}.svg")
-                    written[-1].write_text(svg, encoding="utf-8")
+                    written.append(os.path.join(out_dir, f"frame_{obs_frame.frame:04d}_view_{view_id}.svg"))
+                    _write_bytes(written[-1], svg.encode())
     except BaseException:
         for path in written:  # no partial set of overlays on a failed run
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
         raise
     print(f"wrote {len(written)} overlays to {out_dir}")
     return EXIT_OK

@@ -335,23 +335,18 @@ def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None
 
 
 def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each non-blank line of path, numbered as in the file, from 1."""
+    """(line number, text) of each non-blank line of path, numbered as in the file, from 1.
+    A line that is not UTF-8 raises InputParseError when it is reached, after any earlier line's error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.isascii():  # only such a line can hold an escaped byte
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise InputParseError(f"{path}:{lineno}: invalid UTF-8: {exc.reason}") from exc
                 line = line.strip()
                 if line:
                     yield lineno, line
     except OSError as exc:
         raise InputParseError(f"{path}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:  # raised a block ahead of the lines yielded, so it names no line
-        raise InputParseError(f"{path}:{_undecodable_line(path.read_bytes())}: invalid UTF-8: {exc.reason}") from exc
-
-
-def _undecodable_line(data: bytes) -> int:
-    """The number, from 1, of the line of data that holds its first bytes that are not UTF-8."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    return len((data + b".").splitlines())  # bytes split at \n, \r\n and \r, as the text reader does

@@ -33,9 +33,13 @@ one camera at a time, against which the stacked `io.load_cameras` is
 checked bit for bit.
 `joint_statuses`, `ok_joints` and `joint_ok` read a Skeleton3D's per-joint status
 off its (15, 3) positions: a joint is ok exactly where its row is finite.
+`overlay_svg` is the overlay builder one element at a time, an f-string and
+a `format` call per coordinate, against which the one-template
+`overlay.render_overlay_svg` is checked string for string.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -470,3 +474,33 @@ def read_transforms(path):
                 statuses={b["name"]: b["status"] for b in rec["bones"]},
             )
 
+
+def overlay_svg(cam, detected, reprojected) -> str:
+    """One view's SVG overlay, element by element: the header, the bones between
+    present reprojected joints, then red detected and blue reprojected markers.
+    A row is present when its x is not NaN."""
+
+    def f(x):
+        return format(float(x), ".3f")
+
+    def present(points):
+        return {i: (x, y) for i, (x, y) in enumerate(points.tolist()) if not math.isnan(x)}
+
+    detected, reprojected = present(detected), present(reprojected)
+    w, h = cam.resolution
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+    ]
+    for bone in BONES:
+        a = reprojected.get(bone.parent_joint)
+        b = reprojected.get(bone.child_joint)
+        if a is None or b is None:
+            continue
+        parts.append(f'<line x1="{f(a[0])}" y1="{f(a[1])}" x2="{f(b[0])}" y2="{f(b[1])}" '
+                     'stroke="steelblue" stroke-width="2"/>')
+    for color, points in (("red", detected), ("blue", reprojected)):
+        for x, y in points.values():  # ascending joint index
+            parts.append(f'<circle cx="{f(x)}" cy="{f(y)}" r="5" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

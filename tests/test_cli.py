@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cube_vertices, joint_ok, joint_statuses, read_transforms
+from oracles import cube_vertices, joint_ok, joint_statuses, overlay_svg, read_transforms
 
 import mvmocap
 from mvmocap import io as mio
@@ -596,6 +596,41 @@ def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, lineno):
 
 
 @pytest.mark.parametrize(
+    "command, stream",
+    [
+        ("reconstruct", "keypoints"),
+        ("retarget", "skeleton"),
+        ("eval", "skeleton"),
+        ("eval", "truth"),
+        ("eval", "keypoints"),
+        ("render-overlay", "keypoints"),
+        ("render-overlay", "skeleton"),
+    ],
+)
+def test_record_error_before_invalid_utf8_is_reported_first(tmp_path, capsys, command, stream):
+    """A bad record on line 1 is the error reported, not the bytes that are
+    not UTF-8 on line 2, in every stream that each command reads."""
+    scene = run_synth(tmp_path, frames=3)
+    src = scene / ("keypoints.jsonl" if stream == "keypoints" else "truth.jsonl")
+    lines = src.read_bytes().splitlines(keepends=True)
+    path = tmp_path / f"bad_{src.name}"
+    path.write_bytes(b"not json\n" + lines[1][:20] + b"\xff" + lines[1][20:] + b"".join(lines[2:]))
+    paths = {name: str(scene / f"{name}.jsonl") for name in ("keypoints", "truth")}
+    paths["skeleton"] = paths["truth"]
+    paths[stream] = str(path)
+    calib = ["--calib", str(scene / "calib.json")]
+    inputs = {
+        "reconstruct": [*calib, "--keypoints", paths["keypoints"], "--delta", "100x100x100"],
+        "retarget": ["--skeleton", paths["skeleton"]],
+        "eval": ["--skeleton", paths["skeleton"], "--truth", paths["truth"], *calib, "--keypoints", paths["keypoints"]],
+        "render-overlay": [*calib, "--keypoints", paths["keypoints"], "--skeleton", paths["skeleton"]],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    record = "keypoint" if stream == "keypoints" else "skeleton"
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: bad {record} record: ")
+
+
+@pytest.mark.parametrize(
     "command, broken, code",
     [
         ("reconstruct", "keypoints", EXIT_PARSE),
@@ -730,6 +765,51 @@ def test_overlay_failing_on_any_error_leaves_no_svg(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         main(["render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
               "--skeleton", str(scene / "truth.jsonl"), "--out", str(out)])
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_overlay_svgs_are_the_oracles_bytes(tmp_path):
+    """Every SVG that render-overlay writes, over two reprojection chunks of a
+    gappy stream, is the element-by-element oracle's string as UTF-8 bytes."""
+    frames = 20
+    assert frames > cli.REPROJECT_CHUNK_FRAMES
+    scene = run_synth(tmp_path, frames=frames, noise="1", dropout="0.05")
+    skel = tmp_path / "skel.jsonl"
+    inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl")]
+    assert main(["reconstruct", *inputs, "--delta", "20x20x20", "--out", str(skel)]) == EXIT_OK
+    out = tmp_path / "overlay"
+    assert main(["render-overlay", *inputs, "--skeleton", str(skel), "--out", str(out)]) == EXIT_OK
+    cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
+    expected = {}
+    for obs, est in zip(mio.read_keypoints(scene / "keypoints.jsonl"), mio.read_skeletons(skel), strict=True):
+        for r, view_id in enumerate(obs.view_ids):
+            cam = cameras[view_id]
+            svg = overlay_svg(cam, obs.table[r, :, :2], project(est.positions, cam))
+            expected[f"frame_{obs.frame:04d}_view_{view_id}.svg"] = svg.encode()
+    assert len(expected) == frames * 5
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
+def test_overlay_write_failure_exits_2_and_leaves_no_svg(tmp_path, capsys, monkeypatch):
+    """A write that fails on the third SVG (a full disk) exits 2 with an
+    error line and removes the SVGs written before it."""
+    scene = run_synth(tmp_path, frames=2)
+    calls, write = [], os.write
+
+    def full_on_third_file(fd, data):  # each SVG takes one write
+        calls.append(fd)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    monkeypatch.setattr(cli.os, "write", full_on_third_file)
+    out = tmp_path / "ovl"
+    code = main(["render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
+                 "--skeleton", str(scene / "truth.jsonl"), "--out", str(out)])
+    monkeypatch.undo()
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
     assert len(calls) == 3
     assert list(out.iterdir()) == []
 

@@ -197,6 +197,23 @@ def test_parse_error_names_the_line_in_the_file(tmp_path, stream):
         list(read(path))
 
 
+@pytest.mark.parametrize(
+    "tail, reason",
+    [(b"", None), (b"\xff\n", "invalid start byte"), (b"\xe2\x82", "unexpected end of data")],
+    ids=["utf8", "bad-byte", "cut-at-end"],
+)
+def test_non_ascii_lines_are_checked_as_utf8(tmp_path, tail, reason):
+    """A line that is not ASCII but is UTF-8 reads as any other; bytes that
+    are not UTF-8 give the codec's reason at their own line."""
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes('{"frame": 0, "note": "é", "joints": []}\r\n'.encode() + tail)
+    if reason is None:
+        assert [s.frame for s in mio.read_skeletons(path)] == [0]
+    else:
+        with pytest.raises(mio.InputParseError, match=rf"stream\.jsonl:2: invalid UTF-8: {reason}$"):
+            list(mio.read_skeletons(path))
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(mio.InputParseError):
         list(mio.read_skeletons(tmp_path / "absent.jsonl"))
