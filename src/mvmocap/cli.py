@@ -39,7 +39,8 @@ import numpy as np
 from . import io as mio
 from . import voxel
 from .geometry import CameraParams, project, stack_cameras
-from .metrics import NoComparableJoints, avg_2d_err, mean_abs_3d_err, sequence_mean
+# avg_2d_err and mean_abs_3d_err stay bound here because perfbench/tracer.py wraps cli.avg_2d_err and cli.mean_abs_3d_err.
+from .metrics import avg_2d_err, mean_abs_3d_err, mean_lengths, sequence_mean
 from .overlay import render_overlay_svg
 from .retarget import retarget_sequence
 from .skeleton import DETECTED_JOINTS
@@ -147,6 +148,8 @@ def _write_bytes(path: str, data: bytes) -> None:
     try:
         while data:
             data = data[os.write(fd, data):]
+    except OSError as exc:  # os.write's error names no file
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         os.close(fd)
 
@@ -274,33 +277,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
     counts: dict[int, int] = {}
     steps = _lockstep(*streams)
     while chunk := list(islice(steps, REPROJECT_CHUNK_FRAMES)):
+        positions = np.stack([est.positions for est, *_ in chunk])
+        err3d, joints3d = (a.tolist() for a in mean_lengths(positions - np.stack([tru.positions for _, tru, *_ in chunk])))
         if views is not None:  # (N, V, 14, 2): every skeleton of the chunk in every calibrated view
-            pixels = project(np.stack([est.positions for est, *_ in chunk])[:, None], views)[:, :, : len(DETECTED_JOINTS)]
-        for k, (est, tru, *obs) in enumerate(chunk):
-            try:
-                d3 = mean_abs_3d_err(est, tru)
-            except NoComparableJoints:
+            pixels = project(positions[:, None], views)[:, :, : len(DETECTED_JOINTS)]
+            detected = np.full(pixels.shape, np.nan)
+            for k, (_, _, obs) in enumerate(chunk):
+                detected[k, [column[view_id] for view_id in obs.view_ids]] = obs.table[:, :, :2]
+            err2d, joints2d = (a.tolist() for a in mean_lengths(detected - pixels))
+        for k, (est, *_) in enumerate(chunk):
+            if not joints3d[k]:
                 print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
             else:
-                if not math.isfinite(d3):
+                if not math.isfinite(err3d[k]):
                     raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: 3D error against {args.truth} is not finite")
-                per_frame.append(d3)
+                per_frame.append(err3d[k])
                 frames_used.append(est.frame)
-                total_joints += int(np.sum(~np.isnan(est.positions - tru.positions).any(axis=1)))  # the rows d3 averages
-            if not obs:
+                total_joints += joints3d[k]
+            if views is None:
                 continue
-            table, view_ids = obs[0].table, obs[0].view_ids
-            detected = {view_id: table[r, :, :2] for r, view_id in enumerate(view_ids)}
-            reprojected = {view_id: pixels[k, column[view_id]] for view_id in view_ids}
-            try:
-                frame_err = avg_2d_err(detected, reprojected)
-            except NoComparableJoints:
-                continue
-            for view_id, err in frame_err.items():
-                if not math.isfinite(err):
-                    raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: reprojection error in view {view_id} is not finite")
-                sums[view_id] = sums.get(view_id, 0.0) + err
-                counts[view_id] = counts.get(view_id, 0) + 1
+            for v, view_id in enumerate(views.ids):  # ascending ids; a view the frame does not list has no rows
+                if joints2d[k][v]:
+                    if not math.isfinite(err2d[k][v]):
+                        raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: reprojection error in view {view_id} is not finite")
+                    sums[view_id] = sums.get(view_id, 0.0) + err2d[k][v]
+                    counts[view_id] = counts.get(view_id, 0) + 1
 
     if not per_frame:
         raise mio.InputParseError(f"{args.skeleton} and {args.truth} share no ok joint in any frame; nothing to evaluate")

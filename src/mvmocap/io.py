@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -53,6 +54,11 @@ from .voxel import JointObservationFrame
 
 # Width of a keypoint table: one row per detected joint index.
 _JOINTS = len(DETECTED_JOINTS)
+# The cell value of a joint a record leaves out; read_keypoints tests for it by identity.
+_UNLISTED = math.nan
+# A record joint's fields, fetched in this order: the first one missing raises KeyError.
+_KEYPOINT_FIELDS = operator.itemgetter("idx", "u", "v", "c")
+_SKELETON_FIELDS = operator.itemgetter("idx", "status")
 
 
 class InputParseError(ValueError):
@@ -224,21 +230,23 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
             view_ids: list[int] = []
             # The table as one flat list, filled cell by cell with the values
             # as decoded, then checked and converted once. An unlisted cell
-            # holds this very NaN object, which no decoded value is.
-            cells = [math.nan] * (len(views) * _JOINTS * 3)
+            # holds the _UNLISTED object, which no decoded value is.
+            cells = [_UNLISTED] * (len(views) * _JOINTS * 3)
             for r, view in enumerate(views):
                 view_id = _integer(view["view_id"])
                 if view_id in view_ids:
                     raise ValueError(f"view {view_id} listed twice")
                 view_ids.append(view_id)
                 for j in view["joints"]:
-                    idx = _integer(j["idx"])
+                    idx, u, v, c = _KEYPOINT_FIELDS(j)
+                    if type(idx) is not int:  # as _integer checks
+                        raise TypeError(f"expected an integer, got {idx!r}")
                     if not 0 <= idx < _JOINTS:
                         raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
                     at = (r * _JOINTS + idx) * 3
-                    if cells[at + 2] is not math.nan:
+                    if cells[at + 2] is not _UNLISTED:
                         raise ValueError(f"joint {idx} listed twice in view {view_id}")
-                    cells[at : at + 3] = j["u"], j["v"], j["c"]
+                    cells[at], cells[at + 1], cells[at + 2] = u, v, c  # no slice: element stores are faster
             table = _joint_table(cells, (len(views), _JOINTS, 3))
             yield JointObservationFrame(frame=frame, view_ids=view_ids, table=table)
         except _RECORD_ERRORS as exc:
@@ -280,25 +288,27 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
         try:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
-            listed: set[int] = set()
+            listed = [False] * len(JOINT_NAMES)
             # The (15, 3) positions as one flat list, filled joint by joint with
             # the values as decoded, then checked and converted once.
-            cells = [math.nan] * (len(JOINT_NAMES) * 3)
+            cells = [_UNLISTED] * (len(JOINT_NAMES) * 3)
             for j in rec["joints"]:
-                idx = _integer(j["idx"])
+                idx, status = _SKELETON_FIELDS(j)
+                if type(idx) is not int:  # as _integer checks
+                    raise TypeError(f"expected an integer, got {idx!r}")
                 if not 0 <= idx < len(JOINT_NAMES):
                     raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
-                if idx in listed:
+                if listed[idx]:
                     raise ValueError(f"joint {idx} listed twice")
-                listed.add(idx)
-                status = j["status"]
-                if status not in (STATUS_OK, STATUS_NO_CONSENSUS):
-                    raise ValueError(f"unknown status {status!r}")
+                listed[idx] = True
                 if status == STATUS_OK:
                     p = j["p"]
                     if len(p) != 3:
                         raise ValueError(f"expected 3 numbers, got {p!r}")
-                    cells[idx * 3 : idx * 3 + 3] = p
+                    at = idx * 3
+                    cells[at], cells[at + 1], cells[at + 2] = p
+                elif status != STATUS_NO_CONSENSUS:
+                    raise ValueError(f"unknown status {status!r}")
             yield Skeleton3D(frame, _joint_table(cells, (len(JOINT_NAMES), 3)))
         except _RECORD_ERRORS as exc:
             raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc

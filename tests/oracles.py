@@ -36,6 +36,9 @@ off its (15, 3) positions: a joint is ok exactly where its row is finite.
 `overlay_svg` is the overlay builder one element at a time, an f-string and
 a `format` call per coordinate, against which the one-template
 `overlay.render_overlay_svg` is checked string for string.
+`mean_length` is the error measure one row group at a time, a Python loop
+adding the lengths of the rows that are not NaN, against which the stacked
+`metrics.mean_lengths` (and through it `eval`) is checked bit for bit.
 """
 
 import json
@@ -504,3 +507,13 @@ def overlay_svg(cam, detected, reprojected) -> str:
             parts.append(f'<circle cx="{f(x)}" cy="{f(y)}" r="5" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def mean_length(d) -> float | None:
+    """Mean Euclidean length of the rows of the (J, k) array d that are not NaN, summed in row order; None if every row is NaN."""
+    total, count = 0.0, 0
+    for length in np.sqrt(np.vecdot(d, d)).tolist():
+        if not math.isnan(length):
+            total += length
+            count += 1
+    return total / count if count else None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cube_vertices, joint_ok, joint_statuses, overlay_svg, read_transforms
+from oracles import cube_vertices, joint_ok, joint_statuses, mean_length, overlay_svg, read_transforms
 
 import mvmocap
 from mvmocap import io as mio
@@ -533,6 +533,16 @@ def _edit_record_2(path, edit):
          "reconstruct"),
         ("truth.jsonl", lambda rec: rec["joints"][2]["p"].__setitem__(1, True), "expected a number, got True", "retarget"),
         ("truth.jsonl", lambda rec: rec["joints"][4]["p"].__setitem__(0, "1.5"), "expected a number, got '1.5'", "eval"),
+        # Each joint's checks run before the next joint's: the repeat is reported, not the index 99 after it.
+        (
+            "keypoints.jsonl",
+            lambda rec: rec["views"][0]["joints"].extend([rec["views"][0]["joints"][1], dict(rec["views"][0]["joints"][0], idx=99)]),
+            "joint 1 listed twice in view 0",
+            "reconstruct",
+        ),
+        ("truth.jsonl", lambda rec: rec["joints"].__setitem__(3, {"idx": 3, "status": "bogus"}), "unknown status 'bogus'",
+         "retarget"),
+        ("truth.jsonl", lambda rec: rec["joints"][5]["p"].pop(), "expected 3 numbers, got [", "eval"),
     ],
     ids=[
         "duplicate-view",
@@ -555,6 +565,9 @@ def _edit_record_2(path, edit):
         "boolean-keypoint-coordinate",
         "boolean-skeleton-position",
         "string-skeleton-position",
+        "duplicate-joint-before-index-99",
+        "unknown-status-without-position",
+        "two-number-skeleton-position",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
@@ -793,7 +806,7 @@ def test_overlay_svgs_are_the_oracles_bytes(tmp_path):
 
 def test_overlay_write_failure_exits_2_and_leaves_no_svg(tmp_path, capsys, monkeypatch):
     """A write that fails on the third SVG (a full disk) exits 2 with an
-    error line and removes the SVGs written before it."""
+    error line naming that SVG and removes the SVGs written before it."""
     scene = run_synth(tmp_path, frames=2)
     calls, write = [], os.write
 
@@ -809,7 +822,7 @@ def test_overlay_write_failure_exits_2_and_leaves_no_svg(tmp_path, capsys, monke
                  "--skeleton", str(scene / "truth.jsonl"), "--out", str(out)])
     monkeypatch.undo()
     assert code == EXIT_PARSE
-    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr().err == f"error: {out / 'frame_0000_view_2.svg'}: {os.strerror(errno.ENOSPC)}\n"
     assert len(calls) == 3
     assert list(out.iterdir()) == []
 
@@ -929,6 +942,53 @@ def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monk
             cam = cameras[view_id]
             svg = render_overlay_svg(cam, observed[f].table[r, :, :2], project(skeletons[f].positions, cam))
             assert default[Path(f"overlay/frame_{f:04d}_view_{view_id}.svg")] == svg.encode()
+
+
+def test_eval_reports_are_the_bytes_of_a_per_frame_oracle_loop(tmp_path, capsys):
+    """eval's .json and .csv, over three reprojection chunks of a gappy stream
+    whose keypoint frames list their views in shuffled order or give a view no
+    detections, and with one estimated frame that has no ok joint, are the
+    bytes _write_report gives for a per-frame loop over the oracle."""
+    frames = 37
+    assert 2 * cli.REPROJECT_CHUNK_FRAMES < frames < 3 * cli.REPROJECT_CHUNK_FRAMES
+    scene = run_synth(tmp_path, frames=frames, noise="1", dropout="0.05")
+    calib, truth = scene / "calib.json", scene / "truth.jsonl"
+    skel = tmp_path / "skel.jsonl"
+    assert main(["reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+                 "--delta", "20x20x20", "--out", str(skel)]) == EXIT_OK
+    skeletons = list(mio.read_skeletons(skel))
+    skeletons[20].positions[:] = np.nan
+    mio.write_skeletons(skel, skeletons)
+    records = [json.loads(line) for line in (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines()]
+    rng = np.random.default_rng(23)
+    for rec in records[1::4]:
+        rng.shuffle(rec["views"])
+    records[30]["views"][2]["joints"] = []
+    keypoints = tmp_path / "keypoints.jsonl"
+    keypoints.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    out = tmp_path / "eval" / "report"
+    assert main(["eval", "--skeleton", str(skel), "--truth", str(truth), "--calib", str(calib),
+                 "--keypoints", str(keypoints), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: frame 20 has no comparable joints; skipped\n"
+
+    cameras = {c.id: c for c in mio.load_cameras(calib)}
+    per_frame, frames_used, joint_count, sums, counts = [], [], 0, {}, {}
+    for est, tru, obs in zip(skeletons, mio.read_skeletons(truth), mio.read_keypoints(keypoints), strict=True):
+        d = est.positions - tru.positions
+        if (mean := mean_length(d)) is not None:
+            per_frame.append(mean)
+            frames_used.append(est.frame)
+            joint_count += int((~np.isnan(d).any(axis=1)).sum())
+        for r, view_id in enumerate(obs.view_ids):
+            err = mean_length(obs.table[r, :, :2] - project(est.positions, cameras[view_id])[:14])
+            if err is not None:
+                sums[view_id] = sums.get(view_id, 0.0) + err
+                counts[view_id] = counts.get(view_id, 0) + 1
+    assert len(per_frame) == frames - 1 and len(sums) == 5
+    expected = tmp_path / "oracle" / "report"
+    cli._write_report(expected, per_frame, {v: sums[v] / counts[v] for v in sorted(sums)}, joint_count, frames_used)
+    for suffix in (".json", ".csv"):
+        assert out.with_suffix(suffix).read_bytes() == expected.with_suffix(suffix).read_bytes()
 
 
 @pytest.mark.parametrize(

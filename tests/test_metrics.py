@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import mean_length
 
 from mvmocap.metrics import (
     EmptySequence,
     NoComparableJoints,
     avg_2d_err,
     mean_abs_3d_err,
+    mean_lengths,
     sequence_mean,
 )
 from mvmocap.skeleton import Skeleton3D
@@ -15,6 +19,51 @@ from mvmocap.skeleton import Skeleton3D
 
 def skeleton(positions, frame=0):
     return Skeleton3D(frame, {i: np.asarray(p, dtype=float) for i, p in positions.items()})
+
+
+# -- mean_lengths, the core both errors are scored by -------------------------
+
+
+@st.composite
+def row_groups(draw):
+    """An (N, J, k) array, k of 2 or 3, with NaN in some cells and whole groups
+    NaN, and magnitudes from 1e-3 up to 1e200, whose squares overflow to inf."""
+    n, j, k = draw(st.integers(1, 6)), draw(st.integers(1, 16)), draw(st.sampled_from([2, 3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e100, 1e160, 1e200]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * j * k, max_size=n * j * k))
+    d = np.array(values).reshape(n, j, k) * scale
+    for at in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, j - 1), st.integers(0, k - 1)))):
+        d[at] = np.nan  # one NaN cell makes its whole row absent
+    for group in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        d[group] = np.nan
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=row_groups())
+@example(d=np.array([[[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]], [[np.nan] * 3, [6.0, 0.0, 8.0]]]))
+@example(d=np.array([[[6.0, 8.0], [np.nan, 1.0]], [[-3.0, 4.0], [np.nan, np.nan]]]))
+@example(d=np.full((2, 3, 2), 1e200))
+def test_mean_lengths_equals_the_per_row_loop_exactly(d):
+    """Each group's mean is the float of the oracle's loop over its rows, and
+    its count the number of rows it adds; an all-NaN group has count 0."""
+    with np.errstate(over="ignore"):
+        means, counts = mean_lengths(d)
+        expected = [mean_length(group) for group in d]
+    for mean, count, group, oracle in zip(means.tolist(), counts.tolist(), d, expected, strict=True):
+        assert count == int((~np.isnan(group).any(axis=1)).sum())
+        if oracle is None:
+            assert count == 0 and math.isnan(mean)
+        else:
+            assert mean == oracle
+
+
+def test_mean_lengths_of_exact_triangles():
+    d = np.array([[[3.0, 4.0], [6.0, 8.0], [np.nan, 0.0]], [[np.nan, np.nan]] * 3])
+    means, counts = mean_lengths(d)
+    assert means[0] == 7.5 and counts.tolist() == [2, 0] and math.isnan(means[1])
+    assert mean_lengths(np.array([[3.0, 4.0, 0.0]])) == (5.0, 1)
+    assert mean_lengths(np.array([[0.0, 6.0, 8.0], [0.0, -6.0, -8.0]])) == (10.0, 2)
 
 
 # -- mean_abs_3d_err ----------------------------------------------------------
