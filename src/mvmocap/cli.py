@@ -38,7 +38,7 @@ import numpy as np
 
 from . import io as mio
 from . import voxel
-from .geometry import CameraParams, project, stack_cameras
+from .geometry import project, stack_cameras
 # avg_2d_err and mean_abs_3d_err stay bound here because perfbench/tracer.py wraps cli.avg_2d_err and cli.mean_abs_3d_err.
 from .metrics import avg_2d_err, mean_abs_3d_err, mean_lengths, sequence_mean
 from .overlay import render_overlay_svg
@@ -46,7 +46,7 @@ from .retarget import retarget_sequence
 from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
-from .voxel import Cube, EstimatorConfig, JointObservationFrame, estimate_skeleton, estimate_skeletons
+from .voxel import Cube, EstimatorConfig, estimate_skeleton, estimate_skeletons
 
 
 class FrameMismatch(ValueError):
@@ -123,6 +123,13 @@ def _out_file(text: str) -> Path:
     return path
 
 
+def _out_dir(text: str) -> Path:
+    """--out as the path of a directory; InputParseError for "", which Path reads as the current directory."""
+    if not text:
+        raise mio.InputParseError(f"--out {text!r} names no directory")
+    return Path(text)
+
+
 @contextmanager
 def _output(path: str | Path) -> Iterator[Path]:
     """A temporary sibling of path to write to, renamed to path when the block succeeds.
@@ -158,6 +165,7 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out)
     try:
         scene = generate_scene(
             preset=args.preset,
@@ -171,7 +179,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     observations = render_observations(scene)
     if any(np.isinf(obs.table).any() for obs in observations):  # NaN marks a dropped detection
         raise mio.InputParseError(f"--noise {args.noise} puts keypoints outside the range of a float")
-    out_dir = Path(args.out)
     with (_output(out_dir / "calib.json") as calib, _output(out_dir / "keypoints.jsonl") as keypoints,
           _output(out_dir / "truth.jsonl") as truth):  # renamed only once all three are written
         mio.save_cameras(calib, scene.cameras)
@@ -179,16 +186,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         mio.write_skeletons(truth, scene.truth)
     print(f"wrote scene '{args.preset}' ({args.frames} frames) to {out_dir}")
     return EXIT_OK
-
-
-def _calibrated_frames(path: str, cameras: Iterable[CameraParams]) -> Iterator[JointObservationFrame]:
-    """Keypoint frames from path; InputParseError on a view missing from the calibration."""
-    known_views = {c.id for c in cameras}
-    for frame in mio.read_keypoints(path):
-        unknown = set(frame.view_ids) - known_views
-        if unknown:
-            raise mio.InputParseError(f"{path}: frame {frame.frame} references uncalibrated views {sorted(unknown)}")
-        yield frame
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -206,7 +203,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         print(f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; no joint can reach consensus",
               file=sys.stderr)
 
-    reader = _calibrated_frames(cfg.keypoints, cameras)
+    reader = mio.read_keypoints(cfg.keypoints, {c.id for c in cameras})
     t0 = time.perf_counter()
     with _output(out_file) as part, open(part, "w", encoding="utf-8") as out:
         phases["write_output"] += (time.perf_counter() - t0) * 1e3  # creating the temporary file
@@ -268,7 +265,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cameras = mio.load_cameras(args.calib)
         views = stack_cameras(cameras, point_axes=1)
         column = {view_id: v for v, view_id in enumerate(views.ids)}
-        streams.append(("keypoints", _calibrated_frames(args.keypoints, cameras)))
+        streams.append(("keypoints", mio.read_keypoints(args.keypoints, column)))
 
     per_frame = []
     frames_used = []
@@ -316,12 +313,12 @@ def _write_report(
 ) -> float:
     """Write eval's .json and .csv reports; returns the sequence mean 3D error."""
     mean = sequence_mean(per_frame)
-    fmt = lambda x: format(float(x), ".6f")
+    fmt = "%.6f".__mod__
     body = "{\n"
     body += f'  "frame_count": {len(per_frame)},\n'
     body += f'  "joint_count": {joint_count},\n'
     body += f'  "sequence_mean_3d_mm": {fmt(mean)},\n'
-    body += '  "per_frame_3d_mm": [' + ", ".join(fmt(v) for v in per_frame) + "],\n"
+    body += '  "per_frame_3d_mm": [' + ", ".join(map(fmt, per_frame)) + "],\n"
     body += '  "per_view_2d_px": {' + ", ".join(f'"{v}": {fmt(e)}' for v, e in sorted(per_view.items())) + "}\n"
     body += "}\n"
     csv_lines = ["frame,mean_abs_3d_err_mm"]
@@ -334,14 +331,14 @@ def _write_report(
 
 @np.errstate(over="ignore")  # a reprojection that overflows to inf exits 2 below
 def cmd_render_overlay(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out)
     cameras = mio.load_cameras(args.calib)
     views = stack_cameras(cameras, point_axes=1)
     column = {view_id: v for v, view_id in enumerate(views.ids)}
     by_id = {c.id: c for c in cameras}
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = _lockstep(
-        ("keypoints", _calibrated_frames(args.keypoints, cameras)),
+        ("keypoints", mio.read_keypoints(args.keypoints, column)),
         ("skeleton", mio.read_skeletons(args.skeleton)),
     )
     written: list[str] = []

@@ -1,8 +1,9 @@
 """File formats: calibration JSON, keypoint/skeleton/transform JSON lines.
 
 All record streams are JSON lines so long sequences never need to be
-resident in memory. Floats are written with fixed 6-decimal precision to
-keep emitted files byte-identical across platforms and runs.
+resident in memory. Every writer fills %-templates, floats as %.6f and
+integers as %d, so files are byte-identical across platforms and runs; a
+float in (-5e-7, 0] is written 0.000000, never -0.000000 (_unsigned_zeros).
 
 Formats:
   calibration  JSON array of {id, K: 3x3, R: 3x3, t: 3, width, height}
@@ -28,6 +29,7 @@ strictly increase.
 A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
 (u, v, c) of joint i, all NaN where the view has no detection of it. The
+reader is given the calibrated camera ids and rejects any other view id. The
 writer lists views by ascending id and joints by ascending index.
 
 A skeleton record is read into Skeleton3D.positions, a (15, 3) array whose
@@ -42,7 +44,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -125,36 +127,25 @@ def _finite_matrix(value, n: int) -> list:
     return [_finite_numbers(row, n) for row in value]
 
 
-def _fmt(x: float) -> str:
-    text = format(float(x), ".6f")
-    # Values in (-5e-7, 0] round to zero; writing them all alike keeps the
-    # bytes independent of the sign of rounding noise.
-    return "0.000000" if text == "-0.000000" else text
-
-
-def _fmt_matrix(m: np.ndarray) -> str:
-    rows = ", ".join("[" + ", ".join(_fmt(v) for v in row) + "]" for row in np.asarray(m, dtype=float))
-    return "[" + rows + "]"
-
-
-def _fmt_vector(v) -> str:
-    return "[" + ", ".join(_fmt(x) for x in np.asarray(v, dtype=float)) + "]"
+def _unsigned_zeros(text: str) -> str:
+    """text with each "-0.000000", a float in (-5e-7, 0] written with its sign, written "0.000000".
+    Every float field has exactly 6 decimals, so "-0.000000" is never part of a longer number."""
+    return text.replace("-0.000000", "0.000000")
 
 
 # -- calibration --------------------------------------------------------
 
 
+_ROW = "[%.6f, %.6f, %.6f]"
+_CAMERA = f'{{"id": %d, "K": [{_ROW}, {_ROW}, {_ROW}], "R": [{_ROW}, {_ROW}, {_ROW}], "t": {_ROW}, "width": %d, "height": %d}}'
+
+
 def save_cameras(path: str | Path, cameras: list[CameraParams]) -> None:
-    entries = []
-    for c in cameras:
-        w, h = c.resolution
-        entries.append(
-            "{"
-            + f'"id": {c.id}, "K": {_fmt_matrix(c.intrinsic)}, "R": {_fmt_matrix(c.rotation)}, '
-            + f'"t": {_fmt_vector(c.translation)}, "width": {w}, "height": {h}'
-            + "}"
-        )
-    Path(path).write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
+    entries = ",\n".join(
+        _CAMERA % (c.id, *np.hstack([np.ravel(c.intrinsic), np.ravel(c.rotation), np.ravel(c.translation)]).tolist(), *c.resolution)
+        for c in cameras
+    )
+    Path(path).write_text(_unsigned_zeros(f"[\n{entries}\n]\n"), encoding="utf-8")
 
 
 def load_cameras(path: str | Path) -> list[CameraParams]:
@@ -201,16 +192,17 @@ def _snap_rotations(r: np.ndarray) -> np.ndarray:
 # -- keypoints -----------------------------------------------------------
 
 
+_KEYPOINT_RECORD = '{"frame": %d, "views": [%s]}'
+_KEYPOINT_VIEW = '{"view_id": %d, "joints": [%s]}'
+_KEYPOINT_JOINT = '{"idx": %d, "u": %.6f, "v": %.6f, "c": %.6f}'
+
+
 def keypoint_line(frame: JointObservationFrame) -> str:
-    view_parts = []
+    views = []
     for r in np.argsort(frame.view_ids):
-        joint_parts = []
-        for idx, (u, v, c) in enumerate(frame.table[r].tolist()):
-            if math.isnan(c):
-                continue
-            joint_parts.append(f'{{"idx": {idx}, "u": {_fmt(u)}, "v": {_fmt(v)}, "c": {_fmt(c)}}}')
-        view_parts.append(f'{{"view_id": {frame.view_ids[r]}, "joints": [' + ", ".join(joint_parts) + "]}")
-    return f'{{"frame": {frame.frame}, "views": [' + ", ".join(view_parts) + "]}"
+        joints = [_KEYPOINT_JOINT % (idx, u, v, c) for idx, (u, v, c) in enumerate(frame.table[r].tolist()) if not math.isnan(c)]
+        views.append(_KEYPOINT_VIEW % (frame.view_ids[r], ", ".join(joints)))
+    return _unsigned_zeros(_KEYPOINT_RECORD % (frame.frame, ", ".join(views)))
 
 
 def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -> None:
@@ -219,7 +211,7 @@ def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -
             fh.write(keypoint_line(frame) + "\n")
 
 
-def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
+def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[JointObservationFrame]:
     path = Path(path)
     last = None
     for lineno, raw in _read_lines(path):
@@ -234,6 +226,8 @@ def read_keypoints(path: str | Path) -> Iterator[JointObservationFrame]:
             cells = [_UNLISTED] * (len(views) * _JOINTS * 3)
             for r, view in enumerate(views):
                 view_id = _integer(view["view_id"])
+                if view_id not in calibrated:
+                    raise ValueError(f"view {view_id} is not in the calibration")
                 if view_id in view_ids:
                     raise ValueError(f"view {view_id} listed twice")
                 view_ids.append(view_id)
@@ -265,14 +259,17 @@ def _next_frame(rec: dict, last: int | None) -> int:
 # -- skeletons ------------------------------------------------------------
 
 
+_SKELETON_RECORD = '{"frame": %d, "joints": [%s]}'
+_OK_JOINT = f'{{"idx": %d, "status": "{STATUS_OK}", "p": {_ROW}}}'
+_NO_CONSENSUS_JOINT = f'{{"idx": %d, "status": "{STATUS_NO_CONSENSUS}"}}'
+
+
 def skeleton_line(skel: Skeleton3D) -> str:
-    parts = []
-    for idx, (x, y, z) in enumerate(skel.positions.tolist()):
-        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-            parts.append(f'{{"idx": {idx}, "status": "{STATUS_OK}", "p": [{_fmt(x)}, {_fmt(y)}, {_fmt(z)}]}}')
-        else:
-            parts.append(f'{{"idx": {idx}, "status": "{STATUS_NO_CONSENSUS}"}}')
-    return f'{{"frame": {skel.frame}, "joints": [' + ", ".join(parts) + "]}"
+    parts = [
+        _OK_JOINT % (idx, x, y, z) if math.isfinite(x) and math.isfinite(y) and math.isfinite(z) else _NO_CONSENSUS_JOINT % idx
+        for idx, (x, y, z) in enumerate(skel.positions.tolist())
+    ]
+    return _unsigned_zeros(_SKELETON_RECORD % (skel.frame, ", ".join(parts)))
 
 
 def write_skeletons(path: str | Path, skeletons: Iterable[Skeleton3D]) -> None:
@@ -322,9 +319,9 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
 def _transform_template(names: tuple[str, ...]) -> str:
     """The %-template of a transform record over these bone names: the frame,
     then per bone its status and 16 matrix entries, row-major."""
-    matrix = "[" + ", ".join(["[" + ", ".join(["%.6f"] * 4) + "]"] * 4) + "]"
+    matrix = "[" + ", ".join(["[%.6f, %.6f, %.6f, %.6f]"] * 4) + "]"
     bones = ", ".join(f'{{"name": "{name.replace("%", "%%")}", "status": "%s", "T": {matrix}}}' for name in names)
-    return '{"frame": %s, "bones": [' + bones + "]}"
+    return '{"frame": %d, "bones": [' + bones + "]}"
 
 
 def transform_line(tset: BoneTransformSet) -> str:
@@ -333,9 +330,7 @@ def transform_line(tset: BoneTransformSet) -> str:
     for name in names:
         values.append(tset.statuses[name])
         values += np.ravel(tset.transforms[name]).tolist()
-    # Every value has 6 decimals, so "-0.000000" is a whole token: a value
-    # rounding to zero, written without its sign as _fmt writes it.
-    return (_transform_template(names) % tuple(values)).replace("-0.000000", "0.000000")
+    return _unsigned_zeros(_transform_template(names) % tuple(values))
 
 
 def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None:

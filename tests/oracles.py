@@ -39,6 +39,11 @@ a `format` call per coordinate, against which the one-template
 `mean_length` is the error measure one row group at a time, a Python loop
 adding the lengths of the rows that are not NaN, against which the stacked
 `metrics.mean_lengths` (and through it `eval`) is checked bit for bit.
+`calibration_text`, `keypoint_line_per_value` and `skeleton_line_per_value`
+are the writers with one `format(x, ".6f")` call per float, "-0.000000"
+written unsigned value by value (`fmt`), against which the %-templates of
+`io.save_cameras`, `io.keypoint_line` and `io.skeleton_line` are checked
+string for string.
 """
 
 import json
@@ -517,3 +522,57 @@ def mean_length(d) -> float | None:
             total += length
             count += 1
     return total / count if count else None
+
+
+def fmt(x: float) -> str:
+    """x with 6 decimals; a value in (-5e-7, 0] is written "0.000000", without its sign."""
+    text = format(float(x), ".6f")
+    return "0.000000" if text == "-0.000000" else text
+
+
+def _fmt_vector(v) -> str:
+    return "[" + ", ".join(fmt(x) for x in np.asarray(v, dtype=float)) + "]"
+
+
+def _fmt_matrix(m) -> str:
+    return "[" + ", ".join(_fmt_vector(row) for row in np.asarray(m, dtype=float)) + "]"
+
+
+def calibration_text(cameras) -> str:
+    """The calibration file `io.save_cameras` writes, one camera entry per line."""
+    entries = []
+    for c in cameras:
+        w, h = c.resolution
+        entries.append(
+            "{"
+            + f'"id": {c.id}, "K": {_fmt_matrix(c.intrinsic)}, "R": {_fmt_matrix(c.rotation)}, '
+            + f'"t": {_fmt_vector(c.translation)}, "width": {w}, "height": {h}'
+            + "}"
+        )
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def keypoint_line_per_value(frame) -> str:
+    """The keypoint record of a JointObservationFrame: views by ascending id, each
+    joint whose confidence is not NaN by ascending index."""
+    view_parts = []
+    for r in np.argsort(frame.view_ids):
+        joint_parts = []
+        for idx, (u, v, c) in enumerate(frame.table[r].tolist()):
+            if math.isnan(c):
+                continue
+            joint_parts.append(f'{{"idx": {idx}, "u": {fmt(u)}, "v": {fmt(v)}, "c": {fmt(c)}}}')
+        view_parts.append(f'{{"view_id": {frame.view_ids[r]}, "joints": [' + ", ".join(joint_parts) + "]}")
+    return f'{{"frame": {frame.frame}, "views": [' + ", ".join(view_parts) + "]}"
+
+
+def skeleton_line_per_value(skel) -> str:
+    """The skeleton record of a Skeleton3D: all 15 joints in index order, "ok" with
+    its position where the row is finite, "no_consensus" without one elsewhere."""
+    parts = []
+    for idx, (x, y, z) in enumerate(skel.positions.tolist()):
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            parts.append(f'{{"idx": {idx}, "status": "{STATUS_OK}", "p": [{fmt(x)}, {fmt(y)}, {fmt(z)}]}}')
+        else:
+            parts.append(f'{{"idx": {idx}, "status": "{STATUS_NO_CONSENSUS}"}}')
+    return f'{{"frame": {skel.frame}, "joints": [' + ", ".join(parts) + "]}"

@@ -282,7 +282,7 @@ def test_eval_unknown_view_id_exits_2(tmp_path, capsys):
         "eval", "--skeleton", str(scene / "truth.jsonl"), "--truth", str(scene / "truth.jsonl"),
         "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(tmp_path / "r"),
     ]) == EXIT_PARSE
-    assert "uncalibrated views [4]" in capsys.readouterr().err
+    assert f"error: {scene / 'keypoints.jsonl'}:1: bad keypoint record: view 4 is not in the calibration\n" in capsys.readouterr().err
 
 
 def test_overlay_unknown_view_id_exits_2(tmp_path, capsys):
@@ -292,7 +292,7 @@ def test_overlay_unknown_view_id_exits_2(tmp_path, capsys):
         "render-overlay", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
         "--skeleton", str(scene / "truth.jsonl"), "--out", str(tmp_path / "ov"),
     ]) == EXIT_PARSE
-    assert "uncalibrated views [4]" in capsys.readouterr().err
+    assert f"error: {scene / 'keypoints.jsonl'}:1: bad keypoint record: view 4 is not in the calibration\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -679,22 +679,31 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, monkeypatch, comm
         assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
 
 
-@pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
-@pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
+@pytest.mark.parametrize(
+    "command, out",
+    [pytest.param(command, out, id=f"{command}-{name}")
+     for command in ("reconstruct", "retarget", "eval")
+     for out, name in (("", "empty"), (".", "dot"), ("/", "root"))]
+    + [pytest.param(command, "", id=f"{command}-empty") for command in ("synth", "render-overlay")],
+)
 def test_out_naming_no_file_exits_2(tmp_path, capsys, monkeypatch, command, out):
-    """An --out with no file name exits 2 with an error line naming --out,
-    before anything is written."""
+    """An --out with no file name, or for the commands that write into a
+    directory an empty one, exits 2 with an error line naming --out, before
+    anything is written."""
     scene = run_synth(tmp_path, frames=2)
     monkeypatch.chdir(tmp_path)
     s = lambda name: str(scene / name)
     inputs = {
+        "synth": ["--preset", "walk"],
         "reconstruct": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--delta", "100x100x100"],
         "retarget": ["--skeleton", s("truth.jsonl")],
         "eval": ["--skeleton", s("truth.jsonl"), "--truth", s("truth.jsonl")],
+        "render-overlay": ["--calib", s("calib.json"), "--keypoints", s("keypoints.jsonl"), "--skeleton", s("truth.jsonl")],
     }[command]
+    names = "directory" if command in ("synth", "render-overlay") else "file"
     capsys.readouterr()
     assert main([command, *inputs, "--out", out]) == EXIT_PARSE
-    assert capsys.readouterr().err == f"error: --out {out!r} names no file\n"
+    assert capsys.readouterr().err == f"error: --out {out!r} names no {names}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
@@ -795,7 +804,7 @@ def test_overlay_svgs_are_the_oracles_bytes(tmp_path):
     assert main(["render-overlay", *inputs, "--skeleton", str(skel), "--out", str(out)]) == EXIT_OK
     cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
     expected = {}
-    for obs, est in zip(mio.read_keypoints(scene / "keypoints.jsonl"), mio.read_skeletons(skel), strict=True):
+    for obs, est in zip(mio.read_keypoints(scene / "keypoints.jsonl", cameras), mio.read_skeletons(skel), strict=True):
         for r, view_id in enumerate(obs.view_ids):
             cam = cameras[view_id]
             svg = overlay_svg(cam, obs.table[r, :, :2], project(est.positions, cam))
@@ -900,7 +909,7 @@ def test_reconstruct_chunks_write_the_bytes_of_single_frames(tmp_path, capsys, m
     bad.write_text("".join(lines), encoding="utf-8")
     out = tmp_path / "out" / "skel.jsonl"
     assert reconstruct(3, bad, out) == EXIT_PARSE
-    assert f"error: {bad}: frame 5 references uncalibrated views [9]" in capsys.readouterr().err
+    assert f"error: {bad}:6: bad keypoint record: view 9 is not in the calibration\n" in capsys.readouterr().err
     assert list(out.parent.iterdir()) == []  # neither skel.jsonl nor skel.jsonl.part
 
 
@@ -936,7 +945,7 @@ def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monk
     assert outputs(1) == default
     # The edited frames' overlays are those of one projection per view.
     cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
-    skeletons, observed = list(mio.read_skeletons(skel)), list(mio.read_keypoints(keypoints))
+    skeletons, observed = list(mio.read_skeletons(skel)), list(mio.read_keypoints(keypoints, cameras))
     for f in (3, frames - 2):
         for r, view_id in enumerate(observed[f].view_ids):
             cam = cameras[view_id]
@@ -973,7 +982,7 @@ def test_eval_reports_are_the_bytes_of_a_per_frame_oracle_loop(tmp_path, capsys)
 
     cameras = {c.id: c for c in mio.load_cameras(calib)}
     per_frame, frames_used, joint_count, sums, counts = [], [], 0, {}, {}
-    for est, tru, obs in zip(skeletons, mio.read_skeletons(truth), mio.read_keypoints(keypoints), strict=True):
+    for est, tru, obs in zip(skeletons, mio.read_skeletons(truth), mio.read_keypoints(keypoints, cameras), strict=True):
         d = est.positions - tru.positions
         if (mean := mean_length(d)) is not None:
             per_frame.append(mean)
@@ -1136,7 +1145,7 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     scene = run_synth(tmp_path, frames=1)
     # Remove joint 0 (head) from every view's detections.
     lines = []
-    for frame in mio.read_keypoints(scene / "keypoints.jsonl"):
+    for frame in mio.read_keypoints(scene / "keypoints.jsonl", {c.id for c in mio.load_cameras(scene / "calib.json")}):
         frame.table[:, 0] = np.nan
         lines.append(frame)
     mio.write_keypoints(scene / "keypoints.jsonl", lines)

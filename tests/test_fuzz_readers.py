@@ -7,8 +7,9 @@ string or a bool where a number belongs, puts a fraction, a float or a bool
 where an integer belongs, changes the length of
 a position, gives a skeleton joint an unknown status, gives a
 joint an index outside 0-13 (keypoints) or 0-14 (skeletons) or the index of
-another joint of the same list, or gives a record after the first a frame
-index not greater than the one before it. Both streams go through
+another joint of the same list, gives a keypoint view an id the calibration
+does not list, or gives a record after the first a frame index not greater
+than the one before it. Both streams go through
 `cli.main`, which must exit 2 with `error: <path>:<line>:`.
 
 The calibration has one site, a singular K that keeps positive focal
@@ -48,6 +49,7 @@ def scene(tmp_path_factory):
     return {
         "root": root,
         "calib": scene_dir / "calib.json",
+        "calibrated": {camera["id"] for camera in json.loads((scene_dir / "calib.json").read_text())},
         "keypoints": (scene_dir / "keypoints.jsonl").read_text().splitlines(),
         "skeletons": (scene_dir / "truth.jsonl").read_text().splitlines(),
     }
@@ -81,9 +83,14 @@ def _bad_number(draw):
     return draw(st.sampled_from(NON_FINITE + (HUGE, "1.5", True, False)))
 
 
-def _mutate(draw, stream, rec, previous_frame):
-    """Break one field of rec in place; previous_frame is None on the first line."""
-    container, key, kind, siblings = draw(st.sampled_from(_sites(stream, rec)))
+def _mutate(draw, stream, rec, previous_frame, calibrated):
+    """Break one field of rec in place; previous_frame is None on the first line,
+    and calibrated holds the camera ids of the calibration."""
+    # A kind first, then a site of it: the few frame and view id sites of a
+    # record are drawn as often as its hundreds of joint fields.
+    sites = _sites(stream, rec)
+    kind = draw(st.sampled_from(sorted({site[2] for site in sites})))
+    container, key, kind, siblings = draw(st.sampled_from([site for site in sites if site[2] == kind]))
     actions = ["drop", "retype"]
     if kind == "number" or kind in INTEGER_KINDS:
         actions.append("bad number")
@@ -95,6 +102,8 @@ def _mutate(draw, stream, rec, previous_frame):
         actions.append("out of range")
         if siblings:
             actions.append("repeat")
+    if kind == "view id":
+        actions.append("uncalibrated")
     if kind == "vector":
         actions += ["bad element", "wrong length"]
     if kind == "status":
@@ -115,6 +124,8 @@ def _mutate(draw, stream, rec, previous_frame):
         container[key] = draw(st.integers(max_value=previous_frame))
     elif action == "out of range":
         container[key] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=JOINT_LIMIT[stream])))
+    elif action == "uncalibrated":
+        container[key] = draw(st.integers().filter(lambda i: i not in calibrated))
     elif action == "repeat":
         container[key] = draw(st.sampled_from(siblings))["idx"]
     elif action == "unknown status":
@@ -130,12 +141,12 @@ def _mutate(draw, stream, rec, previous_frame):
 
 
 @st.composite
-def broken_stream(draw, stream, lines):
+def broken_stream(draw, stream, lines, calibrated):
     """Stream text with one record broken, and the 1-based line of the break."""
     lines = list(lines)
     lineno = draw(st.integers(1, len(lines)))
     rec = json.loads(lines[lineno - 1])
-    _mutate(draw, stream, rec, json.loads(lines[lineno - 2])["frame"] if lineno > 1 else None)
+    _mutate(draw, stream, rec, json.loads(lines[lineno - 2])["frame"] if lineno > 1 else None, calibrated)
     lines[lineno - 1] = json.dumps(rec).replace(f'"{HUGE}"', draw(st.sampled_from(["1e400", "-1e400"])))
     return "\n".join(lines) + "\n", lineno
 
@@ -150,7 +161,7 @@ def _command(stream, path, scene):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_broken_record_exits_2_with_line(scene, stream, data):
-    text, lineno = data.draw(broken_stream(stream, scene[stream]))
+    text, lineno = data.draw(broken_stream(stream, scene[stream], scene["calibrated"]))
     path = scene["root"] / f"broken_{stream}.jsonl"
     path.write_text(text, encoding="utf-8")
     err = io.StringIO()

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import joint_statuses, read_transforms, snap_rotation
+from oracles import (
+    calibration_text,
+    joint_statuses,
+    keypoint_line_per_value,
+    read_transforms,
+    skeleton_line_per_value,
+    snap_rotation,
+)
 
 from mvmocap import io as mio
+from mvmocap.geometry import CameraParams
 from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import BoneTransformSet, retarget_frame
-from mvmocap.skeleton import BONES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
+from mvmocap.skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from mvmocap.synth import PRESETS, generate_scene, render_observations
+from mvmocap.voxel import JointObservationFrame
 
 
 def test_camera_round_trip(tmp_path, ring):
@@ -76,7 +85,7 @@ def test_keypoints_round_trip(tmp_path):
     frames = render_observations(scene)
     path = tmp_path / "kp.jsonl"
     mio.write_keypoints(path, frames)
-    loaded = list(mio.read_keypoints(path))
+    loaded = list(mio.read_keypoints(path, {c.id for c in scene.cameras}))
     assert [f.frame for f in loaded] == [0, 1, 2]
     for orig, back in zip(frames, loaded):
         assert orig.view_ids == back.view_ids
@@ -166,10 +175,61 @@ def test_floats_serialized_with_fixed_precision(tmp_path):
 
 
 def test_negative_zero_is_written_as_zero():
-    for x in (-0.0, -1e-12, -4.9e-7):
-        assert mio._fmt(x) == "0.000000"
-    assert mio._fmt(-6e-7) == "-0.000001"
-    assert mio._fmt(4.9e-7) == "0.000000"
+    for x, text in ((-0.0, "0.000000"), (-1e-12, "0.000000"), (-4.9e-7, "0.000000"),
+                    (-6e-7, "-0.000001"), (4.9e-7, "0.000000")):
+        assert f'"p": [{text}, {text}, {text}]' in mio.skeleton_line(Skeleton3D(0, {0: np.full(3, x)}))
+
+
+# Floats around the writers' edges: the band (-5e-7, 0] that rounds to an
+# unsigned zero, values next to it, +-1e300 (300-digit fields), subnormals,
+# and anything else a float can hold, NaN and infinities included.
+EDGE_FLOATS = st.one_of(
+    st.floats(-5e-7, 0.0, exclude_min=True),
+    st.sampled_from([-0.0, -5e-7, 5e-7, -5.000001e-7, -6e-7, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(),
+)
+NAN_ROW = [float("nan")] * 3
+ROWS = st.one_of(st.just(NAN_ROW), st.lists(EDGE_FLOATS, min_size=3, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=st.integers(0, 10**9), rows=st.lists(ROWS, min_size=len(JOINT_NAMES), max_size=len(JOINT_NAMES)))
+def test_skeleton_line_is_the_per_value_writer(frame, rows):
+    skel = Skeleton3D(frame, np.array(rows, dtype=float))
+    assert mio.skeleton_line(skel) == skeleton_line_per_value(skel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=st.integers(0, 10**9), view_ids=st.lists(st.integers(0, 10**6), unique=True, max_size=6), data=st.data())
+def test_keypoint_line_is_the_per_value_writer(frame, view_ids, data):
+    rows = data.draw(st.lists(ROWS, min_size=len(view_ids) * len(DETECTED_JOINTS), max_size=len(view_ids) * len(DETECTED_JOINTS)))
+    obs = JointObservationFrame(frame, view_ids, np.array(rows, dtype=float).reshape(len(view_ids), len(DETECTED_JOINTS), 3))
+    assert mio.keypoint_line(obs) == keypoint_line_per_value(obs)
+
+
+@st.composite
+def edge_cameras(draw):
+    """Cameras whose K, R and t hold the edge floats: a rotation by an angle
+    in the zero band has entries in (-5e-7, 0]."""
+    cameras = []
+    for camera_id in draw(st.lists(st.integers(0, 10**6), unique=True, max_size=4)):
+        focal = st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 1e300]))
+        K = [[draw(focal), draw(EDGE_FLOATS), draw(EDGE_FLOATS)], [0.0, draw(focal), draw(EDGE_FLOATS)], [0.0, 0.0, 1.0]]
+        axis = draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.3, -0.5, 0.8)]))
+        angle = draw(st.one_of(st.floats(-5e-7, 5e-7), st.floats(-np.pi, np.pi)))
+        t = draw(st.lists(EDGE_FLOATS, min_size=3, max_size=3))
+        size = (draw(st.integers(1, 10**5)), draw(st.integers(1, 10**5)))
+        cameras.append(CameraParams(camera_id, np.array(K), rotation_about_axis(np.array(axis), angle), np.array(t), size))
+    return cameras
+
+
+@settings(max_examples=200, deadline=None)
+@given(cameras=edge_cameras())
+def test_save_cameras_is_the_per_value_writer(tmp_path_factory, cameras):
+    path = tmp_path_factory.getbasetemp() / "edge_calib.json"
+    mio.save_cameras(path, cameras)
+    assert path.read_text(encoding="utf-8") == calibration_text(cameras)
 
 
 def test_parse_error_carries_file_and_line(tmp_path):
@@ -187,7 +247,7 @@ def test_parse_error_names_the_line_in_the_file(tmp_path, stream):
     path = tmp_path / "stream.jsonl"
     if stream == "keypoints":
         mio.write_keypoints(path, render_observations(scene))
-        read = mio.read_keypoints
+        read = lambda p: mio.read_keypoints(p, {c.id for c in scene.cameras})
     else:
         mio.write_skeletons(path, scene.truth)
         read = mio.read_skeletons
