@@ -17,7 +17,8 @@ cannot be created or written, 3 at the first frame where streams read together
 disagree or one ends early. A run that exits 2 or 3 leaves no partial scene,
 skeleton stream, transform stream, report or overlay set behind: the single
 files are written to a temporary sibling, renamed on success, and every command
-creates its output's parent directory. Warnings go to stderr.
+creates its output's parent directory, and on failure removes the directories it
+created while they are empty. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -41,7 +42,8 @@ from . import voxel
 from .geometry import project, stack_cameras
 # avg_2d_err and mean_abs_3d_err stay bound here because perfbench/tracer.py wraps cli.avg_2d_err and cli.mean_abs_3d_err.
 from .metrics import avg_2d_err, mean_abs_3d_err, mean_lengths, sequence_mean
-from .overlay import render_overlay_svg
+# render_overlay_svg stays bound here because perfbench/tracer.py wraps cli.render_overlay_svg.
+from .overlay import render_overlay_svg, render_overlay_svgs
 from .retarget import retarget_sequence
 from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
@@ -131,22 +133,38 @@ def _out_dir(text: str) -> Path:
 
 
 @contextmanager
+def _directory(path: Path) -> Iterator[None]:
+    """Create the directory path and its missing parents; if the block raises,
+    remove the ones created here, innermost first and only while empty. A
+    directory that already existed is never removed."""
+    created = [d for d in (path, *path.parents) if not d.exists()]  # innermost first
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for made in created:
+            with suppress(OSError):  # not empty: something else was written there
+                made.rmdir()
+        raise
+
+
+@contextmanager
 def _output(path: str | Path) -> Iterator[Path]:
     """A temporary sibling of path to write to, renamed to path when the block succeeds.
 
     The parent directory is created first. If the block or the rename
-    raises, the temporary file is removed, so a failed run leaves nothing
-    at path.
+    raises, the temporary file is removed, and so are the directories made
+    for it, so a failed run leaves nothing at path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(path.name + ".part")
-    try:
-        yield part
-        part.replace(path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    with _directory(path.parent):
+        try:
+            yield part
+            part.replace(path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -254,6 +272,20 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
+def _detections(observations: list, column: dict[int, int], views: int) -> tuple[np.ndarray, tuple[list[int], list[int]]]:
+    """The chunk's keypoints as an (N, views, 14, 2) array by calibrated column,
+    NaN where a frame does not list the view or the view misses the joint,
+    and the (frame, column) index lists of the listed views, in listed order."""
+    detected = np.full((len(observations), views, len(DETECTED_JOINTS), 2), np.nan)
+    listed: tuple[list[int], list[int]] = ([], [])
+    for k, obs in enumerate(observations):
+        columns = [column[view_id] for view_id in obs.view_ids]
+        detected[k, columns] = obs.table[:, :, :2]
+        listed[0].extend([k] * len(columns))
+        listed[1].extend(columns)
+    return detected, listed
+
+
 @np.errstate(over="ignore")  # an error that overflows to inf exits 2 below
 def cmd_eval(args: argparse.Namespace) -> int:
     out_base = _out_file(args.out)
@@ -278,9 +310,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         err3d, joints3d = (a.tolist() for a in mean_lengths(positions - np.stack([tru.positions for _, tru, *_ in chunk])))
         if views is not None:  # (N, V, 14, 2): every skeleton of the chunk in every calibrated view
             pixels = project(positions[:, None], views)[:, :, : len(DETECTED_JOINTS)]
-            detected = np.full(pixels.shape, np.nan)
-            for k, (_, _, obs) in enumerate(chunk):
-                detected[k, [column[view_id] for view_id in obs.view_ids]] = obs.table[:, :, :2]
+            detected, _ = _detections([obs for *_, obs in chunk], column, len(views.ids))
             err2d, joints2d = (a.tolist() for a in mean_lengths(detected - pixels))
         for k, (est, *_) in enumerate(chunk):
             if not joints3d[k]:
@@ -336,29 +366,29 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     views = stack_cameras(cameras, point_axes=1)
     column = {view_id: v for v, view_id in enumerate(views.ids)}
     by_id = {c.id: c for c in cameras}
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sizes = [by_id[view_id].resolution for view_id in views.ids]  # by column
     frames = _lockstep(
         ("keypoints", mio.read_keypoints(args.keypoints, column)),
         ("skeleton", mio.read_skeletons(args.skeleton)),
     )
     written: list[str] = []
-    try:
-        while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
-            pixels = project(np.stack([skel.positions for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
-            if np.isinf(pixels).any():  # NaN marks a missing joint; inf, a position whose projection overflows
-                k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
-                raise mio.InputParseError(
-                    f"{args.skeleton}: frame {chunk[k][1].frame}: reprojection in view {views.ids[v]} is not finite")
-            for (obs_frame, _), frame_pixels in zip(chunk, pixels):
-                for r, view_id in enumerate(obs_frame.view_ids):
-                    reprojected = frame_pixels[column[view_id]]
-                    svg = render_overlay_svg(by_id[view_id], obs_frame.table[r, :, :2], reprojected)
-                    written.append(os.path.join(out_dir, f"frame_{obs_frame.frame:04d}_view_{view_id}.svg"))
-                    _write_bytes(written[-1], svg.encode())
-    except BaseException:
-        for path in written:  # no partial set of overlays on a failed run
-            Path(path).unlink(missing_ok=True)
-        raise
+    with _directory(out_dir):
+        try:
+            while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
+                pixels = project(np.stack([skel.positions for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
+                if np.isinf(pixels).any():  # NaN marks a missing joint; inf, a position whose projection overflows
+                    k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
+                    raise mio.InputParseError(
+                        f"{args.skeleton}: frame {chunk[k][1].frame}: reprojection in view {views.ids[v]} is not finite")
+                detected, listed = _detections([obs for obs, _ in chunk], column, len(views.ids))
+                svgs = render_overlay_svgs([sizes[v] for v in listed[1]], detected[listed], pixels[listed])
+                for k, v, svg in zip(*listed, svgs):
+                    written.append(os.path.join(out_dir, f"frame_{chunk[k][0].frame:04d}_view_{views.ids[v]}.svg"))
+                    _write_bytes(written[-1], svg)
+        except BaseException:
+            for path in written:  # no partial set of overlays on a failed run
+                Path(path).unlink(missing_ok=True)
+            raise
     print(f"wrote {len(written)} overlays to {out_dir}")
     return EXIT_OK
 

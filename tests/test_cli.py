@@ -673,10 +673,41 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, monkeypatch, comm
     }[command]
     assert main([command, *inputs, "--out", str(out)]) == code
     assert "error:" in capsys.readouterr().err
-    if command == "render-overlay":
-        assert sorted(out.iterdir()) == []
-    else:
-        assert sorted(tmp_path.glob("out*")) == []  # neither the output nor its temporary sibling
+    assert sorted(tmp_path.glob("out*")) == []  # neither the output, its temporary sibling nor the directory made for it
+
+
+@pytest.mark.parametrize("made", [0, 2])
+@pytest.mark.parametrize("command", ["reconstruct", "render-overlay"])
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys, command, made):
+    """A run that exits 2 on keypoints naming an uncalibrated view removes the
+    output directories it created, and keeps the --out parent that was there
+    before it."""
+    scene = run_synth(tmp_path, frames=5)
+    lines = (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace('"view_id": 4', '"view_id": 9')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    parent = existing.joinpath(*["new"] * made)
+    inputs = {
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(bad), "--delta", "100x100x100",
+                        "--out", str(parent / "skel.jsonl")],
+        "render-overlay": ["--calib", str(scene / "calib.json"), "--keypoints", str(bad),
+                           "--skeleton", str(scene / "truth.jsonl"), "--out", str(parent / "overlays")],
+    }[command]
+    assert main([command, *inputs]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {bad}:3: bad keypoint record: view 9 is not in the calibration\n"
+    assert list(existing.iterdir()) == []
+
+
+def test_directory_removes_only_the_empty_directories_it_made(tmp_path):
+    (tmp_path / "a").mkdir()
+    with pytest.raises(RuntimeError):
+        with cli._directory(tmp_path / "a" / "b" / "c" / "d"):
+            (tmp_path / "a" / "b" / "kept.txt").write_text("x", encoding="utf-8")
+            raise RuntimeError("failed")
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["kept.txt"]
 
 
 @pytest.mark.parametrize(
@@ -767,49 +798,61 @@ def test_overlay_non_finite_reprojection_exits_2(tmp_path, capsys, first):
     inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"), "--skeleton", str(huge)]
     assert main(["render-overlay", *inputs, "--out", str(out)]) == EXIT_PARSE
     assert f"error: {huge}: frame {first}: reprojection in view 0 is not finite" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_overlay_failing_on_any_error_leaves_no_svg(tmp_path, monkeypatch):
-    """render-overlay removes its SVGs on any failure, not only on the ones
-    that exit 2 or 3."""
+    """render-overlay removes its SVGs, and the directory it made for them,
+    on any failure, not only on the ones that exit 2 or 3."""
     scene = run_synth(tmp_path, frames=2)
-    calls = []
+    calls, write_bytes = [], cli._write_bytes
 
     def third_fails(*args):
         calls.append(args)
         if len(calls) == 3:
-            raise RuntimeError("renderer failed")
-        return render_overlay_svg(*args)
+            raise RuntimeError("writer failed")
+        return write_bytes(*args)
 
-    monkeypatch.setattr(cli, "render_overlay_svg", third_fails)
+    monkeypatch.setattr(cli, "_write_bytes", third_fails)
     out = tmp_path / "ovl"
     with pytest.raises(RuntimeError):
         main(["render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"),
               "--skeleton", str(scene / "truth.jsonl"), "--out", str(out)])
     assert len(calls) == 3
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_overlay_svgs_are_the_oracles_bytes(tmp_path):
     """Every SVG that render-overlay writes, over two reprojection chunks of a
-    gappy stream, is the element-by-element oracle's string as UTF-8 bytes."""
+    gappy stream whose keypoint frames list their views in shuffled order and
+    in one frame list a view with no detections, is the element-by-element
+    oracle's string as UTF-8 bytes."""
     frames = 20
     assert frames > cli.REPROJECT_CHUNK_FRAMES
     scene = run_synth(tmp_path, frames=frames, noise="1", dropout="0.05")
     skel = tmp_path / "skel.jsonl"
     inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl")]
     assert main(["reconstruct", *inputs, "--delta", "20x20x20", "--out", str(skel)]) == EXIT_OK
+    keypoints = tmp_path / "keypoints.jsonl"
+    records = [json.loads(line) for line in (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines()]
+    rng = np.random.default_rng(3)
+    for rec in records:
+        rec["views"] = [rec["views"][i] for i in rng.permutation(len(rec["views"]))]
+    empty = records[cli.REPROJECT_CHUNK_FRAMES + 1]
+    empty["views"][2]["joints"] = []
+    keypoints.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
     out = tmp_path / "overlay"
-    assert main(["render-overlay", *inputs, "--skeleton", str(skel), "--out", str(out)]) == EXIT_OK
+    assert main(["render-overlay", "--calib", str(scene / "calib.json"), "--keypoints", str(keypoints),
+                 "--skeleton", str(skel), "--out", str(out)]) == EXIT_OK
     cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
     expected = {}
-    for obs, est in zip(mio.read_keypoints(scene / "keypoints.jsonl", cameras), mio.read_skeletons(skel), strict=True):
+    for obs, est in zip(mio.read_keypoints(keypoints, cameras), mio.read_skeletons(skel), strict=True):
         for r, view_id in enumerate(obs.view_ids):
             cam = cameras[view_id]
             svg = overlay_svg(cam, obs.table[r, :, :2], project(est.positions, cam))
             expected[f"frame_{obs.frame:04d}_view_{view_id}.svg"] = svg.encode()
     assert len(expected) == frames * 5
+    assert b'fill="red"' not in expected[f"frame_{empty['frame']:04d}_view_{empty['views'][2]['view_id']}.svg"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
@@ -833,7 +876,7 @@ def test_overlay_write_failure_exits_2_and_leaves_no_svg(tmp_path, capsys, monke
     assert code == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {out / 'frame_0000_view_2.svg'}: {os.strerror(errno.ENOSPC)}\n"
     assert len(calls) == 3
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
@@ -910,7 +953,7 @@ def test_reconstruct_chunks_write_the_bytes_of_single_frames(tmp_path, capsys, m
     out = tmp_path / "out" / "skel.jsonl"
     assert reconstruct(3, bad, out) == EXIT_PARSE
     assert f"error: {bad}:6: bad keypoint record: view 9 is not in the calibration\n" in capsys.readouterr().err
-    assert list(out.parent.iterdir()) == []  # neither skel.jsonl nor skel.jsonl.part
+    assert not out.parent.exists()  # neither skel.jsonl, skel.jsonl.part nor the directory made for them
 
 
 def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monkeypatch):
@@ -1055,7 +1098,7 @@ def test_failed_write_exits_2_with_the_output_path(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert main([command, *inputs, "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
-    assert list(out.parent.iterdir()) == []
+    assert not out.parent.exists()  # made for the output, and removed with it
 
 
 def test_synth_failing_on_its_last_file_leaves_no_partial_scene(tmp_path, capsys, monkeypatch):
@@ -1072,7 +1115,7 @@ def test_synth_failing_on_its_last_file_leaves_no_partial_scene(tmp_path, capsys
     assert main(["synth", "--preset", "walk", "--frames", "2", "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
     assert [p.name for p in written] == ["truth.jsonl.part"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""The one-template overlay builder against the element-by-element oracle.
+"""The chunk overlay renderer against the element-by-element oracle.
 
-`overlay.render_overlay_svg` must return the string of `oracles.overlay_svg`
-for any presence pattern of detected and reprojected rows, rows where only
-x or only y is NaN, -0.0, values within 1e-9 of a .0005 rounding tie,
-magnitudes up to 1e300, inf in y, and any positive resolution.
+`overlay.render_overlay_svgs` must return, for each of its views, the bytes of
+`oracles.overlay_svg`, and `render_overlay_svg` its string, for any presence
+pattern of detected and reprojected rows, rows where only x or only y is NaN,
+-0.0, values within 1e-9 of a .0005 rounding tie, magnitudes up to 1e300, inf
+in y, and any positive resolution.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import overlay_svg
 
 from mvmocap.geometry import CameraParams
-from mvmocap.overlay import render_overlay_svg
+from mvmocap.overlay import render_overlay_svg, render_overlay_svgs
 from mvmocap.skeleton import DETECTED_JOINTS, JOINT_NAMES
 
 finite = st.one_of(
@@ -47,6 +48,20 @@ def camera(w, h):
 def test_builder_matches_oracle(w, h, detected, reprojected):
     cam = camera(w, h)
     assert render_overlay_svg(cam, detected, reprojected) == overlay_svg(cam, detected, reprojected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(1, 10**9), st.integers(1, 10**9), rows(len(DETECTED_JOINTS)), rows(len(JOINT_NAMES))),
+    min_size=1, max_size=12,
+))
+def test_chunk_renderer_matches_oracle_per_view(views):
+    """Each view of one call, at its own resolution, gets the oracle's bytes."""
+    sizes = [(w, h) for w, h, _, _ in views]
+    detected = np.stack([d for _, _, d, _ in views])
+    reprojected = np.stack([r for _, _, _, r in views])
+    svgs = render_overlay_svgs(sizes, detected, reprojected)
+    assert svgs == [overlay_svg(camera(w, h), d, r).encode() for w, h, d, r in views]
 
 
 def test_builder_matches_oracle_with_every_row_absent_or_present():
