@@ -44,7 +44,7 @@ from .geometry import project, stack_cameras
 from .metrics import avg_2d_err, mean_abs_3d_err, mean_lengths, sequence_mean
 # render_overlay_svg stays bound here because perfbench/tracer.py wraps cli.render_overlay_svg.
 from .overlay import render_overlay_svg, render_overlay_svgs
-from .retarget import retarget_sequence
+from .retarget import retarget_chunks
 from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
@@ -254,7 +254,7 @@ def cmd_retarget(args: argparse.Namespace) -> int:
     out_file = _out_file(args.out)
     skeletons = mio.read_skeletons(args.skeleton)
     with _output(out_file) as part:
-        mio.write_transforms(part, retarget_sequence(skeletons))
+        mio.write_transforms(part, retarget_chunks(skeletons))
     return EXIT_OK
 
 

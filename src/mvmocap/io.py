@@ -13,8 +13,9 @@ Formats:
   skeletons    one line per frame:
                {"frame": F, "joints": [{"idx": I, "status": S, "p": [x, y, z]}, ...]}
                (the "p" entry is omitted for joints without consensus)
-  transforms   one line per frame (written only):
+  transforms   one line per frame (written only), bones by name:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
+               (each T's translation column is 0 and its bottom row (0, 0, 0, 1))
 All matrices are row-major; K is upper triangular with positive focal
 entries and last row [0, 0, 1]. Readers reject NaN and Infinity tokens; record
 and calibration numbers must be finite JSON numbers, not strings or bools, and
@@ -39,18 +40,17 @@ record. The writer lists all 15 joints in index order.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
 from pathlib import Path
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import CameraParams
-from .retarget import BoneTransformSet
-from .skeleton import DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
+from .retarget import STATUS_FELL_BACK
+from .skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from .voxel import JointObservationFrame
 
 
@@ -154,6 +154,8 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
         data = DECODER.decode(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InputParseError(f"{path}: cannot parse calibration: {exc}") from exc
+    if type(data) is not list or not all(type(entry) is dict for entry in data):
+        raise InputParseError(f"{path}: calibration is not a JSON array of camera objects")
     try:
         entries = [
             (_integer(entry["id"]), _finite_matrix(entry["K"], 3), _finite_matrix(entry["R"], 3),
@@ -315,28 +317,28 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
 # -- bone transforms -------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _transform_template(names: tuple[str, ...]) -> str:
-    """The %-template of a transform record over these bone names: the frame,
-    then per bone its status and 16 matrix entries, row-major."""
-    matrix = "[" + ", ".join(["[%.6f, %.6f, %.6f, %.6f]"] * 4) + "]"
-    bones = ", ".join(f'{{"name": "{name.replace("%", "%%")}", "status": "%s", "T": {matrix}}}' for name in names)
-    return '{"frame": %d, "bones": [' + bones + "]}"
+# The bones' rows in BONES order, listed in the record's name order, and each one's %-template by its
+# ok flag. T's translation column and bottom row are literal text: they are always exactly 0 and 1.
+_BONE_ORDER = sorted(range(len(BONES)), key=lambda b: BONES[b].name)
+_T = "[" + "[%.6f, %.6f, %.6f, 0.000000], " * 3 + "[0.000000, 0.000000, 0.000000, 1.000000]]"
+_BONE = [[f'{{"name": "{BONES[b].name}", "status": "{status}", "T": {_T}}}' for status in (STATUS_FELL_BACK, STATUS_OK)]
+         for b in _BONE_ORDER]
 
 
-def transform_line(tset: BoneTransformSet) -> str:
-    names = tuple(sorted(tset.transforms))
-    values = [tset.frame]
-    for name in names:
-        values.append(tset.statuses[name])
-        values += np.ravel(tset.transforms[name]).tolist()
-    return _unsigned_zeros(_transform_template(names) % tuple(values))
+def transform_line(frame: int, numbers: list[float], flags: list[bool]) -> str:
+    """The transform record of one frame: numbers holds the bones' rotation
+    entries, row-major, and flags their ok flags, bones in name order."""
+    bones = ", ".join([pieces[ok] for pieces, ok in zip(_BONE, flags)])
+    return _unsigned_zeros(('{"frame": %d, "bones": [' + bones + "]}") % (frame, *numbers))
 
 
-def write_transforms(path: str | Path, sets: Iterable[BoneTransformSet]) -> None:
+def write_transforms(path: str | Path, chunks: Iterable[tuple[Sequence[int], np.ndarray, np.ndarray]]) -> None:
+    """Write the records of retarget.retarget_chunks' chunks, one .tolist() per array and chunk."""
     with open(path, "w", encoding="utf-8") as fh:
-        for tset in sets:
-            fh.write(transform_line(tset) + "\n")
+        for frames, rot, ok in chunks:
+            numbers = rot[:, _BONE_ORDER].reshape(len(frames), -1).tolist()
+            flags = ok[:, _BONE_ORDER].tolist()
+            fh.writelines(transform_line(*record) + "\n" for record in zip(frames, numbers, flags))
 
 
 def _read_lines(path: Path) -> Iterator[tuple[int, str]]:

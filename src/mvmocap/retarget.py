@@ -44,7 +44,7 @@ PARALLEL_TOL = 1e-6
 # Below this length (mm) a bone's endpoints coincide and give no direction.
 MIN_BONE_LENGTH = 1e-6
 
-# Frames retargeted together by retarget_sequence.
+# Frames retargeted together by retarget_chunks.
 CHUNK_FRAMES = 256
 
 _STATUS = (STATUS_FELL_BACK, STATUS_OK)  # indexed by the bone's ok flag
@@ -132,16 +132,8 @@ def _transform_sets(frames: tuple[int, ...], rot: np.ndarray, ok: np.ndarray):
 
 
 def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = None) -> BoneTransformSet:
-    """Per-frame bone rotations as 4x4 transforms, parents before children.
-
-    For each bone with both endpoints: carry the class frame by the
-    parent's rotation (q = g_parent @ rc), build the posed frame on the
-    observed direction from q (see _posed_frame), and map back to the rest
-    pose with @ rc.T. Bones lacking endpoint data hold the previous
-    frame's rotation when one is supplied, otherwise the identity, and
-    report status "fell_back". Translations are zero and the bottom row is
-    exactly (0, 0, 0, 1). This is one frame of retarget_sequence's chain.
-    """
+    """One frame of retarget_chunks' chain as 4x4 transforms: bones lacking
+    data hold their rotation in previous, when given, or the identity."""
     held = np.stack([
         previous.rotation(name) if previous is not None and name in previous.transforms else np.eye(3)
         for name in _NAMES
@@ -150,16 +142,20 @@ def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = Non
     return next(_transform_sets((skeleton.frame,), rot, ok))
 
 
-def retarget_sequence(skeletons):
-    """Retarget an in-order skeleton stream, holding rotations across gaps.
-
-    Reads up to CHUNK_FRAMES skeletons at a time and yields one
-    BoneTransformSet per frame, in order.
-    """
+def retarget_chunks(skeletons):
+    """Retarget an in-order skeleton stream, holding rotations across gaps: per chunk of
+    up to CHUNK_FRAMES frames, the frame indices, the (N, B, 3, 3) rotations and the
+    (N, B) ok flags, bones in BONES order."""
     held = np.broadcast_to(np.eye(3), (len(BONES), 3, 3))
     stream = iter(skeletons)
     while chunk := [(s.frame, s.positions) for s in islice(stream, CHUNK_FRAMES)]:
         frames, points = zip(*chunk)
         rot, ok = _rotations(np.stack(points), held)
         held = rot[-1].copy()
+        yield frames, rot, ok
+
+
+def retarget_sequence(skeletons):
+    """retarget_chunks as one BoneTransformSet per frame, in order."""
+    for frames, rot, ok in retarget_chunks(skeletons):
         yield from _transform_sets(frames, rot, ok)

@@ -39,11 +39,11 @@ a `format` call per coordinate, against which the one-template
 `mean_length` is the error measure one row group at a time, a Python loop
 adding the lengths of the rows that are not NaN, against which the stacked
 `metrics.mean_lengths` (and through it `eval`) is checked bit for bit.
-`calibration_text`, `keypoint_line_per_value` and `skeleton_line_per_value`
-are the writers with one `format(x, ".6f")` call per float, "-0.000000"
-written unsigned value by value (`fmt`), against which the %-templates of
-`io.save_cameras`, `io.keypoint_line` and `io.skeleton_line` are checked
-string for string.
+`calibration_text`, `keypoint_line_per_value`, `skeleton_line_per_value` and
+`transform_line_per_value` are the writers with one `format(x, ".6f")` call
+per float, "-0.000000" written unsigned value by value (`fmt`), against which
+the %-templates of `io.save_cameras`, `io.keypoint_line`, `io.skeleton_line`
+and `io.write_transforms` are checked string for string.
 """
 
 import json
@@ -576,3 +576,12 @@ def skeleton_line_per_value(skel) -> str:
         else:
             parts.append(f'{{"idx": {idx}, "status": "{STATUS_NO_CONSENSUS}"}}')
     return f'{{"frame": {skel.frame}, "joints": [' + ", ".join(parts) + "]}"
+
+
+def transform_line_per_value(tset) -> str:
+    """The transform record of a BoneTransformSet: bones by name, each with
+    its status and every entry of its 4x4 matrix, row-major."""
+    bones = []
+    for name in sorted(tset.transforms):
+        bones.append(f'{{"name": "{name}", "status": "{tset.statuses[name]}", "T": {_fmt_matrix(tset.transforms[name])}}}')
+    return f'{{"frame": {tset.frame}, "bones": [' + ", ".join(bones) + "]}"

@@ -956,6 +956,28 @@ def test_reconstruct_chunks_write_the_bytes_of_single_frames(tmp_path, capsys, m
     assert not out.parent.exists()  # neither skel.jsonl, skel.jsonl.part nor the directory made for them
 
 
+def test_retarget_chunks_write_the_bytes_of_single_frames(tmp_path, monkeypatch):
+    """retarget writes the same bytes one frame per chunk, three per chunk and
+    at the default chunk length, on a stream whose gaps begin it and span
+    chunk boundaries, so that held rotations carry from chunk to chunk."""
+    scene = run_synth(tmp_path, frames=8)
+    skeletons = list(mio.read_skeletons(scene / "truth.jsonl"))
+    # Torso (root 14) at the start, then l_lower_arm (hand 7) over frames 1-3 and r_lower_leg (foot 10) over 3-6.
+    missing = {0: (14,), 1: (14, 7), 2: (7,), 3: (7, 10), 4: (10,), 5: (10,), 6: (10,)}
+    for f, joints in missing.items():
+        skeletons[f].positions[list(joints)] = np.nan
+    gappy = tmp_path / "gappy.jsonl"
+    mio.write_skeletons(gappy, skeletons)
+    outputs = {}
+    for chunk in (1, 3, 256):  # 256, the default, holds the whole stream
+        monkeypatch.setattr(retarget, "CHUNK_FRAMES", chunk)
+        out = tmp_path / f"anim_{chunk}.jsonl"
+        assert main(["retarget", "--skeleton", str(gappy), "--out", str(out)]) == EXIT_OK
+        outputs[chunk] = out.read_bytes()
+    assert outputs[1].count(b"\n") == 8 and outputs[1].count(b'"status": "fell_back"') == 2 + 3 + 4
+    assert outputs[3] == outputs[1] and outputs[256] == outputs[1]
+
+
 def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monkeypatch):
     """eval and render-overlay give the same bytes one frame per projection
     as at the default chunk length, on a gappy stream longer than one chunk

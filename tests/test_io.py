@@ -11,12 +11,13 @@ from oracles import (
     read_transforms,
     skeleton_line_per_value,
     snap_rotation,
+    transform_line_per_value,
 )
 
 from mvmocap import io as mio
 from mvmocap.geometry import CameraParams
 from mvmocap.mathutil import rotation_about_axis
-from mvmocap.retarget import BoneTransformSet, retarget_frame
+from mvmocap.retarget import STATUS_FELL_BACK, BoneTransformSet, retarget_chunks, retarget_frame
 from mvmocap.skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
 from mvmocap.synth import PRESETS, generate_scene, render_observations
 from mvmocap.voxel import JointObservationFrame
@@ -80,6 +81,15 @@ def test_stacked_calibration_check_matches_one_camera_at_a_time_on_perturbed_rot
         _assert_loads_as_one_camera_at_a_time(path, entries)
 
 
+@pytest.mark.parametrize("text", ['{"id": 0}', "[1]", '["x"]'], ids=["object", "number-entry", "string-entry"])
+def test_calibration_of_the_wrong_shape_is_parse_error(tmp_path, text):
+    path = tmp_path / "calib.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(mio.InputParseError) as info:
+        mio.load_cameras(path)
+    assert str(info.value) == f"{path}: calibration is not a JSON array of camera objects"
+
+
 def test_keypoints_round_trip(tmp_path):
     scene = generate_scene("walk", frames=3, noise_px=1.0, dropout=0.3, seed=5)
     frames = render_observations(scene)
@@ -130,7 +140,7 @@ def test_transform_round_trip(tmp_path):
     scene = generate_scene("wave", frames=1, seed=6)
     tset = retarget_frame(scene.truth[0])
     path = tmp_path / "anim.jsonl"
-    mio.write_transforms(path, [tset])
+    mio.write_transforms(path, retarget_chunks(scene.truth))
     loaded = list(read_transforms(path))[0]
     assert loaded.frame == tset.frame
     assert loaded.statuses == tset.statuses
@@ -139,30 +149,47 @@ def test_transform_round_trip(tmp_path):
         assert np.array_equal(loaded.transforms[name][3], [0.0, 0.0, 0.0, 1.0])
 
 
-def _reference_transform_line(tset):
-    """The transform record with one format(x, ".6f") per value, "-0.000000" written unsigned."""
-    fmt = lambda x: "0.000000" if format(x, ".6f") == "-0.000000" else format(x, ".6f")
-    bones = []
-    for name in sorted(tset.transforms):
-        rows = ", ".join("[" + ", ".join(fmt(x) for x in row) + "]" for row in tset.transforms[name].tolist())
-        bones.append(f'{{"name": "{name}", "status": "{tset.statuses[name]}", "T": [{rows}]}}')
-    return f'{{"frame": {tset.frame}, "bones": [' + ", ".join(bones) + "]}"
+# Rotation entries around the rounding edge of the 6th decimal, on both signs, and -0.0.
+ROTATION_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 1e-7, 4e-7, -4e-7, 5e-7, -5e-7, -5.000001e-7, -1e-6, -1.5e-6, -1.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e6, 1e6),
+)
 
 
-def test_templated_transform_line_matches_per_value_format(rng):
-    # Around the rounding boundary of the 6th decimal, on both signs, and -0.0.
-    crafted = np.array([-4e-7, -5e-7, -1e-6, 1e-7, -0.0, 5e-7, -5.000001e-7, -0.0000015, -1.0])
-    bones = BONES
-    for frame in range(30):
-        values = rng.normal(size=(len(bones), 4, 4)) * 10.0 ** rng.integers(-8, 4, size=(len(bones), 4, 4))
-        mask = rng.random(values.shape) < 0.3
-        values[mask] = rng.choice(crafted, size=mask.sum())
-        tset = BoneTransformSet(
-            frame=frame,
-            transforms={bone.name: m for bone, m in zip(reversed(bones), values)},
-            statuses={bone.name: ("ok", "fell_back")[(frame + i) % 2] for i, bone in enumerate(bones)},
-        )
-        assert mio.transform_line(tset) == _reference_transform_line(tset)
+@st.composite
+def transform_chunks(draw):
+    """(frames, rotations, ok flags) chunks as retarget_chunks yields them, over increasing frames."""
+    chunks, frame = [], draw(st.integers(0, 10**6))
+    for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        frames = tuple(range(frame, frame + n))
+        rot = np.array(draw(st.lists(ROTATION_ENTRIES, min_size=n * len(BONES) * 9, max_size=n * len(BONES) * 9)))
+        ok = np.array(draw(st.lists(st.booleans(), min_size=n * len(BONES), max_size=n * len(BONES))))
+        chunks.append((frames, rot.reshape(n, len(BONES), 3, 3), ok.reshape(n, len(BONES))))
+        frame += n + draw(st.integers(0, 3))
+    return chunks
+
+
+@settings(max_examples=50, deadline=None)
+@given(chunks=transform_chunks())
+def test_write_transforms_is_the_per_value_writer(tmp_path_factory, chunks):
+    """Each line is the per-value writer's line for the frame's BoneTransformSet:
+    zero translation, bottom row (0, 0, 0, 1), bones listed by name."""
+    path = tmp_path_factory.getbasetemp() / "drawn_anim.jsonl"
+    mio.write_transforms(path, chunks)
+    expected = []
+    for frames, rot, ok in chunks:
+        transforms = np.zeros(rot.shape[:2] + (4, 4))
+        transforms[..., :3, :3] = rot
+        transforms[..., 3, 3] = 1.0
+        for frame, mats, flags in zip(frames, transforms, ok):
+            tset = BoneTransformSet(
+                frame=frame,
+                transforms={bone.name: m for bone, m in zip(BONES, mats)},
+                statuses={bone.name: STATUS_OK if f else STATUS_FELL_BACK for bone, f in zip(BONES, flags)},
+            )
+            expected.append(transform_line_per_value(tset) + "\n")
+    assert path.read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_floats_serialized_with_fixed_precision(tmp_path):
