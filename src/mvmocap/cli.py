@@ -48,7 +48,7 @@ from .retarget import retarget_chunks
 from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
-from .voxel import Cube, EstimatorConfig, estimate_skeleton, estimate_skeletons
+from .voxel import Cube, EstimatorConfig, estimate_skeleton, estimate_skeletons, keypoint_table
 
 
 class FrameMismatch(ValueError):
@@ -272,20 +272,6 @@ def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
         yield records
 
 
-def _detections(observations: list, column: dict[int, int], views: int) -> tuple[np.ndarray, tuple[list[int], list[int]]]:
-    """The chunk's keypoints as an (N, views, 14, 2) array by calibrated column,
-    NaN where a frame does not list the view or the view misses the joint,
-    and the (frame, column) index lists of the listed views, in listed order."""
-    detected = np.full((len(observations), views, len(DETECTED_JOINTS), 2), np.nan)
-    listed: tuple[list[int], list[int]] = ([], [])
-    for k, obs in enumerate(observations):
-        columns = [column[view_id] for view_id in obs.view_ids]
-        detected[k, columns] = obs.table[:, :, :2]
-        listed[0].extend([k] * len(columns))
-        listed[1].extend(columns)
-    return detected, listed
-
-
 @np.errstate(over="ignore")  # an error that overflows to inf exits 2 below
 def cmd_eval(args: argparse.Namespace) -> int:
     out_base = _out_file(args.out)
@@ -310,7 +296,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         err3d, joints3d = (a.tolist() for a in mean_lengths(positions - np.stack([tru.positions for _, tru, *_ in chunk])))
         if views is not None:  # (N, V, 14, 2): every skeleton of the chunk in every calibrated view
             pixels = project(positions[:, None], views)[:, :, : len(DETECTED_JOINTS)]
-            detected, _ = _detections([obs for *_, obs in chunk], column, len(views.ids))
+            detected = keypoint_table([obs for *_, obs in chunk], column)[..., :2]
             err2d, joints2d = (a.tolist() for a in mean_lengths(detected - pixels))
         for k, (est, *_) in enumerate(chunk):
             if not joints3d[k]:
@@ -380,9 +366,13 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
                     k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
                     raise mio.InputParseError(
                         f"{args.skeleton}: frame {chunk[k][1].frame}: reprojection in view {views.ids[v]} is not finite")
-                detected, listed = _detections([obs for obs, _ in chunk], column, len(views.ids))
-                svgs = render_overlay_svgs([sizes[v] for v in listed[1]], detected[listed], pixels[listed])
-                for k, v, svg in zip(*listed, svgs):
+                detected = keypoint_table([obs for obs, _ in chunk], column)[..., :2]
+                rows, columns = [], []  # the (frame, column) of each view a frame lists, in listed order
+                for k, (obs, _) in enumerate(chunk):
+                    rows += [k] * len(obs.view_ids)
+                    columns += [column[view_id] for view_id in obs.view_ids]
+                svgs = render_overlay_svgs([sizes[v] for v in columns], detected[rows, columns], pixels[rows, columns])
+                for k, v, svg in zip(rows, columns, svgs):
                     written.append(os.path.join(out_dir, f"frame_{chunk[k][0].frame:04d}_view_{views.ids[v]}.svg"))
                     _write_bytes(written[-1], svg)
         except BaseException:

@@ -16,16 +16,18 @@ Formats:
   transforms   one line per frame (written only), bones by name:
                {"frame": F, "bones": [{"name": N, "status": S, "T": 4x4}, ...]}
                (each T's translation column is 0 and its bottom row (0, 0, 0, 1))
-All matrices are row-major; K is upper triangular with positive focal
-entries and last row [0, 0, 1]. Readers reject NaN and Infinity tokens; record
-and calibration numbers must be finite JSON numbers, not strings or bools, and
-positions and matrices of the stated length. Frame indices, view and camera
-ids, joint indices and image sizes must be JSON integers: 3.0, 3.7 and true
-are all rejected. A calibration lists each camera id once, a keypoint frame
-each view once and a view each joint once, by an index in 0-13; a skeleton
-record lists each joint once, by an index in 0-14, with status "ok" or
-"no_consensus". Within a keypoint or skeleton stream the frame indices
-strictly increase.
+All matrices are row-major; K is upper triangular with positive focal entries
+and last row [0, 0, 1]. Records, cameras, views and joints must be JSON
+objects, and "views", "joints", positions and matrices JSON arrays; a reader
+names the expected JSON type otherwise. Readers reject NaN and Infinity
+tokens; record and calibration numbers must be finite JSON numbers, not
+strings or bools, and positions and matrices of the stated length. Frame
+indices, view and camera ids, joint indices and image sizes must be JSON
+integers: 3.0, 3.7 and true are all rejected. A calibration lists each camera
+id once, a keypoint frame each view once and a view each joint once, by an
+index in 0-13; a skeleton record lists each joint once, by an index in 0-14,
+with status "ok" or "no_consensus". Within a keypoint or skeleton stream the
+frame indices strictly increase.
 
 A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
 r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
@@ -100,9 +102,20 @@ def _numbers(values: list) -> list:
 
 
 def _finite_numbers(value, n: int) -> list:
-    """value if it is a list of exactly n finite numbers; TypeError or ValueError otherwise."""
-    if len(value) != n or not all(map(math.isfinite, _numbers(value))):
-        raise ValueError(f"expected {n} finite numbers, got {value!r}")
+    """value if it is an array of exactly n finite numbers; TypeError or ValueError otherwise."""
+    if type(value) is not list or len(value) != n or not all(map(math.isfinite, _numbers(value))):
+        raise ValueError(f"expected an array of {n} finite numbers, got {value!r}")
+    return value
+
+
+# The type json gives an object, checked as _numbers checks numbers.
+_OBJECT_TYPES = frozenset((dict,))
+
+
+def _objects(value, field: str) -> list:
+    """value if it is an array of JSON objects; TypeError naming the record's field otherwise."""
+    if type(value) is not list or not _OBJECT_TYPES.issuperset(map(type, value)):
+        raise TypeError(f'"{field}" is not an array of JSON objects')
     return value
 
 
@@ -121,9 +134,9 @@ def _joint_table(cells: list, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _finite_matrix(value, n: int) -> list:
-    """value if it is an n x n list of finite numbers; ValueError otherwise."""
-    if len(value) != n:
-        raise ValueError(f"expected {n} rows, got {value!r}")
+    """value if it is an n x n array of finite numbers; ValueError otherwise."""
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"expected an array of {n} rows, got {value!r}")
     return [_finite_numbers(row, n) for row in value]
 
 
@@ -185,10 +198,7 @@ def _snap_rotations(r: np.ndarray) -> np.ndarray:
     if (np.abs(r @ r.swapaxes(1, 2) - np.eye(3)) > 1e-4).any() or (np.linalg.det(r) < 0).any():
         raise ValueError("R is not a rotation matrix")
     u, _, vt = np.linalg.svd(r)
-    snapped = u @ vt
-    if (np.linalg.det(snapped) < 0).any():
-        raise ValueError("R is not a rotation matrix")
-    return snapped
+    return u @ vt
 
 
 # -- keypoints -----------------------------------------------------------
@@ -220,7 +230,7 @@ def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[Joi
         try:
             rec = DECODER.decode(raw)
             frame = _next_frame(rec, last)
-            views = rec["views"]
+            views = _objects(rec["views"], "views")
             view_ids: list[int] = []
             # The table as one flat list, filled cell by cell with the values
             # as decoded, then checked and converted once. An unlisted cell
@@ -233,7 +243,7 @@ def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[Joi
                 if view_id in view_ids:
                     raise ValueError(f"view {view_id} listed twice")
                 view_ids.append(view_id)
-                for j in view["joints"]:
+                for j in _objects(view["joints"], "joints"):
                     idx, u, v, c = _KEYPOINT_FIELDS(j)
                     if type(idx) is not int:  # as _integer checks
                         raise TypeError(f"expected an integer, got {idx!r}")
@@ -251,7 +261,10 @@ def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[Joi
 
 
 def _next_frame(rec: dict, last: int | None) -> int:
-    """The record's frame index; ValueError unless it is greater than last."""
+    """The record's frame index; TypeError unless rec is a JSON object,
+    ValueError unless the index is greater than last."""
+    if type(rec) is not dict:
+        raise TypeError("the record is not a JSON object")
     frame = _integer(rec["frame"])
     if last is not None and frame <= last:
         raise ValueError(f"frame {frame} does not follow frame {last}")
@@ -291,7 +304,7 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
             # The (15, 3) positions as one flat list, filled joint by joint with
             # the values as decoded, then checked and converted once.
             cells = [_UNLISTED] * (len(JOINT_NAMES) * 3)
-            for j in rec["joints"]:
+            for j in _objects(rec["joints"], "joints"):
                 idx, status = _SKELETON_FIELDS(j)
                 if type(idx) is not int:  # as _integer checks
                     raise TypeError(f"expected an integer, got {idx!r}")
@@ -302,8 +315,8 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
                 listed[idx] = True
                 if status == STATUS_OK:
                     p = j["p"]
-                    if len(p) != 3:
-                        raise ValueError(f"expected 3 numbers, got {p!r}")
+                    if type(p) is not list or len(p) != 3:
+                        raise ValueError(f"expected an array of 3 numbers, got {p!r}")
                     at = idx * 3
                     cells[at], cells[at + 1], cells[at + 2] = p
                 elif status != STATUS_NO_CONSENSUS:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutil import rotation_about_axis
-
 STATUS_OK = "ok"
 STATUS_NO_CONSENSUS = "no_consensus"
 
@@ -78,6 +76,17 @@ BONES = tuple(Bone(*row) for row in (
     ("r_lower_leg", 9, 10, "r_upper_leg", "down"),
     ("l_lower_leg", 12, 13, "l_upper_leg", "down"),
 ))
+
+
+def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
+    """The turn of angle radians about axis, c*I + (1-c)*k*k^T + s*[k]_x for k = axis / |axis|."""
+    k = axis / np.linalg.norm(axis)
+    c = np.cos(angle)
+    s = np.sin(angle)
+    kx, ky, kz = k
+    skew = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return c * np.eye(3) + (1.0 - c) * np.outer(k, k) + s * skew
+
 
 # Local-to-global frame rotation per bone class; its x-axis is the direction
 # at rest of every bone of that class. Each maps the local x-axis onto the

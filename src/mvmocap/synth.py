@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraParams, project
-from .mathutil import rotation_about_axis, unit
-from .skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, T_POSE, Skeleton3D
+from .skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, ROOT_JOINT, T_POSE, Skeleton3D, rotation_about_axis
 from .voxel import JointObservationFrame
 
 PRESETS = ("tpose-static", "walk", "wave", "squat")
@@ -55,8 +54,9 @@ def camera_ring() -> list[CameraParams]:
     for i in range(_RING_VIEWS):
         angle = 2.0 * np.pi * i / _RING_VIEWS
         center = np.array([_RING_RADIUS_MM * np.sin(angle), _RING_HEIGHT_MM, _RING_RADIUS_MM * np.cos(angle)])
-        z_axis = unit(-center)  # look at the origin
-        x_axis = unit(np.cross(z_axis, up))
+        z_axis = -center / np.linalg.norm(center)  # look at the origin
+        x_axis = np.cross(z_axis, up)
+        x_axis /= np.linalg.norm(x_axis)
         y_axis = np.cross(z_axis, x_axis)
         R = np.stack([x_axis, y_axis, z_axis])
         t = -R @ center

@@ -31,7 +31,7 @@ only the cubes with sigma votes (about one in eight) get a center. The search
 reads a (J, V, 3) table of (u, v, confidence), one column per calibrated
 view in view-id order, NaN where a view has no detection.
 estimate_joints and estimate_joint take that table as it is;
-estimate_skeletons stacks it from the frames' keypoint tables, whose rows
+estimate_skeletons lays it out with keypoint_table; a frame's keypoint table
 may list the views in any order. Results are independent of that order and
 of which other joints share the search: votes are integer counts per cube,
 the runaway cap and the candidates are per joint in canonical order, and
@@ -141,6 +141,16 @@ class JointObservationFrame:
     frame: int
     view_ids: list[int]
     table: np.ndarray
+
+
+def keypoint_table(frames: list[JointObservationFrame], column: dict[int, int]) -> np.ndarray:
+    """The frames' keypoint tables as one (N, len(column), 14, 3) array, view id v in column column[v]
+    (the calibrated views by ascending id), all NaN where a frame does not list the view.
+    Raises KeyError for a listed view that column does not hold."""
+    table = np.full((len(frames), len(column), len(DETECTED_JOINTS), 3), np.nan)
+    for f, frame in enumerate(frames):
+        table[f, [column[v] for v in frame.view_ids]] = frame.table
+    return table
 
 
 @dataclass
@@ -405,12 +415,9 @@ def estimate_skeletons(
     KeyError when a frame lists a view that is not calibrated.
     """
     view_ids, K, R, t = stack_cameras(cameras)
-    column = {v: i for i, v in enumerate(view_ids)}
-    n = len(DETECTED_JOINTS)
-    table = np.full((len(frames), n, len(view_ids), 3), np.nan)
-    for f, frame in enumerate(frames):
-        table[f][:, [column[v] for v in frame.view_ids]] = frame.table.transpose(1, 0, 2)
+    table = keypoint_table(frames, {v: i for i, v in enumerate(view_ids)}).transpose(0, 2, 1, 3)  # (N, 14, V, 3)
     found = _search(table.reshape(-1, len(view_ids), 3), K, R, t, config)
+    n = len(DETECTED_JOINTS)
     points = np.full((len(frames), len(JOINT_NAMES), 3), np.nan)
     points[found.ok // n, found.ok % n] = found.positions  # detected joint j is row j
     points[:, ROOT_JOINT] = 0.5 * (points[:, 8] + points[:, 11])  # the hips' midpoint, NaN unless both are ok

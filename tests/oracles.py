@@ -53,9 +53,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap import voxel
-from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet, _posed_frame
-from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK
+from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, rotation_about_axis
 from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,

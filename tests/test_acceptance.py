@@ -25,8 +25,8 @@ from mvmocap.skeleton import (
     STATUS_OK,
     T_POSE,
     Skeleton3D,
+    rotation_about_axis,
 )
-from mvmocap.mathutil import rotation_about_axis
 from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import Cube, EstimatorConfig, estimate_joint, estimate_skeleton
 

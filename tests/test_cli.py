@@ -476,10 +476,14 @@ def test_malformed_numbers_exit_2_with_line(tmp_path, capsys, stream, pattern, r
 
 
 def _edit_record_2(path, edit):
-    """Apply edit to the parsed record on line 2 of path and write it back."""
+    """Apply edit to the parsed record on line 2 of path and write it back;
+    an edit that is not callable is written as the record instead."""
     lines = path.read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[1])
-    edit(rec)
+    if callable(edit):
+        edit(rec)
+    else:
+        rec = edit
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -542,7 +546,18 @@ def _edit_record_2(path, edit):
         ),
         ("truth.jsonl", lambda rec: rec["joints"].__setitem__(3, {"idx": 3, "status": "bogus"}), "unknown status 'bogus'",
          "retarget"),
-        ("truth.jsonl", lambda rec: rec["joints"][5]["p"].pop(), "expected 3 numbers, got [", "eval"),
+        ("truth.jsonl", lambda rec: rec["joints"][5]["p"].pop(), "expected an array of 3 numbers, got [", "eval"),
+        # Records, views and joints that are not JSON objects, and fields that are not arrays.
+        ("truth.jsonl", [1], "the record is not a JSON object", "retarget"),
+        ("keypoints.jsonl", [1], "the record is not a JSON object", "reconstruct"),
+        ("truth.jsonl", lambda rec: rec["joints"].__setitem__(4, 1), '"joints" is not an array of JSON objects', "retarget"),
+        ("truth.jsonl", lambda rec: rec.update(joints=5), '"joints" is not an array of JSON objects', "eval"),
+        ("keypoints.jsonl", lambda rec: rec["views"].__setitem__(1, "x"), '"views" is not an array of JSON objects',
+         "reconstruct"),
+        ("keypoints.jsonl", lambda rec: rec.update(views=5), '"views" is not an array of JSON objects', "reconstruct"),
+        ("keypoints.jsonl", lambda rec: rec["views"][0]["joints"].__setitem__(2, [1]), '"joints" is not an array of JSON objects',
+         "reconstruct"),
+        ("truth.jsonl", lambda rec: rec["joints"][2].update(p=5), "expected an array of 3 numbers, got 5", "eval"),
     ],
     ids=[
         "duplicate-view",
@@ -568,6 +583,14 @@ def _edit_record_2(path, edit):
         "duplicate-joint-before-index-99",
         "unknown-status-without-position",
         "two-number-skeleton-position",
+        "skeleton-record-array",
+        "keypoint-record-array",
+        "skeleton-joint-number",
+        "skeleton-joints-number",
+        "keypoint-view-string",
+        "keypoint-views-number",
+        "keypoint-joint-array",
+        "skeleton-position-number",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):

@@ -16,9 +16,8 @@ from oracles import (
 
 from mvmocap import io as mio
 from mvmocap.geometry import CameraParams
-from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import STATUS_FELL_BACK, BoneTransformSet, retarget_chunks, retarget_frame
-from mvmocap.skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D
+from mvmocap.skeleton import BONES, DETECTED_JOINTS, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, rotation_about_axis
 from mvmocap.synth import PRESETS, generate_scene, render_observations
 from mvmocap.voxel import JointObservationFrame
 
@@ -81,13 +80,28 @@ def test_stacked_calibration_check_matches_one_camera_at_a_time_on_perturbed_rot
         _assert_loads_as_one_camera_at_a_time(path, entries)
 
 
-@pytest.mark.parametrize("text", ['{"id": 0}', "[1]", '["x"]'], ids=["object", "number-entry", "string-entry"])
-def test_calibration_of_the_wrong_shape_is_parse_error(tmp_path, text):
+_CAMERA = {"id": 0, "K": [[1000, 0, 960], [0, 1000, 540], [0, 0, 1]], "R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "t": [0, 0, 3000], "width": 1920, "height": 1080}
+_NOT_CAMERAS = "calibration is not a JSON array of camera objects"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"id": 0}', _NOT_CAMERAS),
+        ("[1]", _NOT_CAMERAS),
+        ('["x"]', _NOT_CAMERAS),
+        (json.dumps([dict(_CAMERA, K=5)]), "invalid camera entry: expected an array of 3 rows, got 5"),
+        (json.dumps([dict(_CAMERA, t=5)]), "invalid camera entry: expected an array of 3 finite numbers, got 5"),
+    ],
+    ids=["object", "number-entry", "string-entry", "number-K", "number-t"],
+)
+def test_calibration_of_the_wrong_shape_is_parse_error(tmp_path, text, message):
     path = tmp_path / "calib.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(mio.InputParseError) as info:
         mio.load_cameras(path)
-    assert str(info.value) == f"{path}: calibration is not a JSON array of camera objects"
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_keypoints_round_trip(tmp_path):

@@ -18,14 +18,13 @@ from oracles import (
 )
 
 from mvmocap import retarget
-from mvmocap.mathutil import rotation_about_axis
 from mvmocap.retarget import (
     STATUS_FELL_BACK,
     STATUS_OK,
     retarget_frame,
     retarget_sequence,
 )
-from mvmocap.skeleton import BONES, FRAME_ROTATION, JOINT_NAMES, T_POSE, Skeleton3D
+from mvmocap.skeleton import BONES, FRAME_ROTATION, JOINT_NAMES, T_POSE, Skeleton3D, rotation_about_axis
 from mvmocap.synth import generate_scene, render_observations
 from mvmocap.voxel import EstimatorConfig, estimate_skeleton
 

@@ -31,12 +31,15 @@ from hypothesis import strategies as st
 from oracles import estimate_fields, estimate_joint_alone
 
 from mvmocap.geometry import CameraParams, project
-from mvmocap.mathutil import unit
 from mvmocap.skeleton import DETECTED_JOINTS, STATUS_OK
 from mvmocap.voxel import EstimatorConfig, JointObservationFrame, estimate_joints, estimate_skeletons
 
 VOLUME = EstimatorConfig().initial_volume
 HALF = np.asarray(VOLUME.edges) / 2.0
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
 
 
 def _floats(lo, hi):
