@@ -81,6 +81,11 @@ DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _reason(exc: Exception) -> str:
+    """The message of a record error; a KeyError, a field the record lacks, is named as missing."""
+    return f'missing field "{exc.args[0]}"' if type(exc) is KeyError else str(exc)
+
+
 def _integer(value) -> int:
     """value if it is a JSON integer; TypeError for a fraction, a bool or any other type."""
     if type(value) is not int:
@@ -182,7 +187,7 @@ def load_cameras(path: str | Path) -> list[CameraParams]:
             if camera_id in ids[:k]:
                 raise ValueError(f"duplicate id {camera_id}")
     except _RECORD_ERRORS as exc:
-        raise InputParseError(f"{path}: invalid camera entry: {exc}") from exc
+        raise InputParseError(f"{path}: invalid camera entry: {_reason(exc)}") from exc
     if not cameras:
         raise InputParseError(f"{path}: calibration lists no cameras")
     return cameras
@@ -256,7 +261,7 @@ def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[Joi
             table = _joint_table(cells, (len(views), _JOINTS, 3))
             yield JointObservationFrame(frame=frame, view_ids=view_ids, table=table)
         except _RECORD_ERRORS as exc:
-            raise InputParseError(f"{path}:{lineno}: bad keypoint record: {exc}") from exc
+            raise InputParseError(f"{path}:{lineno}: bad keypoint record: {_reason(exc)}") from exc
         last = frame
 
 
@@ -323,7 +328,7 @@ def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
                     raise ValueError(f"unknown status {status!r}")
             yield Skeleton3D(frame, _joint_table(cells, (len(JOINT_NAMES), 3)))
         except _RECORD_ERRORS as exc:
-            raise InputParseError(f"{path}:{lineno}: bad skeleton record: {exc}") from exc
+            raise InputParseError(f"{path}:{lineno}: bad skeleton record: {_reason(exc)}") from exc
         last = frame
 
 

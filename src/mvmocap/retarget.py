@@ -22,9 +22,9 @@ Frames are linked only where a bone lacks data: it then holds its last
 good rotation, the identity before the first. That hold is a forward fill
 along the frames, so a stream is retargeted a chunk of up to CHUNK_FRAMES
 frames at a time: the chunk's skeletons become one (N, 15, 3) array, NaN
-where a joint is not ok, and the chain runs once per bone over (N, 3, 3)
-stacks. Each bone's last rotation is carried into the next chunk, so at
-most one chunk is held in memory.
+where a joint is not ok, and the chain runs once per tree depth over
+(N, b, 3, 3) stacks of that depth's b bones. Each bone's last rotation is
+carried into the next chunk, so at most one chunk is held in memory.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ _STATUS = (STATUS_FELL_BACK, STATUS_OK)  # indexed by the bone's ok flag
 
 _NAMES = tuple(bone.name for bone in BONES)
 _PARENT = tuple(_NAMES.index(bone.parent_bone) if bone.parent_bone else None for bone in BONES)
+
+# Per tree depth, root first: its bones, their parent bones (None at the root), child and parent joints and class frames.
+_LEVELS = []
+_level = [b for b, p in enumerate(_PARENT) if p is None]
+while _level:
+    _LEVELS.append((np.array(_level), None if _PARENT[_level[0]] is None else np.array([_PARENT[b] for b in _level]),
+                    np.array([BONES[b].child_joint for b in _level]), np.array([BONES[b].parent_joint for b in _level]),
+                    np.stack([FRAME_ROTATION[BONES[b].frame_class] for b in _level])))
+    _level = [b for b, p in enumerate(_PARENT) if p in _level]
 
 
 @dataclass
@@ -89,32 +98,28 @@ def _posed_frame(direction: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([direction, y, _cross(direction, y)], axis=-1)
 
 
-@np.errstate(over="ignore")  # a length that overflows to inf is caught below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # rows that are not ok are computed, then dropped
 def _rotations(points: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bone rotations (N, B, 3, 3) and ok flags (N, B) of N frames' (N, 15, 3) joints, NaN where not ok.
 
-    Bones run in BONES order, so a parent's rotations, held ones included,
-    are complete before its children use them. A bone is ok in a frame
-    where both endpoints are finite and its length is finite and at least
-    MIN_BONE_LENGTH; elsewhere it holds its rotation from the last ok
-    frame, or held[b] before the first.
+    The bones of one tree depth run together, depths root first, so a
+    parent's rotations, held ones included, are complete before its
+    children use them. A bone is ok in a frame where both endpoints are
+    finite and its length is finite and at least MIN_BONE_LENGTH; elsewhere
+    it holds its rotation from the last ok frame, or held[b] before the first.
     """
     rot = np.empty((points.shape[0], len(BONES), 3, 3))
     ok = np.empty((points.shape[0], len(BONES)), dtype=bool)
-    for b, bone in enumerate(BONES):
-        d = points[:, bone.child_joint] - points[:, bone.parent_joint]
-        length = np.linalg.norm(d, axis=1)
+    for bones, parents, child, parent, rc in _LEVELS:
+        d = points[:, child] - points[:, parent]
+        length = np.linalg.norm(d, axis=-1)
         # False where an endpoint is NaN, and where the length overflows to inf.
-        good = ok[:, b] = (length >= MIN_BONE_LENGTH) & (length < np.inf)
-        rc = FRAME_ROTATION[bone.frame_class]
-        q = rot[good, _PARENT[b]] @ rc if bone.parent_bone else rc
-        posed = _posed_frame(d[good] / length[good, None], q) @ rc.T
-        if good.all():
-            rot[:, b] = posed
-        else:
-            # Row k + 1 is the k-th ok frame's rotation and row 0 the held one;
-            # the count of ok frames so far picks the last of them.
-            rot[:, b] = np.concatenate([held[b][None], posed])[np.cumsum(good)]
+        good = ok[:, bones] = (length >= MIN_BONE_LENGTH) & (length < np.inf)
+        q = rc if parents is None else rot[:, parents] @ rc
+        posed = _posed_frame(d / length[..., None], q) @ rc.swapaxes(-1, -2)
+        # Row k is frame k - 1's rotation and row 0 the held one; the largest ok k so far is the last ok frame.
+        last = np.maximum.accumulate(np.where(good, np.arange(1, len(good) + 1)[:, None], 0), axis=0)
+        rot[:, bones] = np.concatenate([held[bones][None], posed])[last, np.arange(len(bones))]
     return rot, ok
 
 

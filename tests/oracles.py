@@ -27,6 +27,10 @@ and recovers.
 `retarget_frame_alone` is the world-frame chain one frame and one bone at
 a time, from the 3-vectors of `bone_vector`, against which the chunked
 stacks of `retarget_sequence` are checked.
+`rotations_per_bone` is the chunk chain one bone at a time over (N, 3, 3)
+stacks, BONES order, ok rows only, the hold as a count of ok frames,
+against which `retarget._rotations`, one pass per tree depth over
+(N, b, 3, 3) stacks, is checked bit for bit.
 `read_transforms` parses the `anim.jsonl` stream, which no subcommand reads.
 `snap_rotation` is the calibration reader's rotation check and projection
 one camera at a time, against which the stacked `io.load_cameras` is
@@ -53,7 +57,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap import voxel
-from mvmocap.retarget import STATUS_FELL_BACK, PARALLEL_TOL, BoneTransformSet, _posed_frame
+from mvmocap.retarget import MIN_BONE_LENGTH, PARALLEL_TOL, STATUS_FELL_BACK, _PARENT, BoneTransformSet, _posed_frame
 from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, rotation_about_axis
 from mvmocap.voxel import (
     _BOX_PAD,
@@ -468,6 +472,34 @@ def retarget_frame_alone(skeleton, previous=None):
         transforms[bone.name] = np.eye(4)
         transforms[bone.name][:3, :3] = rot
     return BoneTransformSet(frame=skeleton.frame, transforms=transforms, statuses=statuses)
+
+
+@np.errstate(over="ignore")  # a length that overflows to inf is caught below
+def rotations_per_bone(points, held):
+    """retarget._rotations one bone at a time over (N, 3, 3) stacks, BONES order, parents first.
+
+    Bone rotations (N, B, 3, 3) and ok flags (N, B) of N frames' (N, 15, 3)
+    joints, NaN where not ok: a bone is ok where both endpoints are finite
+    and its length is finite and at least MIN_BONE_LENGTH; elsewhere it
+    holds its rotation from the last ok frame, or held[b] before the first.
+    """
+    rot = np.empty((points.shape[0], len(BONES), 3, 3))
+    ok = np.empty((points.shape[0], len(BONES)), dtype=bool)
+    for b, bone in enumerate(BONES):
+        d = points[:, bone.child_joint] - points[:, bone.parent_joint]
+        length = np.linalg.norm(d, axis=1)
+        # False where an endpoint is NaN, and where the length overflows to inf.
+        good = ok[:, b] = (length >= MIN_BONE_LENGTH) & (length < np.inf)
+        rc = FRAME_ROTATION[bone.frame_class]
+        q = rot[good, _PARENT[b]] @ rc if bone.parent_bone else rc
+        posed = _posed_frame(d[good] / length[good, None], q) @ rc.T
+        if good.all():
+            rot[:, b] = posed
+        else:
+            # Row k + 1 is the k-th ok frame's rotation and row 0 the held one;
+            # the count of ok frames so far picks the last of them.
+            rot[:, b] = np.concatenate([held[b][None], posed])[np.cumsum(good)]
+    return rot, ok
 
 
 def read_transforms(path):

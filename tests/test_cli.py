@@ -558,6 +558,12 @@ def _edit_record_2(path, edit):
         ("keypoints.jsonl", lambda rec: rec["views"][0]["joints"].__setitem__(2, [1]), '"joints" is not an array of JSON objects',
          "reconstruct"),
         ("truth.jsonl", lambda rec: rec["joints"][2].update(p=5), "expected an array of 3 numbers, got 5", "eval"),
+        # A field the record lacks is named as missing.
+        ("truth.jsonl", lambda rec: rec["joints"][3].pop("idx"), 'bad skeleton record: missing field "idx"', "retarget"),
+        ("keypoints.jsonl", lambda rec: rec["views"][1]["joints"][2].pop("u"), 'bad keypoint record: missing field "u"',
+         "reconstruct"),
+        ("truth.jsonl", lambda rec: rec.pop("frame"), 'bad skeleton record: missing field "frame"', "eval"),
+        ("keypoints.jsonl", lambda rec: rec.pop("frame"), 'bad keypoint record: missing field "frame"', "reconstruct"),
     ],
     ids=[
         "duplicate-view",
@@ -591,6 +597,10 @@ def _edit_record_2(path, edit):
         "keypoint-views-number",
         "keypoint-joint-array",
         "skeleton-position-number",
+        "skeleton-joint-without-idx",
+        "keypoint-joint-without-u",
+        "skeleton-record-without-frame",
+        "keypoint-record-without-frame",
     ],
 )
 def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, message, command):
@@ -1183,6 +1193,19 @@ def test_unusable_intrinsics_exit_2(tmp_path, capsys, K, message):
         "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
     ]) == EXIT_PARSE
     assert f"error: {calib}: invalid camera entry: {message}" in capsys.readouterr().err
+
+
+def test_camera_without_intrinsics_exits_2_naming_the_field(tmp_path, capsys):
+    scene = run_synth(tmp_path, frames=1)
+    calib = scene / "calib.json"
+    entries = json.loads(calib.read_text(encoding="utf-8"))
+    del entries[1]["K"]
+    calib.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([
+        "reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
+        "--delta", "100x100x100", "--out", str(tmp_path / "o.jsonl"),
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err == f'error: {calib}: invalid camera entry: missing field "K"\n'
 
 
 @pytest.mark.parametrize("field", ["K", "R", "t"])

@@ -4,6 +4,9 @@ chain in tests/oracles.py."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from oracles import (
     DegenerateParallel,
@@ -14,6 +17,7 @@ from oracles import (
     is_rotation,
     joint_statuses,
     retarget_frame_alone,
+    rotations_per_bone,
     spin_correct,
 )
 
@@ -254,6 +258,7 @@ def test_matches_class_frame_chain_on_noisy_reconstruction(ring):
     _assert_matches_class_frame_chain(skeletons)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_matches_class_frame_chain_on_random_gappy_skeletons(rng):
     joint_ids = sorted(JOINT_NAMES)
     skeletons = []
@@ -274,6 +279,7 @@ def _without(skeleton, joints, frame):
     return Skeleton3D(frame, positions)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chunks_match_per_frame_loop(monkeypatch):
     """Chunks of 4 frames: holds at the stream start, across a chunk boundary
     and through a whole chunk, a zero-length bone and both parallel branches."""
@@ -327,3 +333,45 @@ def test_overflowing_bone_falls_back_like_per_frame_loop():
     assert [ts.statuses["head"] for ts in sets] == [STATUS_OK, STATUS_FELL_BACK, STATUS_FELL_BACK, STATUS_OK,
                                                    STATUS_FELL_BACK, STATUS_OK]
     assert np.array_equal(sets[2].rotation("head"), sets[0].rotation("head"))
+
+
+# -- the per-depth chain against the per-bone chain, bit for bit -------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    nan_rate=st.sampled_from([0.0, 0.1, 0.4]),
+    zero_length=st.booleans(),
+    overflow=st.booleans(),
+    arm=st.sampled_from([None, "r_lower_arm", "l_lower_arm"]),
+    sign=st.sampled_from([1.0, -1.0]),
+    random_held=st.booleans(),
+)
+def test_depth_chain_is_the_per_bone_chain_bit_for_bit(n, seed, nan_rate, zero_length, overflow, arm, sign, random_held):
+    """anim.jsonl's bytes need the rotations and ok flags exactly, on NaN joints,
+    zero-length bones, lengths that overflow, the parallel branch and any held stack."""
+    rng = np.random.default_rng(seed)
+    points = T_POSE + rng.normal(scale=150.0, size=(n, 15, 3))
+    points[rng.random((n, 15)) < nan_rate] = np.nan
+    edited = rng.random(n) < 0.5  # the frames each edit below applies to
+    if zero_length:
+        bone = BONES[rng.integers(len(BONES))]
+        points[edited, bone.child_joint] = points[edited, bone.parent_joint]
+    if overflow:  # finite endpoints at +-1e308, whose bones' lengths overflow to inf
+        points[edited, rng.integers(15)] = rng.choice([1e308, -1e308], size=(edited.sum(), 3))
+    held = np.broadcast_to(np.eye(3), (len(BONES), 3, 3))
+    if random_held:
+        held = Rotation.random(len(BONES), random_state=rng).as_matrix()
+    if arm is not None:
+        # The lower arm along plus or minus its carried y-axis: the parallel branch of _posed_frame.
+        b = retarget._NAMES.index(arm)
+        rot, _ = rotations_per_bone(points, held)
+        y = (rot[:, retarget._PARENT[b]] @ FRAME_ROTATION[BONES[b].frame_class])[:, :, 1]
+        points[edited, BONES[b].child_joint] = points[edited, BONES[b].parent_joint] + sign * 260.0 * y[edited]
+
+    expected_rot, expected_ok = rotations_per_bone(points, held)
+    rot, ok = retarget._rotations(points, held)
+    assert np.array_equal(ok, expected_ok)
+    assert np.array_equal(rot, expected_rot)
