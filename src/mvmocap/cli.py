@@ -65,26 +65,22 @@ REPROJECT_CHUNK_FRAMES = 16
 
 @dataclass
 class RunConfig:
-    """Inputs, output and estimator settings of one `reconstruct` run."""
+    """One `reconstruct` run's calibration and estimator settings; a delta or volume (edges, center) of None is the default."""
 
     calib: str = ""
-    keypoints: str = ""
-    out: str = ""
-    sigma: int = 4
-    delta: tuple[float, float, float] = (10.0, 10.0, 10.0)
-    volume_edges: tuple[float, float, float] = (4000.0, 3000.0, 4000.0)
-    volume_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    min_confidence: float = 0.1
-    timing: bool = False
+    sigma: int = EstimatorConfig.sigma
+    delta: tuple[float, float, float] | None = None
+    volume: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
+    min_confidence: float = EstimatorConfig.min_confidence
 
     def estimator_config(self) -> EstimatorConfig:
+        settings = dict(sigma=self.sigma, min_confidence=self.min_confidence)
+        if self.delta is not None:
+            settings["delta"] = self.delta
         try:
-            return EstimatorConfig(
-                sigma=self.sigma,
-                delta=self.delta,
-                initial_volume=Cube(center=np.asarray(self.volume_center), edges=self.volume_edges),
-                min_confidence=self.min_confidence,
-            )
+            if self.volume is not None:
+                settings["initial_volume"] = Cube(center=self.volume[1], edges=self.volume[0])
+            return EstimatorConfig(**settings)
         except ValueError as exc:
             raise mio.InputParseError(f"invalid estimator settings: {exc}") from exc
 
@@ -106,15 +102,11 @@ def _parse_volume(text: str) -> tuple[tuple[float, float, float], tuple[float, f
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        calib=args.calib, keypoints=args.keypoints, out=args.out,
-        sigma=args.sigma, min_confidence=args.min_conf, timing=args.timing,
+    return RunConfig(
+        calib=args.calib, sigma=args.sigma, min_confidence=args.min_conf,
+        delta=_parse_triple(args.delta, "--delta") if args.delta else None,
+        volume=_parse_volume(args.volume) if args.volume else None,
     )
-    if args.delta:
-        cfg.delta = _parse_triple(args.delta, "--delta")
-    if args.volume:
-        cfg.volume_edges, cfg.volume_center = _parse_volume(args.volume)
-    return cfg
 
 
 def _out_file(text: str) -> Path:
@@ -208,7 +200,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    out_file = _out_file(cfg.out)
+    out_file = _out_file(args.out)
     phases = dict.fromkeys(("load_inputs", "parse_inputs", "estimate_3d_joints", "write_output"), 0.0)  # ms
     frames = 0
     wall_start = time.perf_counter()
@@ -221,7 +213,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         print(f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; no joint can reach consensus",
               file=sys.stderr)
 
-    reader = mio.read_keypoints(cfg.keypoints, {c.id for c in cameras})
+    reader = mio.read_keypoints(args.keypoints, {c.id for c in cameras})
     t0 = time.perf_counter()
     with _output(out_file) as part, open(part, "w", encoding="utf-8") as out:
         phases["write_output"] += (time.perf_counter() - t0) * 1e3  # creating the temporary file
@@ -244,7 +236,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     phases["write_output"] += (time.perf_counter() - t0) * 1e3  # closing it and renaming it to the output
 
     total_ms = (time.perf_counter() - wall_start) * 1e3
-    if cfg.timing:
+    if args.timing:
         print(json.dumps({"frames": frames, "total_ms": round(total_ms, 3),
                           "phases": {k: round(v, 3) for k, v in phases.items()}}), file=sys.stderr)
     return EXIT_OK
@@ -400,10 +392,10 @@ COMMANDS = {
         ("--calib", dict(required=True, help="calibration JSON file")),
         ("--keypoints", dict(required=True, help="keypoints JSONL file")),
         ("--out", dict(required=True, help="output skeleton JSONL file")),
-        ("--sigma", dict(type=int, default=RunConfig.sigma, help="minimum consenting views (default %(default)s)")),
+        ("--sigma", dict(type=int, default=EstimatorConfig.sigma, help="minimum consenting views (default %(default)s)")),
         ("--delta", dict(help="terminal cube size WxHxL in mm")),
         ("--volume", dict(help="initial volume WxHxL[@X,Y,Z] in mm")),
-        ("--min-conf", dict(type=float, default=RunConfig.min_confidence,
+        ("--min-conf", dict(type=float, default=EstimatorConfig.min_confidence,
                             help="minimum keypoint confidence (default %(default)s)")),
         ("--timing", dict(action="store_true", help="print per-phase timing to stderr")),
     ]),

@@ -123,19 +123,6 @@ def _rotations(points: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.nda
     return rot, ok
 
 
-def _transform_sets(frames: tuple[int, ...], rot: np.ndarray, ok: np.ndarray):
-    """One BoneTransformSet per frame, its transforms views into one (N, B, 4, 4) array."""
-    transforms = np.zeros(rot.shape[:2] + (4, 4))
-    transforms[..., :3, :3] = rot
-    transforms[..., 3, 3] = 1.0
-    for frame, mats, flags in zip(frames, transforms, ok.tolist()):
-        yield BoneTransformSet(
-            frame=frame,
-            transforms=dict(zip(_NAMES, mats)),
-            statuses=dict(zip(_NAMES, [_STATUS[f] for f in flags])),
-        )
-
-
 def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = None) -> BoneTransformSet:
     """One frame of retarget_chunks' chain as 4x4 transforms: bones lacking
     data hold their rotation in previous, when given, or the identity."""
@@ -144,7 +131,13 @@ def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = Non
         for name in _NAMES
     ])
     rot, ok = _rotations(skeleton.positions[None], held)
-    return next(_transform_sets((skeleton.frame,), rot, ok))
+    transforms = np.tile(np.eye(4), (len(BONES), 1, 1))
+    transforms[:, :3, :3] = rot[0]
+    return BoneTransformSet(
+        frame=skeleton.frame,
+        transforms=dict(zip(_NAMES, transforms)),
+        statuses=dict(zip(_NAMES, [_STATUS[f] for f in ok[0].tolist()])),
+    )
 
 
 def retarget_chunks(skeletons):
@@ -158,9 +151,3 @@ def retarget_chunks(skeletons):
         rot, ok = _rotations(np.stack(points), held)
         held = rot[-1].copy()
         yield frames, rot, ok
-
-
-def retarget_sequence(skeletons):
-    """retarget_chunks as one BoneTransformSet per frame, in order."""
-    for frames, rot, ok in retarget_chunks(skeletons):
-        yield from _transform_sets(frames, rot, ok)

@@ -26,7 +26,8 @@ on one bone frame and its parent's, which acceptance criterion 7 rolls
 and recovers.
 `retarget_frame_alone` is the world-frame chain one frame and one bone at
 a time, from the 3-vectors of `bone_vector`, against which the chunked
-stacks of `retarget_sequence` are checked.
+stacks of `retarget.retarget_chunks` are checked through
+`retarget_sequence`, which reads them as one BoneTransformSet per frame.
 `rotations_per_bone` is the chunk chain one bone at a time over (N, 3, 3)
 stacks, BONES order, ok rows only, the hold as a count of ok frames,
 against which `retarget._rotations`, one pass per tree depth over
@@ -57,7 +58,9 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from mvmocap import voxel
-from mvmocap.retarget import MIN_BONE_LENGTH, PARALLEL_TOL, STATUS_FELL_BACK, _PARENT, BoneTransformSet, _posed_frame
+from mvmocap.retarget import (
+    MIN_BONE_LENGTH, PARALLEL_TOL, STATUS_FELL_BACK, _PARENT, BoneTransformSet, _posed_frame, retarget_chunks,
+)
 from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, rotation_about_axis
 from mvmocap.voxel import (
     _BOX_PAD,
@@ -472,6 +475,20 @@ def retarget_frame_alone(skeleton, previous=None):
         transforms[bone.name] = np.eye(4)
         transforms[bone.name][:3, :3] = rot
     return BoneTransformSet(frame=skeleton.frame, transforms=transforms, statuses=statuses)
+
+
+def retarget_sequence(skeletons):
+    """retarget_chunks' stacks as one BoneTransformSet per frame, in order: each
+    rotation in a 4x4 with zero translation, each ok flag as STATUS_OK or
+    STATUS_FELL_BACK."""
+    for frames, rot, ok in retarget_chunks(skeletons):
+        for frame, rotations, flags in zip(frames, rot, ok):
+            transforms, statuses = {}, {}
+            for bone, r, flag in zip(BONES, rotations, flags):
+                transforms[bone.name] = np.eye(4)
+                transforms[bone.name][:3, :3] = r
+                statuses[bone.name] = STATUS_OK if flag else STATUS_FELL_BACK
+            yield BoneTransformSet(frame=frame, transforms=transforms, statuses=statuses)
 
 
 @np.errstate(over="ignore")  # a length that overflows to inf is caught below

@@ -182,6 +182,36 @@ def test_reconstruct_defaults_are_the_estimators():
             else:
                 assert a == b, field.name
 
+
+@pytest.mark.parametrize(
+    "flags, reported",
+    [
+        (["--delta", "abc", "--calib", "missing"], "--delta expects WxHxL, got 'abc'"),
+        (["--delta", "0x1x1", "--calib", "missing"], "{missing}: cannot parse calibration: "),
+        (["--delta", "abc", "--out", ""], "--delta expects WxHxL, got 'abc'"),
+        (["--volume", "1x1x1", "--out", ""], "--out '' names no file"),
+        (["--sigma", "1", "--keypoints", "missing"],
+         "invalid estimator settings: sigma must be at least 2 (two perspectives fix a point)"),
+        (["--volume", "4000x3000x4000@a,0,0", "--sigma", "1"], "--volume center expects numeric X,Y,Z, got 'a,0,0'"),
+    ],
+    ids=["syntax-before-calib", "calib-before-range", "syntax-before-out", "out-before-range",
+         "range-before-keypoints", "syntax-before-range"],
+)
+def test_reconstruct_reports_errors_in_order(tmp_path, capsys, flags, reported):
+    """Of several errors, reconstruct reports only the first in this order:
+    a flag's syntax, --out, the calibration, a setting's range, the keypoints."""
+    scene = run_synth(tmp_path, frames=1)
+    missing = str(tmp_path / "missing")
+    argv = {"--calib": str(scene / "calib.json"), "--keypoints": str(scene / "keypoints.jsonl"),
+            "--out": str(tmp_path / "skel.jsonl")}
+    argv.update((flag, missing if value == "missing" else value) for flag, value in zip(flags[::2], flags[1::2]))
+    capsys.readouterr()
+    assert main(["reconstruct", *(word for pair in argv.items() for word in pair)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + reported.format(missing=missing)) and err.count("\n") == 1, err
+    assert not (tmp_path / "skel.jsonl").exists()
+
+
 def _pick_lines(src, dst, order):
     """Write the lines of src at the indices in order to dst; returns dst."""
     lines = src.read_text(encoding="utf-8").splitlines()
@@ -1280,6 +1310,13 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     assert len(_circles(svg, "blue")) == 15
 
 
+def _fresh_python(script, *args):
+    """Run script in a fresh interpreter that imports mvmocap from the same source tree as this one."""
+    src = str(Path(mvmocap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     """reconstruct, eval and render-overlay leave numpy.ma unimported.
 
@@ -1302,13 +1339,23 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps({'codes': codes, 'numpy.ma': 'numpy.ma' in sys.modules}))\n"
     )
-    src = str(Path(mvmocap.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _fresh_python(script, json.dumps(argvs))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == {"codes": [EXIT_OK] * 3, "numpy.ma": False}
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    """The package re-exports nothing, so `import mvmocap` in a fresh
+    interpreter loads no mvmocap submodule and not numpy either."""
+    script = (
+        "import json, sys\n"
+        "import mvmocap\n"
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'mvmocap.'))]\n"
+        "print(json.dumps({'file': mvmocap.__file__, 'loaded': sorted(loaded)}))\n"
+    )
+    done = _fresh_python(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"file": mvmocap.__file__, "loaded": []}
 
 
 def test_timing_phases_cover_wall_clock(tmp_path, capsys):

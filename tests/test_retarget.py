@@ -17,6 +17,7 @@ from oracles import (
     is_rotation,
     joint_statuses,
     retarget_frame_alone,
+    retarget_sequence,
     rotations_per_bone,
     spin_correct,
 )
@@ -26,7 +27,6 @@ from mvmocap.retarget import (
     STATUS_FELL_BACK,
     STATUS_OK,
     retarget_frame,
-    retarget_sequence,
 )
 from mvmocap.skeleton import BONES, FRAME_ROTATION, JOINT_NAMES, T_POSE, Skeleton3D, rotation_about_axis
 from mvmocap.synth import generate_scene, render_observations
