@@ -3,15 +3,15 @@
 Each subcommand takes only the flags it reads, and settings come from flags
 alone: an unknown flag, or a required one left out, exits 2 through argparse.
 Frames stream through JSON-lines files end to end so long sequences never
-require whole-run memory residency. Streams given together (estimated and
-truth skeletons, plus keypoints for `eval`; keypoints and skeletons for
-`render-overlay`) are read in lockstep, so they must list the same frames in
-the same order, as `reconstruct` writes them. Both commands read up to
-REPROJECT_CHUNK_FRAMES frames at a time and reproject the chunk's skeletons
-into every calibrated view with one `project` call, an (N, V, 15, 2) array,
-NaN where a joint is missing or behind the camera, whose rows they compare
-with the keypoint tables. `eval` takes `--calib` and `--keypoints` together
-or not at all.
+require whole-run memory residency; they are read as chunk arrays (see `io`).
+Streams given together (estimated and truth skeletons, plus keypoints for
+`eval`; keypoints and skeletons for `render-overlay`) are read in lockstep,
+REPROJECT_CHUNK_FRAMES frames at a time, so they must list the same frames in
+the same order, as `reconstruct` writes them. Both commands reproject a chunk's
+skeletons into every calibrated view with one `project` call, an (N, V, 15, 2)
+array, NaN where a joint is missing or behind the camera, whose rows they
+compare with the chunk's keypoint table. `eval` takes `--calib` and
+`--keypoints` together or not at all.
 Exit codes: 0 on success, 2 for input or parse errors and for an output that
 cannot be created or written, 3 at the first frame where streams read together
 disagree or one ends early. A run that exits 2 or 3 leaves no partial scene,
@@ -31,24 +31,22 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import io as mio
-from . import voxel
+from . import retarget, voxel
 from .geometry import project, stack_cameras
 # avg_2d_err and mean_abs_3d_err stay bound here because perfbench/tracer.py wraps cli.avg_2d_err and cli.mean_abs_3d_err.
 from .metrics import avg_2d_err, mean_abs_3d_err, mean_lengths, sequence_mean
 # render_overlay_svg stays bound here because perfbench/tracer.py wraps cli.render_overlay_svg.
 from .overlay import render_overlay_svg, render_overlay_svgs
-from .retarget import retarget_chunks
 from .skeleton import DETECTED_JOINTS
 from .synth import generate_scene, render_observations
 # estimate_skeleton stays bound here because perfbench/tracer.py wraps cli.estimate_skeleton.
-from .voxel import Cube, EstimatorConfig, estimate_skeleton, estimate_skeletons, keypoint_table
+from .voxel import Cube, EstimatorConfig, estimate_skeleton, estimate_skeletons
 
 
 class FrameMismatch(ValueError):
@@ -104,8 +102,8 @@ def _parse_volume(text: str) -> tuple[tuple[float, float, float], tuple[float, f
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         calib=args.calib, sigma=args.sigma, min_confidence=args.min_conf,
-        delta=_parse_triple(args.delta, "--delta") if args.delta else None,
-        volume=_parse_volume(args.volume) if args.volume else None,
+        delta=None if args.delta is None else _parse_triple(args.delta, "--delta"),
+        volume=None if args.volume is None else _parse_volume(args.volume),
     )
 
 
@@ -202,7 +200,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     out_file = _out_file(args.out)
     phases = dict.fromkeys(("load_inputs", "parse_inputs", "estimate_3d_joints", "write_output"), 0.0)  # ms
-    frames = 0
+    count = 0
     wall_start = time.perf_counter()
 
     t0 = time.perf_counter()
@@ -213,61 +211,78 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         print(f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; no joint can reach consensus",
               file=sys.stderr)
 
-    reader = mio.read_keypoints(args.keypoints, {c.id for c in cameras})
+    column = {view_id: v for v, view_id in enumerate(sorted(c.id for c in cameras))}  # stack_cameras' order
+    reader = mio.read_keypoints(args.keypoints, column, voxel.CHUNK_FRAMES)
     t0 = time.perf_counter()
     with _output(out_file) as part, open(part, "w", encoding="utf-8") as out:
         phases["write_output"] += (time.perf_counter() - t0) * 1e3  # creating the temporary file
         while True:
             t0 = time.perf_counter()
-            chunk = list(islice(reader, voxel.CHUNK_FRAMES))  # JSON decoding happens here
+            chunk = next(reader, None)  # JSON decoding happens here
             phases["parse_inputs"] += (time.perf_counter() - t0) * 1e3
-            if not chunk:
+            if chunk is None:
                 break
 
             t0 = time.perf_counter()
-            skeletons = estimate_skeletons(chunk, cameras, config)
+            frames, _, table = chunk
+            points = estimate_skeletons(table, cameras, config)
             phases["estimate_3d_joints"] += (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
-            out.writelines(mio.skeleton_line(skel) + "\n" for skel in skeletons)
+            out.writelines(mio.skeleton_line(frame, p) + "\n" for frame, p in zip(frames, points))
             phases["write_output"] += (time.perf_counter() - t0) * 1e3
-            frames += len(chunk)
+            count += len(frames)
         t0 = time.perf_counter()
     phases["write_output"] += (time.perf_counter() - t0) * 1e3  # closing it and renaming it to the output
 
     total_ms = (time.perf_counter() - wall_start) * 1e3
     if args.timing:
-        print(json.dumps({"frames": frames, "total_ms": round(total_ms, 3),
+        print(json.dumps({"frames": count, "total_ms": round(total_ms, 3),
                           "phases": {k: round(v, 3) for k, v in phases.items()}}), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_retarget(args: argparse.Namespace) -> int:
     out_file = _out_file(args.out)
-    skeletons = mio.read_skeletons(args.skeleton)
+    skeletons = mio.read_skeletons(args.skeleton, retarget.CHUNK_FRAMES)
     with _output(out_file) as part:
-        mio.write_transforms(part, retarget_chunks(skeletons))
+        mio.write_transforms(part, retarget.retarget_chunks(skeletons))
     return EXIT_OK
 
 
-def _lockstep(*streams: tuple[str, Iterable]) -> Iterator[tuple]:
-    """One record from each named (name, records) stream per step, all of one frame.
+def _lockstep(n: int, *streams: tuple[str, Iterable]) -> Iterator[list]:
+    """One chunk of n frames or fewer from each named (name, chunks) stream per step, all of the same frames.
 
-    Raises FrameMismatch at the first step where the records' frame indices
-    differ or some streams have ended while others have not.
+    A reader's chunk is short only at its stream's end or before a bad record,
+    which its next chunk raises; the first problem, in frame order, is raised
+    before the chunks that hold it are yielded: FrameMismatch where the frame
+    indices differ, else where some stream stops, the first stream's bad record
+    there or FrameMismatch if some streams end there and others do not.
     """
     names = [name for name, _ in streams]
-    for records in zip_longest(*(recs for _, recs in streams)):
-        if any(r is None for r in records) or len({r.frame for r in records}) > 1:
-            state = ", ".join(f"{n} {'ended' if r is None else f'frame {r.frame}'}" for n, r in zip(names, records))
+    readers = [iter(chunks) for _, chunks in streams]
+    while True:
+        chunks = [next(reader, None) for reader in readers]
+        frames = [chunk[0] if chunk else [] for chunk in chunks]
+        if len(frames[0]) == n and all(f == frames[0] for f in frames):
+            yield chunks
+            continue
+        stop = min(map(len, frames))  # every stream has a record at each step before this one
+        step = next((s for s in range(stop) if len({f[s] for f in frames}) > 1), stop)
+        states = [f[step] if step < len(f) else next(reader, None) for f, reader in zip(frames, readers)]
+        if any(state is not None for state in states):
+            state = ", ".join(f"{name} {'ended' if f is None else f'frame {f}'}" for name, f in zip(names, states))
             raise FrameMismatch(f"streams out of step: {state}")
-        yield records
+        if stop:
+            yield chunks
+        return
 
 
 @np.errstate(over="ignore")  # an error that overflows to inf exits 2 below
 def cmd_eval(args: argparse.Namespace) -> int:
     out_base = _out_file(args.out)
-    streams = [("estimated", mio.read_skeletons(args.skeleton)), ("truth", mio.read_skeletons(args.truth))]
+    n = REPROJECT_CHUNK_FRAMES
+    streams = [("estimated", mio.read_skeletons(args.skeleton, n)), ("truth", mio.read_skeletons(args.truth, n))]
     views = None
     if args.calib or args.keypoints:
         if not (args.calib and args.keypoints):
@@ -275,36 +290,34 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cameras = mio.load_cameras(args.calib)
         views = stack_cameras(cameras, point_axes=1)
         column = {view_id: v for v, view_id in enumerate(views.ids)}
-        streams.append(("keypoints", mio.read_keypoints(args.keypoints, column)))
+        streams.append(("keypoints", mio.read_keypoints(args.keypoints, column, n)))
 
     per_frame = []
     frames_used = []
     total_joints = 0
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    steps = _lockstep(*streams)
-    while chunk := list(islice(steps, REPROJECT_CHUNK_FRAMES)):
-        positions = np.stack([est.positions for est, *_ in chunk])
-        err3d, joints3d = (a.tolist() for a in mean_lengths(positions - np.stack([tru.positions for _, tru, *_ in chunk])))
+    for (frames, positions), (_, truth), *keypoints in _lockstep(n, *streams):
+        err3d, joints3d = (a.tolist() for a in mean_lengths(positions - truth))
         if views is not None:  # (N, V, 14, 2): every skeleton of the chunk in every calibrated view
             pixels = project(positions[:, None], views)[:, :, : len(DETECTED_JOINTS)]
-            detected = keypoint_table([obs for *_, obs in chunk], column)[..., :2]
+            detected = keypoints[0][-1][..., :2]  # the chunk's keypoint table
             err2d, joints2d = (a.tolist() for a in mean_lengths(detected - pixels))
-        for k, (est, *_) in enumerate(chunk):
+        for k, frame in enumerate(frames):
             if not joints3d[k]:
-                print(f"warning: frame {est.frame} has no comparable joints; skipped", file=sys.stderr)
+                print(f"warning: frame {frame} has no comparable joints; skipped", file=sys.stderr)
             else:
                 if not math.isfinite(err3d[k]):
-                    raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: 3D error against {args.truth} is not finite")
+                    raise mio.InputParseError(f"{args.skeleton}: frame {frame}: 3D error against {args.truth} is not finite")
                 per_frame.append(err3d[k])
-                frames_used.append(est.frame)
+                frames_used.append(frame)
                 total_joints += joints3d[k]
             if views is None:
                 continue
             for v, view_id in enumerate(views.ids):  # ascending ids; a view the frame does not list has no rows
                 if joints2d[k][v]:
                     if not math.isfinite(err2d[k][v]):
-                        raise mio.InputParseError(f"{args.skeleton}: frame {est.frame}: reprojection error in view {view_id} is not finite")
+                        raise mio.InputParseError(f"{args.skeleton}: frame {frame}: reprojection error in view {view_id} is not finite")
                     sums[view_id] = sums.get(view_id, 0.0) + err2d[k][v]
                     counts[view_id] = counts.get(view_id, 0) + 1
 
@@ -343,29 +356,26 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     cameras = mio.load_cameras(args.calib)
     views = stack_cameras(cameras, point_axes=1)
     column = {view_id: v for v, view_id in enumerate(views.ids)}
-    by_id = {c.id: c for c in cameras}
-    sizes = [by_id[view_id].resolution for view_id in views.ids]  # by column
-    frames = _lockstep(
-        ("keypoints", mio.read_keypoints(args.keypoints, column)),
-        ("skeleton", mio.read_skeletons(args.skeleton)),
+    sizes = [c.resolution for c in sorted(cameras, key=lambda c: c.id)]  # by column
+    n = REPROJECT_CHUNK_FRAMES
+    chunks = _lockstep(
+        n,
+        ("keypoints", mio.read_keypoints(args.keypoints, column, n)),
+        ("skeleton", mio.read_skeletons(args.skeleton, n)),
     )
     written: list[str] = []
     with _directory(out_dir):
         try:
-            while chunk := list(islice(frames, REPROJECT_CHUNK_FRAMES)):
-                pixels = project(np.stack([skel.positions for _, skel in chunk])[:, None], views)  # (N, V, 15, 2)
+            for (frames, (rows, columns), table), (_, positions) in chunks:
+                pixels = project(positions[:, None], views)  # (N, V, 15, 2)
                 if np.isinf(pixels).any():  # NaN marks a missing joint; inf, a position whose projection overflows
                     k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
                     raise mio.InputParseError(
-                        f"{args.skeleton}: frame {chunk[k][1].frame}: reprojection in view {views.ids[v]} is not finite")
-                detected = keypoint_table([obs for obs, _ in chunk], column)[..., :2]
-                rows, columns = [], []  # the (frame, column) of each view a frame lists, in listed order
-                for k, (obs, _) in enumerate(chunk):
-                    rows += [k] * len(obs.view_ids)
-                    columns += [column[view_id] for view_id in obs.view_ids]
-                svgs = render_overlay_svgs([sizes[v] for v in columns], detected[rows, columns], pixels[rows, columns])
+                        f"{args.skeleton}: frame {frames[k]}: reprojection in view {views.ids[v]} is not finite")
+                # rows and columns hold the (frame, column) of each view a frame lists, in listed order.
+                svgs = render_overlay_svgs([sizes[v] for v in columns], table[rows, columns, :, :2], pixels[rows, columns])
                 for k, v, svg in zip(rows, columns, svgs):
-                    written.append(os.path.join(out_dir, f"frame_{chunk[k][0].frame:04d}_view_{views.ids[v]}.svg"))
+                    written.append(os.path.join(out_dir, f"frame_{frames[k]:04d}_view_{views.ids[v]}.svg"))
                     _write_bytes(written[-1], svg)
         except BaseException:
             for path in written:  # no partial set of overlays on a failed run

@@ -29,15 +29,13 @@ index in 0-13; a skeleton record lists each joint once, by an index in 0-14,
 with status "ok" or "no_consensus". Within a keypoint or skeleton stream the
 frame indices strictly increase.
 
-A keypoint frame is read into a table of shape (V, 14, 3): row r holds the
-r-th listed view (JointObservationFrame.view_ids[r]) and cell [r, i] holds
-(u, v, c) of joint i, all NaN where the view has no detection of it. The
-reader is given the calibrated camera ids and rejects any other view id. The
-writer lists views by ascending id and joints by ascending index.
-
-A skeleton record is read into Skeleton3D.positions, a (15, 3) array whose
-row i holds joint i, NaN where it is "no_consensus" or left out of the
-record. The writer lists all 15 joints in index order.
+Both readers yield chunks of up to n frames as arrays. A keypoint chunk is a
+(k, V, 14, 3) table by calibrated column: cell [f, column[v], i] holds
+(u, v, c) of joint i in view v, all NaN where frame f does not list the view
+or the view has no detection of it. A skeleton chunk is (k, 15, 3) positions,
+row i of a frame for joint i, NaN where it is "no_consensus" or left out. The
+writers list views by ascending id and joints by ascending index, all 15 in
+a skeleton record.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,7 +123,7 @@ def _objects(value, field: str) -> list:
 
 
 def _joint_table(cells: list, shape: tuple[int, ...]) -> np.ndarray:
-    """The decoded values of a record, a flat list, as a float array of shape (..., joints, 3).
+    """The decoded values of records, one flat list, as a float array of shape (..., joints, 3).
 
     TypeError for a value that is not a JSON number, OverflowError for an
     integer too large for a double, and ValueError for an infinite one:
@@ -228,52 +226,97 @@ def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -
             fh.write(keypoint_line(frame) + "\n")
 
 
-def read_keypoints(path: str | Path, calibrated: Container[int]) -> Iterator[JointObservationFrame]:
-    path = Path(path)
-    last = None
-    for lineno, raw in _read_lines(path):
+def read_keypoints(path: str | Path, column: Mapping[int, int], n: int) -> Iterator[tuple]:
+    """The keypoint stream at path in chunks of up to n frames (see _chunks): their frame indices, the
+    (frame, column) pairs of their listed views in file order, and their table by calibrated column.
+    A view id that column does not hold is an error."""
+
+    def parse(rec: dict, cells: list) -> list[int]:  # the columns of the record's views, their cells in file order
+        views = _objects(rec["views"], "views")
+        listed: list[int] = []
+        at = len(cells)
+        cells += [_UNLISTED] * (len(views) * _JOINTS * 3)
+        for view in views:
+            view_id = _integer(view["view_id"])
+            if view_id not in column:
+                raise ValueError(f"view {view_id} is not in the calibration")
+            if column[view_id] in listed:
+                raise ValueError(f"view {view_id} listed twice")
+            listed.append(column[view_id])
+            for j in _objects(view["joints"], "joints"):
+                idx, u, v, c = _KEYPOINT_FIELDS(j)
+                if type(idx) is not int:  # as _integer checks
+                    raise TypeError(f"expected an integer, got {idx!r}")
+                if not 0 <= idx < _JOINTS:
+                    raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
+                k = at + idx * 3
+                if cells[k + 2] is not _UNLISTED:
+                    raise ValueError(f"joint {idx} listed twice in view {view_id}")
+                cells[k], cells[k + 1], cells[k + 2] = u, v, c  # no slice: element stores are faster
+            at += _JOINTS * 3
+        return listed
+
+    for frames, listed, cells in _chunks(Path(path), n, "keypoint", _JOINTS, parse):
+        rows = [f for f, views in enumerate(listed) for _ in views]
+        columns = [v for views in listed for v in views]
+        table = np.full((len(frames), len(column), _JOINTS, 3), np.nan)
+        table[rows, columns] = cells
+        yield frames, (rows, columns), table
+
+
+def _chunks(path: Path, n: int, kind: str, width: int, parse: Callable) -> Iterator[tuple[list[int], list, np.ndarray]]:
+    """The records at path in chunks of up to n: their frame indices, parse's returns and their (-1, width, 3) cells.
+
+    parse(rec, cells) checks a record, appends its values to the chunk's flat
+    list and returns what the chunk keeps of it; the list is converted once.
+    At a bad record, the first in file order whether parsing, the UTF-8 check
+    or the conversion finds it, the records before it are yielded and the
+    next call raises InputParseError with its line.
+    """
+    lines = _read_lines(path)
+    last = error = None
+    while error is None:
+        frames, linenos, parsed, cells, ends = [], [], [], [], [0]
         try:
-            rec = DECODER.decode(raw)
-            frame = _next_frame(rec, last)
-            views = _objects(rec["views"], "views")
-            view_ids: list[int] = []
-            # The table as one flat list, filled cell by cell with the values
-            # as decoded, then checked and converted once. An unlisted cell
-            # holds the _UNLISTED object, which no decoded value is.
-            cells = [_UNLISTED] * (len(views) * _JOINTS * 3)
-            for r, view in enumerate(views):
-                view_id = _integer(view["view_id"])
-                if view_id not in calibrated:
-                    raise ValueError(f"view {view_id} is not in the calibration")
-                if view_id in view_ids:
-                    raise ValueError(f"view {view_id} listed twice")
-                view_ids.append(view_id)
-                for j in _objects(view["joints"], "joints"):
-                    idx, u, v, c = _KEYPOINT_FIELDS(j)
-                    if type(idx) is not int:  # as _integer checks
-                        raise TypeError(f"expected an integer, got {idx!r}")
-                    if not 0 <= idx < _JOINTS:
-                        raise ValueError(f"joint index {idx} outside 0-{_JOINTS - 1}")
-                    at = (r * _JOINTS + idx) * 3
-                    if cells[at + 2] is not _UNLISTED:
-                        raise ValueError(f"joint {idx} listed twice in view {view_id}")
-                    cells[at], cells[at + 1], cells[at + 2] = u, v, c  # no slice: element stores are faster
-            table = _joint_table(cells, (len(views), _JOINTS, 3))
-            yield JointObservationFrame(frame=frame, view_ids=view_ids, table=table)
-        except _RECORD_ERRORS as exc:
-            raise InputParseError(f"{path}:{lineno}: bad keypoint record: {_reason(exc)}") from exc
-        last = frame
-
-
-def _next_frame(rec: dict, last: int | None) -> int:
-    """The record's frame index; TypeError unless rec is a JSON object,
-    ValueError unless the index is greater than last."""
-    if type(rec) is not dict:
-        raise TypeError("the record is not a JSON object")
-    frame = _integer(rec["frame"])
-    if last is not None and frame <= last:
-        raise ValueError(f"frame {frame} does not follow frame {last}")
-    return frame
+            for lineno, raw in lines:
+                try:
+                    rec = DECODER.decode(raw)
+                    if type(rec) is not dict:
+                        raise TypeError("the record is not a JSON object")
+                    frame = _integer(rec["frame"])
+                    if last is not None and frame <= last:
+                        raise ValueError(f"frame {frame} does not follow frame {last}")
+                    parsed.append(parse(rec, cells))
+                except _RECORD_ERRORS as exc:
+                    error = (lineno, exc)
+                    break
+                last = frame
+                frames.append(frame)
+                linenos.append(lineno)
+                ends.append(len(cells))
+                if len(frames) == n:
+                    break
+        except InputParseError as exc:  # a line that is not UTF-8, or a file that cannot be read
+            error = exc
+        try:
+            table = _joint_table(cells[: ends[-1]], (-1, width, 3))
+        except _RECORD_ERRORS:  # the first record whose values do not convert comes before any later error
+            for k in range(len(frames)):
+                try:
+                    _joint_table(cells[ends[k] : ends[k + 1]], (-1, width, 3))
+                except _RECORD_ERRORS as exc:
+                    error = (linenos[k], exc)
+                    break
+            del frames[k:], parsed[k:]
+            table = _joint_table(cells[: ends[k]], (-1, width, 3))
+        if frames:
+            yield frames, parsed, table
+        if error is None and len(frames) < n:
+            return
+    if isinstance(error, InputParseError):
+        raise error
+    lineno, exc = error
+    raise InputParseError(f"{path}:{lineno}: bad {kind} record: {_reason(exc)}") from exc
 
 
 # -- skeletons ------------------------------------------------------------
@@ -284,52 +327,48 @@ _OK_JOINT = f'{{"idx": %d, "status": "{STATUS_OK}", "p": {_ROW}}}'
 _NO_CONSENSUS_JOINT = f'{{"idx": %d, "status": "{STATUS_NO_CONSENSUS}"}}'
 
 
-def skeleton_line(skel: Skeleton3D) -> str:
+def skeleton_line(frame: int, positions: np.ndarray) -> str:
+    """The skeleton record of one frame's (15, 3) positions: a finite row is an "ok" joint."""
     parts = [
         _OK_JOINT % (idx, x, y, z) if math.isfinite(x) and math.isfinite(y) and math.isfinite(z) else _NO_CONSENSUS_JOINT % idx
-        for idx, (x, y, z) in enumerate(skel.positions.tolist())
+        for idx, (x, y, z) in enumerate(positions.tolist())
     ]
-    return _unsigned_zeros(_SKELETON_RECORD % (skel.frame, ", ".join(parts)))
+    return _unsigned_zeros(_SKELETON_RECORD % (frame, ", ".join(parts)))
 
 
 def write_skeletons(path: str | Path, skeletons: Iterable[Skeleton3D]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for skel in skeletons:
-            fh.write(skeleton_line(skel) + "\n")
+            fh.write(skeleton_line(skel.frame, skel.positions) + "\n")
 
 
-def read_skeletons(path: str | Path) -> Iterator[Skeleton3D]:
-    path = Path(path)
-    last = None
-    for lineno, raw in _read_lines(path):
-        try:
-            rec = DECODER.decode(raw)
-            frame = _next_frame(rec, last)
-            listed = [False] * len(JOINT_NAMES)
-            # The (15, 3) positions as one flat list, filled joint by joint with
-            # the values as decoded, then checked and converted once.
-            cells = [_UNLISTED] * (len(JOINT_NAMES) * 3)
-            for j in _objects(rec["joints"], "joints"):
-                idx, status = _SKELETON_FIELDS(j)
-                if type(idx) is not int:  # as _integer checks
-                    raise TypeError(f"expected an integer, got {idx!r}")
-                if not 0 <= idx < len(JOINT_NAMES):
-                    raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
-                if listed[idx]:
-                    raise ValueError(f"joint {idx} listed twice")
-                listed[idx] = True
-                if status == STATUS_OK:
-                    p = j["p"]
-                    if type(p) is not list or len(p) != 3:
-                        raise ValueError(f"expected an array of 3 numbers, got {p!r}")
-                    at = idx * 3
-                    cells[at], cells[at + 1], cells[at + 2] = p
-                elif status != STATUS_NO_CONSENSUS:
-                    raise ValueError(f"unknown status {status!r}")
-            yield Skeleton3D(frame, _joint_table(cells, (len(JOINT_NAMES), 3)))
-        except _RECORD_ERRORS as exc:
-            raise InputParseError(f"{path}:{lineno}: bad skeleton record: {_reason(exc)}") from exc
-        last = frame
+def read_skeletons(path: str | Path, n: int) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The skeleton stream at path in chunks of up to n frames (see _chunks): their frame indices and positions."""
+
+    def parse(rec: dict, cells: list) -> None:  # the record's (15, 3) positions, joint by joint
+        listed = [False] * len(JOINT_NAMES)
+        at = len(cells)
+        cells += [_UNLISTED] * (len(JOINT_NAMES) * 3)
+        for j in _objects(rec["joints"], "joints"):
+            idx, status = _SKELETON_FIELDS(j)
+            if type(idx) is not int:  # as _integer checks
+                raise TypeError(f"expected an integer, got {idx!r}")
+            if not 0 <= idx < len(JOINT_NAMES):
+                raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
+            if listed[idx]:
+                raise ValueError(f"joint {idx} listed twice")
+            listed[idx] = True
+            if status == STATUS_OK:
+                p = j["p"]
+                if type(p) is not list or len(p) != 3:
+                    raise ValueError(f"expected an array of 3 numbers, got {p!r}")
+                k = at + idx * 3
+                cells[k], cells[k + 1], cells[k + 2] = p
+            elif status != STATUS_NO_CONSENSUS:
+                raise ValueError(f"unknown status {status!r}")
+
+    for frames, _, positions in _chunks(Path(path), n, "skeleton", len(JOINT_NAMES), parse):
+        yield frames, positions
 
 
 # -- bone transforms -------------------------------------------------------

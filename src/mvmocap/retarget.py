@@ -20,17 +20,17 @@ because rigs carry their own bone offsets.
 
 Frames are linked only where a bone lacks data: it then holds its last
 good rotation, the identity before the first. That hold is a forward fill
-along the frames, so a stream is retargeted a chunk of up to CHUNK_FRAMES
-frames at a time: the chunk's skeletons become one (N, 15, 3) array, NaN
-where a joint is not ok, and the chain runs once per tree depth over
-(N, b, 3, 3) stacks of that depth's b bones. Each bone's last rotation is
-carried into the next chunk, so at most one chunk is held in memory.
+along the frames, so a stream is retargeted one chunk at a time, as the
+skeleton reader yields it: (N, 15, 3) joints, NaN where a joint is not ok,
+and the chain runs once per tree depth over (N, b, 3, 3) stacks of that
+depth's b bones. `retarget` reads chunks of CHUNK_FRAMES frames. Each bone's
+last rotation is carried into the next chunk, so at most one chunk is held
+in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -44,7 +44,7 @@ PARALLEL_TOL = 1e-6
 # Below this length (mm) a bone's endpoints coincide and give no direction.
 MIN_BONE_LENGTH = 1e-6
 
-# Frames retargeted together by retarget_chunks.
+# Frames per chunk that `retarget` reads and retarget_chunks retargets together.
 CHUNK_FRAMES = 256
 
 _STATUS = (STATUS_FELL_BACK, STATUS_OK)  # indexed by the bone's ok flag
@@ -140,14 +140,12 @@ def retarget_frame(skeleton: Skeleton3D, previous: BoneTransformSet | None = Non
     )
 
 
-def retarget_chunks(skeletons):
-    """Retarget an in-order skeleton stream, holding rotations across gaps: per chunk of
-    up to CHUNK_FRAMES frames, the frame indices, the (N, B, 3, 3) rotations and the
-    (N, B) ok flags, bones in BONES order."""
+def retarget_chunks(chunks):
+    """Retarget an in-order stream of (frames, (N, 15, 3) joints) chunks, holding rotations
+    across gaps: per chunk, the frame indices, the (N, B, 3, 3) rotations and the (N, B)
+    ok flags, bones in BONES order."""
     held = np.broadcast_to(np.eye(3), (len(BONES), 3, 3))
-    stream = iter(skeletons)
-    while chunk := [(s.frame, s.positions) for s in islice(stream, CHUNK_FRAMES)]:
-        frames, points = zip(*chunk)
-        rot, ok = _rotations(np.stack(points), held)
+    for frames, points in chunks:
+        rot, ok = _rotations(points, held)
         held = rot[-1].copy()
         yield frames, rot, ok

@@ -30,10 +30,10 @@ runaway cap MAX_CANDIDATES trimmed, are slab-tested one cube per column;
 only the cubes with sigma votes (about one in eight) get a center. The search
 reads a (J, V, 3) table of (u, v, confidence), one column per calibrated
 view in view-id order, NaN where a view has no detection.
-estimate_joints and estimate_joint take that table as it is;
-estimate_skeletons lays it out with keypoint_table; a frame's keypoint table
-may list the views in any order. Results are independent of that order and
-of which other joints share the search: votes are integer counts per cube,
+estimate_joints and estimate_joint take that table as it is, and
+estimate_skeletons a chunk's (N, V, 14, 3) table of it, as io.read_keypoints
+lays it out whatever order a frame lists its views in. Results are
+independent of which other joints share the search: votes are integer counts per cube,
 the runaway cap and the candidates are per joint in canonical order, and
 the triangulation stacks its rows in view-id order.
 
@@ -141,16 +141,6 @@ class JointObservationFrame:
     frame: int
     view_ids: list[int]
     table: np.ndarray
-
-
-def keypoint_table(frames: list[JointObservationFrame], column: dict[int, int]) -> np.ndarray:
-    """The frames' keypoint tables as one (N, len(column), 14, 3) array, view id v in column column[v]
-    (the calibrated views by ascending id), all NaN where a frame does not list the view.
-    Raises KeyError for a listed view that column does not hold."""
-    table = np.full((len(frames), len(column), len(DETECTED_JOINTS), 3), np.nan)
-    for f, frame in enumerate(frames):
-        table[f, [column[v] for v in frame.view_ids]] = frame.table
-    return table
 
 
 @dataclass
@@ -400,25 +390,26 @@ def _cap_frontier(centers: np.ndarray, jid: np.ndarray, limit: int) -> tuple[np.
 
 
 def estimate_skeleton(frame: JointObservationFrame, cameras: list[CameraParams], config: EstimatorConfig) -> Skeleton3D:
-    """Estimate the skeleton of one frame; see estimate_skeletons."""
-    return estimate_skeletons([frame], cameras, config)[0]
+    """Estimate the skeleton of one frame; see estimate_skeletons. Raises KeyError
+    when the frame lists a view that is not calibrated."""
+    column = {v: i for i, v in enumerate(stack_cameras(cameras).ids)}
+    table = np.full((1, len(column), len(DETECTED_JOINTS), 3), np.nan)
+    table[0, [column[v] for v in frame.view_ids]] = frame.table
+    return Skeleton3D(frame.frame, estimate_skeletons(table, cameras, config)[0])
 
 
-def estimate_skeletons(
-    frames: list[JointObservationFrame], cameras: list[CameraParams], config: EstimatorConfig
-) -> list[Skeleton3D]:
-    """Estimate every detected joint of every frame in one search, then synthesize each root.
+def estimate_skeletons(table: np.ndarray, cameras: list[CameraParams], config: EstimatorConfig) -> np.ndarray:
+    """The (N, 15, 3) joints of N frames' (N, V, 14, 3) keypoint table, NaN where not ok.
 
-    Row f * J + j of the search is detected joint j of frames[f]. The pelvis
-    root, which 2D detection does not produce, is the midpoint of the two
-    hip estimates, or no_consensus when either hip is missing. Raises
-    KeyError when a frame lists a view that is not calibrated.
+    Every detected joint of every frame is searched at once: row f * J + j
+    of the search is detected joint j of frame f. The pelvis root, which 2D
+    detection does not produce, is the midpoint of the two hip estimates, or
+    no_consensus when either hip is missing.
     """
-    view_ids, K, R, t = stack_cameras(cameras)
-    table = keypoint_table(frames, {v: i for i, v in enumerate(view_ids)}).transpose(0, 2, 1, 3)  # (N, 14, V, 3)
-    found = _search(table.reshape(-1, len(view_ids), 3), K, R, t, config)
+    _, K, R, t = stack_cameras(cameras)
+    found = _search(table.transpose(0, 2, 1, 3).reshape(-1, table.shape[1], 3), K, R, t, config)  # (N * 14, V, 3)
     n = len(DETECTED_JOINTS)
-    points = np.full((len(frames), len(JOINT_NAMES), 3), np.nan)
+    points = np.full((len(table), len(JOINT_NAMES), 3), np.nan)
     points[found.ok // n, found.ok % n] = found.positions  # detected joint j is row j
     points[:, ROOT_JOINT] = 0.5 * (points[:, 8] + points[:, 11])  # the hips' midpoint, NaN unless both are ok
-    return [Skeleton3D(frame.frame, p) for frame, p in zip(frames, points)]
+    return points

@@ -28,6 +28,13 @@ and recovers.
 a time, from the 3-vectors of `bone_vector`, against which the chunked
 stacks of `retarget.retarget_chunks` are checked through
 `retarget_sequence`, which reads them as one BoneTransformSet per frame.
+`skeleton_chunks` cuts Skeleton3Ds into the (frames, positions) chunks of
+`retarget.CHUNK_FRAMES` frames that `retarget.retarget_chunks` takes.
+`read_skeletons` and `read_keypoints` read a stream one record at a time,
+as Skeleton3Ds and as JointObservationFrames, views in listed order, over
+the chunk readers of `io`. `estimate_frames` lays JointObservationFrames out
+in one keypoint table by calibrated column, as `io.read_keypoints` does, and
+estimates them with `voxel.estimate_skeletons`, one Skeleton3D per frame.
 `rotations_per_bone` is the chunk chain one bone at a time over (N, 3, 3)
 stacks, BONES order, ok rows only, the hold as a count of ok frames,
 against which `retarget._rotations`, one pass per tree depth over
@@ -57,15 +64,19 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from mvmocap import voxel
+from mvmocap import io as mio
+from mvmocap import retarget, voxel
 from mvmocap.retarget import (
     MIN_BONE_LENGTH, PARALLEL_TOL, STATUS_FELL_BACK, _PARENT, BoneTransformSet, _posed_frame, retarget_chunks,
 )
-from mvmocap.skeleton import BONES, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, rotation_about_axis
+from mvmocap.skeleton import (
+    BONES, DETECTED_JOINTS, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, rotation_about_axis,
+)
 from mvmocap.voxel import (
     _BOX_PAD,
     _CORNER_SIGNS,
     JointEstimate,
+    JointObservationFrame,
     _rays,
     _slab_votes,
     _subdivide,
@@ -477,11 +488,45 @@ def retarget_frame_alone(skeleton, previous=None):
     return BoneTransformSet(frame=skeleton.frame, transforms=transforms, statuses=statuses)
 
 
+def skeleton_chunks(skeletons):
+    """The (frames, (N, 15, 3) positions) chunks of retarget.CHUNK_FRAMES skeletons each, as the reader yields them."""
+    skeletons = list(skeletons)
+    n = retarget.CHUNK_FRAMES
+    for start in range(0, len(skeletons), n):
+        chunk = skeletons[start : start + n]
+        yield [s.frame for s in chunk], np.stack([s.positions for s in chunk])
+
+
+def read_skeletons(path):
+    """One Skeleton3D per record of the skeleton stream at path."""
+    for frames, positions in mio.read_skeletons(path, 16):
+        yield from map(Skeleton3D, frames, positions)
+
+
+def read_keypoints(path, calibrated):
+    """One JointObservationFrame per record of the keypoint stream at path, its
+    views in listed order; calibrated holds the calibrated camera ids."""
+    ids = sorted(calibrated)
+    for frames, (rows, columns), table in mio.read_keypoints(path, {v: c for c, v in enumerate(ids)}, 16):
+        for k, frame in enumerate(frames):
+            listed = [c for r, c in zip(rows, columns) if r == k]
+            yield JointObservationFrame(frame, [ids[c] for c in listed], table[k, listed])
+
+
+def estimate_frames(frames, cameras, config):
+    """voxel.estimate_skeletons of JointObservationFrames laid out by calibrated column, one Skeleton3D per frame."""
+    column = {v: c for c, v in enumerate(sorted(camera.id for camera in cameras))}
+    table = np.full((len(frames), len(column), len(DETECTED_JOINTS), 3), np.nan)
+    for f, frame in enumerate(frames):
+        table[f, [column[v] for v in frame.view_ids]] = frame.table
+    return [Skeleton3D(frame.frame, p) for frame, p in zip(frames, voxel.estimate_skeletons(table, cameras, config))]
+
+
 def retarget_sequence(skeletons):
     """retarget_chunks' stacks as one BoneTransformSet per frame, in order: each
     rotation in a 4x4 with zero translation, each ok flag as STATUS_OK or
     STATUS_FELL_BACK."""
-    for frames, rot, ok in retarget_chunks(skeletons):
+    for frames, rot, ok in retarget_chunks(skeleton_chunks(skeletons)):
         for frame, rotations, flags in zip(frames, rot, ok):
             transforms, statuses = {}, {}
             for bone, r, flag in zip(BONES, rotations, flags):

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cube_vertices, joint_ok, joint_statuses, mean_length, overlay_svg, read_transforms
+from oracles import (
+    cube_vertices, joint_ok, joint_statuses, mean_length, overlay_svg, read_keypoints, read_skeletons, read_transforms,
+)
 
 import mvmocap
 from mvmocap import io as mio
@@ -56,7 +58,7 @@ def test_full_pipeline(tmp_path):
         "--out", str(overlays),
     ]) == EXIT_OK
 
-    skeletons = list(mio.read_skeletons(skel))
+    skeletons = list(read_skeletons(skel))
     assert len(skeletons) == 4
     assert all(joint_ok(s, i) for s in skeletons for i in range(15))
 
@@ -87,7 +89,7 @@ def test_sigma_above_camera_count_warns_and_degrades(tmp_path, capsys):
     ]) == EXIT_OK
     err = capsys.readouterr().err
     assert "warning" in err and "sigma=6" in err
-    for s in mio.read_skeletons(skel):
+    for s in read_skeletons(skel):
         assert set(joint_statuses(s).values()) == {STATUS_NO_CONSENSUS}
 
 
@@ -110,7 +112,7 @@ def test_volume_not_in_front_of_sigma_cameras_warns(tmp_path, capsys, volume, fa
         depths = [(corners @ cam.rotation.T + cam.translation)[:, 2] for cam in mio.load_cameras(scene / "calib.json")]
         assert sum(bool(d.min() > 0.0) for d in depths) == facing
     assert capsys.readouterr().err == ""
-    statuses = {status for s in mio.read_skeletons(skel) for status in joint_statuses(s).values()}
+    statuses = {status for s in read_skeletons(skel) for status in joint_statuses(s).values()}
     assert statuses == {STATUS_OK}
 
 
@@ -130,7 +132,7 @@ def test_eval_uniform_offset_is_exact(tmp_path):
     scene = run_synth(tmp_path, frames=3)
     shifted_path = tmp_path / "shifted.jsonl"
     shifted = []
-    for s in mio.read_skeletons(scene / "truth.jsonl"):
+    for s in read_skeletons(scene / "truth.jsonl"):
         s.positions = s.positions + np.array([5.0, 0.0, 0.0])
         shifted.append(s)
     mio.write_skeletons(shifted_path, shifted)
@@ -151,9 +153,9 @@ def test_eval_report_mean_and_joint_count(tmp_path):
     """The report's sequence mean is the mean of its per-frame errors, not of
     the pooled joints, and joint_count counts the joints compared."""
     scene = run_synth(tmp_path, frames=3)
-    truth = list(mio.read_skeletons(scene / "truth.jsonl"))
+    truth = list(read_skeletons(scene / "truth.jsonl"))
     shifted = []
-    for s, dx in zip(mio.read_skeletons(scene / "truth.jsonl"), (1.0, 2.0, 6.0)):
+    for s, dx in zip(read_skeletons(scene / "truth.jsonl"), (1.0, 2.0, 6.0)):
         s.positions = s.positions + np.array([dx, 0.0, 0.0])
         shifted.append(s)
     shifted[1].positions[4] = np.nan  # one joint dropped in one frame
@@ -193,9 +195,11 @@ def test_reconstruct_defaults_are_the_estimators():
         (["--sigma", "1", "--keypoints", "missing"],
          "invalid estimator settings: sigma must be at least 2 (two perspectives fix a point)"),
         (["--volume", "4000x3000x4000@a,0,0", "--sigma", "1"], "--volume center expects numeric X,Y,Z, got 'a,0,0'"),
+        (["--delta", "", "--calib", "missing"], "--delta expects WxHxL, got ''"),
+        (["--volume", "", "--calib", "missing"], "--volume expects WxHxL, got ''"),
     ],
     ids=["syntax-before-calib", "calib-before-range", "syntax-before-out", "out-before-range",
-         "range-before-keypoints", "syntax-before-range"],
+         "range-before-keypoints", "syntax-before-range", "empty-delta-before-calib", "empty-volume-before-calib"],
 )
 def test_reconstruct_reports_errors_in_order(tmp_path, capsys, flags, reported):
     """Of several errors, reconstruct reports only the first in this order:
@@ -248,6 +252,138 @@ def test_overlay_frame_mismatch_exits_3(tmp_path, capsys, edited, order):
     ]) == EXIT_MISMATCH
     state = {"skeleton": "keypoints frame 2, skeleton ended", "keypoints": "keypoints ended, skeleton frame 2"}[edited]
     assert f"error: streams out of step: {state}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [16, 1])
+@pytest.mark.parametrize("command", ["eval", "render-overlay"])
+def test_stream_ending_on_a_chunk_boundary_exits_3(tmp_path, capsys, monkeypatch, command, chunk):
+    """17 estimated frames against 16 truth frames (eval), or 17 keypoint frames
+    against 16 skeleton frames (render-overlay): the short stream ends exactly
+    where a chunk of 16 or of 1 ends, and the step after it is the mismatch."""
+    monkeypatch.setattr(cli, "REPROJECT_CHUNK_FRAMES", chunk)
+    scene = run_synth(tmp_path, frames=17)
+    short = _pick_lines(scene / "truth.jsonl", tmp_path / "short.jsonl", range(16))
+    calib = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl")]
+    if command == "eval":
+        inputs = ["--skeleton", str(scene / "truth.jsonl"), "--truth", str(short), *calib]
+        state = "estimated frame 16, truth ended, keypoints frame 16"
+    else:
+        inputs = [*calib, "--skeleton", str(short)]
+        state = "keypoints frame 16, skeleton ended"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out / "report")]) == EXIT_MISMATCH
+    assert capsys.readouterr().err == f"error: streams out of step: {state}\n"
+    assert not out.exists()
+
+
+# The streams each command reads together, in the order it names them, and the flag and the record kind of each.
+ORDER_STREAMS = {
+    "eval": {"estimated": ("--skeleton", "skeleton"), "truth": ("--truth", "skeleton"), "keypoints": ("--keypoints", "keypoint")},
+    "render-overlay": {"keypoints": ("--keypoints", "keypoint"), "skeleton": ("--skeleton", "skeleton")},
+}
+ORDER_CASES = [
+    (command, mismatched, broken, steps)
+    for command, streams in ORDER_STREAMS.items()
+    for mismatched in streams
+    for broken in streams
+    if broken != mismatched
+    for steps in [(3, 9), (9, 2), (3, 3)]
+]
+
+
+@pytest.fixture(scope="module")
+def order_scene(tmp_path_factory):
+    """A 12-frame walk: its calibration, keypoint lines and truth lines."""
+    root = tmp_path_factory.mktemp("order")
+    assert main(["synth", "--preset", "walk", "--frames", "12", "--seed", "7", "--out", str(root)]) == EXIT_OK
+    return {"root": root, "calib": root / "calib.json",
+            "keypoint": (root / "keypoints.jsonl").read_text(encoding="utf-8").splitlines(),
+            "skeleton": (root / "truth.jsonl").read_text(encoding="utf-8").splitlines()}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "chunk-default"])
+@pytest.mark.parametrize("command, mismatched, broken, steps", ORDER_CASES,
+                         ids=[f"{c}-{m}-step-{s[0]}-{b}-step-{s[1]}" for c, m, b, s in ORDER_CASES])
+def test_first_problem_in_step_order_is_reported(tmp_path, capsys, monkeypatch, order_scene, command, mismatched,
+                                                 broken, steps, chunk):
+    """Streams read together report the first problem in step order, whatever
+    the chunk length: the mismatched stream leaves out the frame of its step,
+    and the broken stream's record at its step is not a JSON object. A
+    mismatch at an earlier step than the bad record exits 3, and a bad record
+    at the same or an earlier step exits 2 at its line."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "REPROJECT_CHUNK_FRAMES", chunk)
+    mismatch_step, error_step = steps
+    streams = ORDER_STREAMS[command]
+    paths = {}
+    for name, (_, kind) in streams.items():
+        lines = list(order_scene[kind])
+        if name == mismatched:
+            del lines[mismatch_step]
+        if name == broken:
+            lines[error_step] = "[1]"
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = [command, "--calib", str(order_scene["calib"])]
+    argv += [word for name, (flag, _) in streams.items() for word in (flag, str(paths[name]))]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*argv, "--out", str(out / "report")])
+    err = capsys.readouterr().err
+    if mismatch_step < error_step:
+        assert code == EXIT_MISMATCH
+        state = ", ".join(f"{name} frame {mismatch_step + (name == mismatched)}" for name in streams)
+        assert err == f"error: streams out of step: {state}\n"
+    else:
+        assert code == EXIT_PARSE
+        record = streams[broken][1]
+        assert err == f"error: {paths[broken]}:{error_step + 1}: bad {record} record: the record is not a JSON object\n"
+    assert not out.exists()
+
+
+# Each command that reads a stream, with the flag it reads it from.
+STREAM_READERS = {
+    "keypoint": [("reconstruct", "--keypoints"), ("eval", "--keypoints"), ("render-overlay", "--keypoints")],
+    "skeleton": [("retarget", "--skeleton"), ("eval", "--skeleton"), ("eval", "--truth"),
+                 ("render-overlay", "--skeleton")],
+}
+READER_CASES = [(kind, command, flag) for kind, readers in STREAM_READERS.items() for command, flag in readers]
+
+
+@pytest.mark.parametrize("chunk", [1, None], ids=["chunk-1", "chunk-default"])
+@pytest.mark.parametrize("kind, command, flag", READER_CASES, ids=[f"{k}-{c}{f}" for k, c, f in READER_CASES])
+def test_overflow_on_line_2_is_reported_before_a_missing_field_on_line_3(tmp_path, capsys, monkeypatch, order_scene,
+                                                                         kind, command, flag, chunk):
+    """A number that json reads as inf is found when a record's numbers are
+    converted, and a missing field when its fields are read; within one
+    stream the earlier line is reported, through every command reading it."""
+    if chunk is not None:
+        for module, name in ((voxel, "CHUNK_FRAMES"), (retarget, "CHUNK_FRAMES"), (cli, "REPROJECT_CHUNK_FRAMES")):
+            monkeypatch.setattr(module, name, chunk)
+    lines = list(order_scene[kind])
+    field = '"u": ' if kind == "keypoint" else '"p": ['
+    at = lines[1].index(field) + len(field)
+    lines[1] = lines[1][:at] + "1e400" + lines[1][lines[1].index(",", at):]
+    third = json.loads(lines[2])
+    del third["frame"]
+    lines[2] = json.dumps(third)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    root = order_scene["root"]
+    inputs = {"--calib": root / "calib.json", "--keypoints": root / "keypoints.jsonl",
+              "--skeleton": root / "truth.jsonl", "--truth": root / "truth.jsonl"}
+    wanted = {"reconstruct": ["--calib", "--keypoints"], "retarget": ["--skeleton"],
+              "eval": ["--skeleton", "--truth", "--calib", "--keypoints"],
+              "render-overlay": ["--calib", "--keypoints", "--skeleton"]}[command]
+    inputs[flag] = bad
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *(word for f in wanted for word in (f, str(inputs[f]))), "--out", str(out / "o")]) == EXIT_PARSE
+    record = json.loads(order_scene[kind][1])
+    first = (record["views"][0] if kind == "keypoint" else record)["joints"][0]["idx"]  # the joint of the first number
+    assert capsys.readouterr().err == f"error: {bad}:2: bad {kind} record: non-finite number for joint {first}\n"
+    assert not out.exists()
 
 
 def test_eval_with_nothing_to_compare_exits_2(tmp_path, capsys):
@@ -804,7 +940,7 @@ def test_out_naming_no_file_exits_2(tmp_path, capsys, monkeypatch, command, out)
 def _overflowing_skeletons(scene, path, frames=3):
     """The scene's first truth frames with the head at x = 1e308 and the neck
     at x = -1e308: finite numbers whose distance overflows to inf."""
-    skeletons = list(mio.read_skeletons(scene / "truth.jsonl"))[:frames]
+    skeletons = list(read_skeletons(scene / "truth.jsonl"))[:frames]
     for skel in skeletons:
         skel.positions[0, 0], skel.positions[1, 0] = 1e308, -1e308
     mio.write_skeletons(path, skeletons)
@@ -855,7 +991,7 @@ def test_overlay_non_finite_reprojection_exits_2(tmp_path, capsys, first):
     such frame and view, and leaves no SVG with an inf coordinate behind."""
     scene = run_synth(tmp_path, frames=3)
     huge = _overflowing_skeletons(scene, tmp_path / "huge.jsonl")
-    truth, overflowing = list(mio.read_skeletons(scene / "truth.jsonl")), list(mio.read_skeletons(huge))
+    truth, overflowing = list(read_skeletons(scene / "truth.jsonl")), list(read_skeletons(huge))
     mio.write_skeletons(huge, truth[:first] + overflowing[first:])  # frames before `first` stay finite
     out = tmp_path / "overlay"
     inputs = ["--calib", str(scene / "calib.json"), "--keypoints", str(scene / "keypoints.jsonl"), "--skeleton", str(huge)]
@@ -909,7 +1045,7 @@ def test_overlay_svgs_are_the_oracles_bytes(tmp_path):
                  "--skeleton", str(skel), "--out", str(out)]) == EXIT_OK
     cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
     expected = {}
-    for obs, est in zip(mio.read_keypoints(keypoints, cameras), mio.read_skeletons(skel), strict=True):
+    for obs, est in zip(read_keypoints(keypoints, cameras), read_skeletons(skel), strict=True):
         for r, view_id in enumerate(obs.view_ids):
             cam = cameras[view_id]
             svg = overlay_svg(cam, obs.table[r, :, :2], project(est.positions, cam))
@@ -1024,7 +1160,7 @@ def test_retarget_chunks_write_the_bytes_of_single_frames(tmp_path, monkeypatch)
     at the default chunk length, on a stream whose gaps begin it and span
     chunk boundaries, so that held rotations carry from chunk to chunk."""
     scene = run_synth(tmp_path, frames=8)
-    skeletons = list(mio.read_skeletons(scene / "truth.jsonl"))
+    skeletons = list(read_skeletons(scene / "truth.jsonl"))
     # Torso (root 14) at the start, then l_lower_arm (hand 7) over frames 1-3 and r_lower_leg (foot 10) over 3-6.
     missing = {0: (14,), 1: (14, 7), 2: (7,), 3: (7, 10), 4: (10,), 5: (10,), 6: (10,)}
     for f, joints in missing.items():
@@ -1073,7 +1209,7 @@ def test_eval_and_overlay_chunks_write_the_bytes_of_single_frames(tmp_path, monk
     assert outputs(1) == default
     # The edited frames' overlays are those of one projection per view.
     cameras = {c.id: c for c in mio.load_cameras(scene / "calib.json")}
-    skeletons, observed = list(mio.read_skeletons(skel)), list(mio.read_keypoints(keypoints, cameras))
+    skeletons, observed = list(read_skeletons(skel)), list(read_keypoints(keypoints, cameras))
     for f in (3, frames - 2):
         for r, view_id in enumerate(observed[f].view_ids):
             cam = cameras[view_id]
@@ -1093,7 +1229,7 @@ def test_eval_reports_are_the_bytes_of_a_per_frame_oracle_loop(tmp_path, capsys)
     skel = tmp_path / "skel.jsonl"
     assert main(["reconstruct", "--calib", str(calib), "--keypoints", str(scene / "keypoints.jsonl"),
                  "--delta", "20x20x20", "--out", str(skel)]) == EXIT_OK
-    skeletons = list(mio.read_skeletons(skel))
+    skeletons = list(read_skeletons(skel))
     skeletons[20].positions[:] = np.nan
     mio.write_skeletons(skel, skeletons)
     records = [json.loads(line) for line in (scene / "keypoints.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -1110,7 +1246,7 @@ def test_eval_reports_are_the_bytes_of_a_per_frame_oracle_loop(tmp_path, capsys)
 
     cameras = {c.id: c for c in mio.load_cameras(calib)}
     per_frame, frames_used, joint_count, sums, counts = [], [], 0, {}, {}
-    for est, tru, obs in zip(skeletons, mio.read_skeletons(truth), mio.read_keypoints(keypoints, cameras), strict=True):
+    for est, tru, obs in zip(skeletons, read_skeletons(truth), read_keypoints(keypoints, cameras), strict=True):
         d = est.positions - tru.positions
         if (mean := mean_length(d)) is not None:
             per_frame.append(mean)
@@ -1286,7 +1422,7 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
     scene = run_synth(tmp_path, frames=1)
     # Remove joint 0 (head) from every view's detections.
     lines = []
-    for frame in mio.read_keypoints(scene / "keypoints.jsonl", {c.id for c in mio.load_cameras(scene / "calib.json")}):
+    for frame in read_keypoints(scene / "keypoints.jsonl", {c.id for c in mio.load_cameras(scene / "calib.json")}):
         frame.table[:, 0] = np.nan
         lines.append(frame)
     mio.write_keypoints(scene / "keypoints.jsonl", lines)
@@ -1297,7 +1433,7 @@ def test_overlay_dropped_joint_red_absent_blue_present(tmp_path):
         "--keypoints", str(scene / "keypoints.jsonl"), "--out", str(skel),
     ])
     # Hand-place the head estimate so the blue marker exists: reuse truth.
-    truth = list(mio.read_skeletons(scene / "truth.jsonl"))
+    truth = list(read_skeletons(scene / "truth.jsonl"))
     mio.write_skeletons(skel, truth)
     overlays = tmp_path / "ov"
     main([

@@ -8,7 +8,10 @@ from oracles import (
     calibration_text,
     joint_statuses,
     keypoint_line_per_value,
+    read_keypoints,
+    read_skeletons,
     read_transforms,
+    skeleton_chunks,
     skeleton_line_per_value,
     snap_rotation,
     transform_line_per_value,
@@ -109,7 +112,7 @@ def test_keypoints_round_trip(tmp_path):
     frames = render_observations(scene)
     path = tmp_path / "kp.jsonl"
     mio.write_keypoints(path, frames)
-    loaded = list(mio.read_keypoints(path, {c.id for c in scene.cameras}))
+    loaded = list(read_keypoints(path, {c.id for c in scene.cameras}))
     assert [f.frame for f in loaded] == [0, 1, 2]
     for orig, back in zip(frames, loaded):
         assert orig.view_ids == back.view_ids
@@ -131,11 +134,11 @@ def test_skeleton_round_trip_preserves_statuses(tmp_path):
     )
     path = tmp_path / "skel.jsonl"
     mio.write_skeletons(path, [skel, rootless])
-    loaded, loaded_rootless = mio.read_skeletons(path)
+    loaded, loaded_rootless = read_skeletons(path)
     assert loaded.frame == 7
     assert joint_statuses(loaded) == joint_statuses(skel)
     assert np.allclose(loaded.positions[0], skel.positions[0], atol=1e-6)
-    assert mio.skeleton_line(rootless).endswith('{"idx": 13, "status": "ok", "p": [13.000000, 13.000000, 13.000000]}, '
+    assert mio.skeleton_line(rootless.frame, rootless.positions).endswith('{"idx": 13, "status": "ok", "p": [13.000000, 13.000000, 13.000000]}, '
                                                 '{"idx": 14, "status": "no_consensus"}]}')
     assert joint_statuses(loaded_rootless) == joint_statuses(rootless)
 
@@ -143,10 +146,10 @@ def test_skeleton_round_trip_preserves_statuses(tmp_path):
 def test_skeleton_record_leaving_a_joint_out_reads_as_nan_row(tmp_path):
     path = tmp_path / "skel.jsonl"
     path.write_text('{"frame": 0, "joints": [{"idx": 2, "status": "ok", "p": [1, 2.5, -3]}]}\n', encoding="utf-8")
-    (skel,) = mio.read_skeletons(path)
+    (skel,) = read_skeletons(path)
     assert np.array_equal(skel.positions[2], [1.0, 2.5, -3.0])
     assert np.isnan(np.delete(skel.positions, 2, axis=0)).all()
-    joints = mio.skeleton_line(skel).split('"joints": ')[1]
+    joints = mio.skeleton_line(skel.frame, skel.positions).split('"joints": ')[1]
     assert joints.count('"status": "no_consensus"') == 14 and joints.count('"idx"') == 15
 
 
@@ -154,7 +157,7 @@ def test_transform_round_trip(tmp_path):
     scene = generate_scene("wave", frames=1, seed=6)
     tset = retarget_frame(scene.truth[0])
     path = tmp_path / "anim.jsonl"
-    mio.write_transforms(path, retarget_chunks(scene.truth))
+    mio.write_transforms(path, retarget_chunks(skeleton_chunks(scene.truth)))
     loaded = list(read_transforms(path))[0]
     assert loaded.frame == tset.frame
     assert loaded.statuses == tset.statuses
@@ -208,17 +211,17 @@ def test_write_transforms_is_the_per_value_writer(tmp_path_factory, chunks):
 
 def test_floats_serialized_with_fixed_precision(tmp_path):
     skel = Skeleton3D(0, {0: np.array([1.0, 0.5, -2.0])})
-    line = mio.skeleton_line(skel)
+    line = mio.skeleton_line(skel.frame, skel.positions)
     assert '"p": [1.000000, 0.500000, -2.000000]' in line
     rows = np.full((15, 3), np.nan)
     rows[0] = [1.0, 0.5, -2.0]
-    assert mio.skeleton_line(Skeleton3D(0, rows)) == line  # the array form writes what the mapping form does
+    assert mio.skeleton_line(0, Skeleton3D(0, rows).positions) == line  # the array form writes what the mapping form does
 
 
 def test_negative_zero_is_written_as_zero():
     for x, text in ((-0.0, "0.000000"), (-1e-12, "0.000000"), (-4.9e-7, "0.000000"),
                     (-6e-7, "-0.000001"), (4.9e-7, "0.000000")):
-        assert f'"p": [{text}, {text}, {text}]' in mio.skeleton_line(Skeleton3D(0, {0: np.full(3, x)}))
+        assert f'"p": [{text}, {text}, {text}]' in mio.skeleton_line(0, Skeleton3D(0, {0: np.full(3, x)}).positions)
 
 
 # Floats around the writers' edges: the band (-5e-7, 0] that rounds to an
@@ -238,7 +241,7 @@ ROWS = st.one_of(st.just(NAN_ROW), st.lists(EDGE_FLOATS, min_size=3, max_size=3)
 @given(frame=st.integers(0, 10**9), rows=st.lists(ROWS, min_size=len(JOINT_NAMES), max_size=len(JOINT_NAMES)))
 def test_skeleton_line_is_the_per_value_writer(frame, rows):
     skel = Skeleton3D(frame, np.array(rows, dtype=float))
-    assert mio.skeleton_line(skel) == skeleton_line_per_value(skel)
+    assert mio.skeleton_line(skel.frame, skel.positions) == skeleton_line_per_value(skel)
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,7 +280,7 @@ def test_parse_error_carries_file_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame": 0, "joints": []}\nnot json\n', encoding="utf-8")
     with pytest.raises(mio.InputParseError, match=r"bad\.jsonl:2"):
-        list(mio.read_skeletons(path))
+        list(read_skeletons(path))
 
 
 @pytest.mark.parametrize("stream", ["keypoints", "skeletons"])
@@ -288,10 +291,10 @@ def test_parse_error_names_the_line_in_the_file(tmp_path, stream):
     path = tmp_path / "stream.jsonl"
     if stream == "keypoints":
         mio.write_keypoints(path, render_observations(scene))
-        read = lambda p: mio.read_keypoints(p, {c.id for c in scene.cameras})
+        read = lambda p: read_keypoints(p, {c.id for c in scene.cameras})
     else:
         mio.write_skeletons(path, scene.truth)
-        read = mio.read_skeletons
+        read = read_skeletons
     first, second = path.read_text(encoding="utf-8").splitlines()
     path.write_text(f"{first}\n\n  \n{second}\nnot json\n", encoding="utf-8")
     with pytest.raises(mio.InputParseError, match=r"stream\.jsonl:5: "):
@@ -309,14 +312,14 @@ def test_non_ascii_lines_are_checked_as_utf8(tmp_path, tail, reason):
     path = tmp_path / "stream.jsonl"
     path.write_bytes('{"frame": 0, "note": "é", "joints": []}\r\n'.encode() + tail)
     if reason is None:
-        assert [s.frame for s in mio.read_skeletons(path)] == [0]
+        assert [s.frame for s in read_skeletons(path)] == [0]
     else:
         with pytest.raises(mio.InputParseError, match=rf"stream\.jsonl:2: invalid UTF-8: {reason}$"):
-            list(mio.read_skeletons(path))
+            list(read_skeletons(path))
 
 
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(mio.InputParseError):
-        list(mio.read_skeletons(tmp_path / "absent.jsonl"))
+        list(read_skeletons(tmp_path / "absent.jsonl"))
     with pytest.raises(mio.InputParseError):
         mio.load_cameras(tmp_path / "absent.json")

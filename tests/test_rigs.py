@@ -28,11 +28,11 @@ import itertools
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import estimate_fields, estimate_joint_alone
+from oracles import estimate_fields, estimate_frames, estimate_joint_alone
 
 from mvmocap.geometry import CameraParams, project
 from mvmocap.skeleton import DETECTED_JOINTS, STATUS_OK
-from mvmocap.voxel import EstimatorConfig, JointObservationFrame, estimate_joints, estimate_skeletons
+from mvmocap.voxel import EstimatorConfig, JointObservationFrame, estimate_joints
 
 VOLUME = EstimatorConfig().initial_volume
 HALF = np.asarray(VOLUME.edges) / 2.0
@@ -139,11 +139,11 @@ def test_results_do_not_depend_on_camera_order_or_chunk(scene, data):
         rows = data.draw(st.permutations(range(len(rig))))
         view_ids = sorted(c.id for c in rig)
         frames.append(JointObservationFrame(f, [view_ids[r] for r in rows], cells.transpose(1, 0, 2)[list(rows)]))
-    want = [s.positions.tobytes() for s in estimate_skeletons(frames, rig, config)]
+    want = [s.positions.tobytes() for s in estimate_frames(frames, rig, config)]
     shuffled = data.draw(st.permutations(rig))
     split = data.draw(st.integers(1, n_frames - 1))
     for chunks in ([[f] for f in frames], [frames[:split], frames[split:]]):
-        got = [s.positions.tobytes() for chunk in chunks for s in estimate_skeletons(chunk, shuffled, config)]
+        got = [s.positions.tobytes() for chunk in chunks for s in estimate_frames(chunk, shuffled, config)]
         assert got == want
 
 

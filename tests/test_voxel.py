@@ -8,6 +8,7 @@ from oracles import (
     cube_vertices,
     dlt_triangulate,
     estimate_fields,
+    estimate_frames,
     estimate_joint_alone,
     hull_contains,
     joint_ok,
@@ -32,7 +33,6 @@ from mvmocap.voxel import (
     estimate_joint,
     estimate_joints,
     estimate_skeleton,
-    estimate_skeletons,
 )
 
 HALF_DIAGONAL_10MM = np.sqrt(3) * 10.0 / 2.0  # 8.66 mm terminal bound
@@ -429,7 +429,7 @@ def test_chunk_matches_per_frame_estimates(monkeypatch):
     frames[3] = JointObservationFrame(f.frame, f.view_ids, np.stack([np.roll(t, r, axis=0) for r, t in enumerate(f.table)]))
     frames[4] = render_observations(generate_scene("walk", frames=6, seed=101))[4]  # noiseless: the cap cuts it
 
-    got = estimate_skeletons(frames, scene.cameras, config)
+    got = estimate_frames(frames, scene.cameras, config)
     want = [estimate_skeleton(f, scene.cameras, config) for f in frames]
     assert [_skeleton_fields(s) for s in got] == [_skeleton_fields(s) for s in want]
 
