@@ -211,8 +211,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         print(f"warning: sigma={cfg.sigma} exceeds the {len(cameras)} calibrated cameras; no joint can reach consensus",
               file=sys.stderr)
 
-    column = {view_id: v for v, view_id in enumerate(sorted(c.id for c in cameras))}  # stack_cameras' order
-    reader = mio.read_keypoints(args.keypoints, column, voxel.CHUNK_FRAMES)
+    # Columns in ascending camera id, the order in which estimate_skeletons stacks the cameras.
+    reader = mio.read_keypoints(args.keypoints, sorted(c.id for c in cameras), voxel.CHUNK_FRAMES)
     t0 = time.perf_counter()
     with _output(out_file) as part, open(part, "w", encoding="utf-8") as out:
         phases["write_output"] += (time.perf_counter() - t0) * 1e3  # creating the temporary file
@@ -289,8 +289,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise mio.InputParseError(f"missing required input(s): --{'keypoints' if args.calib else 'calib'}")
         cameras = mio.load_cameras(args.calib)
         views = stack_cameras(cameras, point_axes=1)
-        column = {view_id: v for v, view_id in enumerate(views.ids)}
-        streams.append(("keypoints", mio.read_keypoints(args.keypoints, column, n)))
+        streams.append(("keypoints", mio.read_keypoints(args.keypoints, views.ids, n)))
 
     per_frame = []
     frames_used = []
@@ -355,24 +354,25 @@ def cmd_render_overlay(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out)
     cameras = mio.load_cameras(args.calib)
     views = stack_cameras(cameras, point_axes=1)
-    column = {view_id: v for v, view_id in enumerate(views.ids)}
     sizes = [c.resolution for c in sorted(cameras, key=lambda c: c.id)]  # by column
     n = REPROJECT_CHUNK_FRAMES
     chunks = _lockstep(
         n,
-        ("keypoints", mio.read_keypoints(args.keypoints, column, n)),
+        ("keypoints", mio.read_keypoints(args.keypoints, views.ids, n)),
         ("skeleton", mio.read_skeletons(args.skeleton, n)),
     )
     written: list[str] = []
     with _directory(out_dir):
         try:
-            for (frames, (rows, columns), table), (_, positions) in chunks:
+            for (frames, listed, table), (_, positions) in chunks:
                 pixels = project(positions[:, None], views)  # (N, V, 15, 2)
                 if np.isinf(pixels).any():  # NaN marks a missing joint; inf, a position whose projection overflows
                     k, v = np.argwhere(np.isinf(pixels).any(axis=(2, 3)))[0]
                     raise mio.InputParseError(
                         f"{args.skeleton}: frame {frames[k]}: reprojection in view {views.ids[v]} is not finite")
-                # rows and columns hold the (frame, column) of each view a frame lists, in listed order.
+                # The (frame, column) of each view a frame lists, frame by frame in listed order.
+                rows = [k for k, frame_columns in enumerate(listed) for _ in frame_columns]
+                columns = [v for frame_columns in listed for v in frame_columns]
                 svgs = render_overlay_svgs([sizes[v] for v in columns], table[rows, columns, :, :2], pixels[rows, columns])
                 for k, v, svg in zip(rows, columns, svgs):
                     written.append(os.path.join(out_dir, f"frame_{frames[k]:04d}_view_{views.ids[v]}.svg"))

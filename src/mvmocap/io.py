@@ -30,12 +30,12 @@ with status "ok" or "no_consensus". Within a keypoint or skeleton stream the
 frame indices strictly increase.
 
 Both readers yield chunks of up to n frames as arrays. A keypoint chunk is a
-(k, V, 14, 3) table by calibrated column: cell [f, column[v], i] holds
-(u, v, c) of joint i in view v, all NaN where frame f does not list the view
-or the view has no detection of it. A skeleton chunk is (k, 15, 3) positions,
-row i of a frame for joint i, NaN where it is "no_consensus" or left out. The
-writers list views by ascending id and joints by ascending index, all 15 in
-a skeleton record.
+(k, V, 14, 3) table by calibrated column, each record parsed into place: cell
+[f, col, i] holds (u, v, c) of joint i in view ids[col], all NaN where frame
+f does not list the view or the view has no detection of it. A skeleton chunk
+is (k, 15, 3) positions, row i of a frame for joint i, NaN where it is
+"no_consensus" or left out. The writers list views by ascending id and joints
+by ascending index, all 15 in a skeleton record.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,14 +123,14 @@ def _objects(value, field: str) -> list:
 
 
 def _joint_table(cells: list, shape: tuple[int, ...]) -> np.ndarray:
-    """The decoded values of records, one flat list, as a float array of shape (..., joints, 3).
+    """The decoded values of records, one flat list, as a float array of shape (records, *shape), ending in (joints, 3).
 
     TypeError for a value that is not a JSON number, OverflowError for an
     integer too large for a double, and ValueError for an infinite one:
     json reads 1e400 as inf, and it has no NaN token, so every NaN is a
     cell the record left out.
     """
-    table = np.array(_numbers(cells), dtype=float).reshape(shape)
+    table = np.array(_numbers(cells), dtype=float).reshape(-1, *shape)
     if np.isinf(table).any():
         raise ValueError(f"non-finite number for joint {np.argwhere(np.isinf(table))[0, -2]}")
     return table
@@ -226,16 +226,17 @@ def write_keypoints(path: str | Path, frames: Iterable[JointObservationFrame]) -
             fh.write(keypoint_line(frame) + "\n")
 
 
-def read_keypoints(path: str | Path, column: Mapping[int, int], n: int) -> Iterator[tuple]:
-    """The keypoint stream at path in chunks of up to n frames (see _chunks): their frame indices, the
-    (frame, column) pairs of their listed views in file order, and their table by calibrated column.
-    A view id that column does not hold is an error."""
+def read_keypoints(path: str | Path, ids: Sequence[int], n: int) -> Iterator[tuple[list[int], list, np.ndarray]]:
+    """The keypoint stream at path in chunks of up to n frames (see _chunks): their frame indices, each
+    frame's listed columns in file order, and their table by calibrated column, ids holding the
+    calibrated camera ids in column order. A view id that ids does not hold is an error."""
+    column = {view_id: v for v, view_id in enumerate(ids)}
 
-    def parse(rec: dict, cells: list) -> list[int]:  # the columns of the record's views, their cells in file order
+    def parse(rec: dict, cells: list) -> list[int]:  # the columns of the record's views in file order, its cells by column
         views = _objects(rec["views"], "views")
         listed: list[int] = []
-        at = len(cells)
-        cells += [_UNLISTED] * (len(views) * _JOINTS * 3)
+        start = len(cells)
+        cells += [_UNLISTED] * (len(ids) * _JOINTS * 3)
         for view in views:
             view_id = _integer(view["view_id"])
             if view_id not in column:
@@ -243,6 +244,7 @@ def read_keypoints(path: str | Path, column: Mapping[int, int], n: int) -> Itera
             if column[view_id] in listed:
                 raise ValueError(f"view {view_id} listed twice")
             listed.append(column[view_id])
+            at = start + column[view_id] * _JOINTS * 3
             for j in _objects(view["joints"], "joints"):
                 idx, u, v, c = _KEYPOINT_FIELDS(j)
                 if type(idx) is not int:  # as _integer checks
@@ -253,19 +255,13 @@ def read_keypoints(path: str | Path, column: Mapping[int, int], n: int) -> Itera
                 if cells[k + 2] is not _UNLISTED:
                     raise ValueError(f"joint {idx} listed twice in view {view_id}")
                 cells[k], cells[k + 1], cells[k + 2] = u, v, c  # no slice: element stores are faster
-            at += _JOINTS * 3
         return listed
 
-    for frames, listed, cells in _chunks(Path(path), n, "keypoint", _JOINTS, parse):
-        rows = [f for f, views in enumerate(listed) for _ in views]
-        columns = [v for views in listed for v in views]
-        table = np.full((len(frames), len(column), _JOINTS, 3), np.nan)
-        table[rows, columns] = cells
-        yield frames, (rows, columns), table
+    return _chunks(Path(path), n, "keypoint", (len(ids), _JOINTS, 3), parse)
 
 
-def _chunks(path: Path, n: int, kind: str, width: int, parse: Callable) -> Iterator[tuple[list[int], list, np.ndarray]]:
-    """The records at path in chunks of up to n: their frame indices, parse's returns and their (-1, width, 3) cells.
+def _chunks(path: Path, n: int, kind: str, shape: tuple[int, ...], parse: Callable) -> Iterator[tuple[list[int], list, np.ndarray]]:
+    """The records at path in chunks of up to n: their frame indices, parse's returns and their (k, *shape) cells.
 
     parse(rec, cells) checks a record, appends its values to the chunk's flat
     list and returns what the chunk keeps of it; the list is converted once.
@@ -289,6 +285,7 @@ def _chunks(path: Path, n: int, kind: str, width: int, parse: Callable) -> Itera
                     parsed.append(parse(rec, cells))
                 except _RECORD_ERRORS as exc:
                     error = (lineno, exc)
+                    del cells[ends[-1] :]  # the cells of the record that failed
                     break
                 last = frame
                 frames.append(frame)
@@ -299,16 +296,16 @@ def _chunks(path: Path, n: int, kind: str, width: int, parse: Callable) -> Itera
         except InputParseError as exc:  # a line that is not UTF-8, or a file that cannot be read
             error = exc
         try:
-            table = _joint_table(cells[: ends[-1]], (-1, width, 3))
+            table = _joint_table(cells, shape)
         except _RECORD_ERRORS:  # the first record whose values do not convert comes before any later error
             for k in range(len(frames)):
                 try:
-                    _joint_table(cells[ends[k] : ends[k + 1]], (-1, width, 3))
+                    _joint_table(cells[ends[k] : ends[k + 1]], shape)
                 except _RECORD_ERRORS as exc:
                     error = (linenos[k], exc)
                     break
-            del frames[k:], parsed[k:]
-            table = _joint_table(cells[: ends[k]], (-1, width, 3))
+            del frames[k:], parsed[k:], cells[ends[k] :]
+            table = _joint_table(cells, shape)
         if frames:
             yield frames, parsed, table
         if error is None and len(frames) < n:
@@ -367,7 +364,7 @@ def read_skeletons(path: str | Path, n: int) -> Iterator[tuple[list[int], np.nda
             elif status != STATUS_NO_CONSENSUS:
                 raise ValueError(f"unknown status {status!r}")
 
-    for frames, _, positions in _chunks(Path(path), n, "skeleton", len(JOINT_NAMES), parse):
+    for frames, _, positions in _chunks(Path(path), n, "skeleton", (len(JOINT_NAMES), 3), parse):
         yield frames, positions
 
 

@@ -48,8 +48,6 @@ JOINT_NAMES = {
     ROOT_JOINT: "Torso",
 }
 
-FRAME_CLASSES = ("left", "right", "up", "down")
-
 
 @dataclass(frozen=True)
 class Bone:

@@ -32,8 +32,11 @@ stacks of `retarget.retarget_chunks` are checked through
 `retarget.CHUNK_FRAMES` frames that `retarget.retarget_chunks` takes.
 `read_skeletons` and `read_keypoints` read a stream one record at a time,
 as Skeleton3Ds and as JointObservationFrames, views in listed order, over
-the chunk readers of `io`. `estimate_frames` lays JointObservationFrames out
-in one keypoint table by calibrated column, as `io.read_keypoints` does, and
+the chunk readers of `io`. `keypoint_chunks_per_value` is the keypoint
+chunk reader written with `json.loads` and plain loops, each record laid
+out by column one cell at a time, against which `io.read_keypoints` is
+checked. `estimate_frames` lays JointObservationFrames out in one
+keypoint table by calibrated column, as `io.read_keypoints` does, and
 estimates them with `voxel.estimate_skeletons`, one Skeleton3D per frame.
 `rotations_per_bone` is the chunk chain one bone at a time over (N, 3, 3)
 stacks, BONES order, ok rows only, the hold as a count of ok frames,
@@ -507,10 +510,32 @@ def read_keypoints(path, calibrated):
     """One JointObservationFrame per record of the keypoint stream at path, its
     views in listed order; calibrated holds the calibrated camera ids."""
     ids = sorted(calibrated)
-    for frames, (rows, columns), table in mio.read_keypoints(path, {v: c for c, v in enumerate(ids)}, 16):
+    for frames, listed, table in mio.read_keypoints(path, ids, 16):
         for k, frame in enumerate(frames):
-            listed = [c for r, c in zip(rows, columns) if r == k]
-            yield JointObservationFrame(frame, [ids[c] for c in listed], table[k, listed])
+            yield JointObservationFrame(frame, [ids[c] for c in listed[k]], table[k, listed[k]])
+
+
+def keypoint_chunks_per_value(path, ids, n):
+    """The (frames, listed columns, (k, V, 14, 3) table) chunks of io.read_keypoints(path, ids, n)
+    for a well-formed stream, from json.loads and plain loops: view ids[c] in column c, NaN where
+    a record does not list a view or a view has no detection of a joint."""
+    column = {view_id: c for c, view_id in enumerate(ids)}
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            listed = []
+            cells = [[[math.nan] * 3 for _ in DETECTED_JOINTS] for _ in ids]
+            for view in rec["views"]:
+                listed.append(column[view["view_id"]])
+                for joint in view["joints"]:
+                    cells[listed[-1]][joint["idx"]] = [joint["u"], joint["v"], joint["c"]]
+            records.append((rec["frame"], listed, cells))
+    for start in range(0, len(records), n):
+        chunk = records[start : start + n]
+        yield [f for f, _, _ in chunk], [c for _, c, _ in chunk], np.array([t for _, _, t in chunk], dtype=float)
 
 
 def estimate_frames(frames, cameras, config):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     calibration_text,
     joint_statuses,
+    keypoint_chunks_per_value,
     keypoint_line_per_value,
     read_keypoints,
     read_skeletons,
@@ -118,6 +120,50 @@ def test_keypoints_round_trip(tmp_path):
         assert orig.view_ids == back.view_ids
         assert np.array_equal(np.isnan(orig.table), np.isnan(back.table))
         assert np.allclose(orig.table, back.table, atol=1e-6, equal_nan=True)
+
+
+@st.composite
+def keypoint_streams(draw):
+    """Calibrated ids that are not 0..V-1, in a drawn column order, and records listing some of
+    them in a shuffled order, some views with no joints; the values, JSON integers and floats,
+    come from a drawn seed."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    records = []
+    for frame in sorted(draw(st.sets(st.integers(0, 10**6), max_size=20))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        number = lambda: rng.choice((rng.randint(-2000, 2000), rng.uniform(-2000.0, 2000.0)))
+        views = [
+            {"view_id": view_id, "joints": [{"idx": i, "u": number(), "v": number(), "c": number()}
+                                            for i in draw(st.lists(st.integers(0, len(DETECTED_JOINTS) - 1), unique=True))]}
+            for view_id in draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
+        ]
+        records.append({"frame": frame, "views": views})
+    return ids, records
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=keypoint_streams(), n=st.sampled_from((1, 3, 16)))
+def test_read_keypoints_is_the_per_value_layout(tmp_path_factory, stream, n):
+    ids, records = stream
+    path = tmp_path_factory.getbasetemp() / "drawn_keypoints.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    chunks = list(mio.read_keypoints(path, ids, n))
+    expected = list(keypoint_chunks_per_value(path, ids, n))
+    assert [(frames, listed) for frames, listed, _ in chunks] == [(frames, listed) for frames, listed, _ in expected]
+    for (_, _, table), (_, _, want) in zip(chunks, expected):
+        assert table.shape == want.shape and np.array_equal(table, want, equal_nan=True)
+
+
+def test_infinite_number_in_a_view_after_an_unlisted_column_names_its_joint(tmp_path):
+    """json reads 1e400 as inf; in a record whose first column is unlisted, the error names the
+    joint of the view that holds it, in the third column, not a column or a cell."""
+    path = tmp_path / "kp.jsonl"
+    path.write_text('{"frame": 0, "views": [{"view_id": 5, "joints": []}, {"view_id": 7, "joints": '
+                    '[{"idx": 2, "u": 1.0, "v": 2.0, "c": 0.5}, {"idx": 6, "u": 1.0, "v": 1e400, "c": 0.5}]}]}\n',
+                    encoding="utf-8")
+    with pytest.raises(mio.InputParseError) as info:
+        list(mio.read_keypoints(path, [3, 5, 7], 16))
+    assert str(info.value) == f"{path}:1: bad keypoint record: non-finite number for joint 6"
 
 
 def test_skeleton_round_trip_preserves_statuses(tmp_path):

@@ -6,13 +6,14 @@ from oracles import MissingJoint, ZeroLengthBone, bone_vector
 from mvmocap.skeleton import (
     BONES,
     DETECTED_JOINTS,
-    FRAME_CLASSES,
     FRAME_ROTATION,
     JOINT_NAMES,
     ROOT_JOINT,
     T_POSE,
     Skeleton3D,
 )
+
+FRAME_CLASSES = ("left", "right", "up", "down")
 
 EXPECTED_BONES = {
     "head",
