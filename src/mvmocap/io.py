@@ -56,8 +56,12 @@ from .voxel import JointObservationFrame
 
 # Width of a keypoint table: one row per detected joint index.
 _JOINTS = len(DETECTED_JOINTS)
+# Rows of a skeleton record's positions: one per joint index.
+_SKELETON_JOINTS = len(JOINT_NAMES)
 # The cell value of a joint a record leaves out; read_keypoints tests for it by identity.
 _UNLISTED = math.nan
+# The cells of a skeleton record before its joints are parsed: every joint left out.
+_UNLISTED_SKELETON = [_UNLISTED] * (_SKELETON_JOINTS * 3)
 # A record joint's fields, fetched in this order: the first one missing raises KeyError.
 _KEYPOINT_FIELDS = operator.itemgetter("idx", "u", "v", "c")
 _SKELETON_FIELDS = operator.itemgetter("idx", "status")
@@ -130,7 +134,7 @@ def _joint_table(cells: list, shape: tuple[int, ...]) -> np.ndarray:
     json reads 1e400 as inf, and it has no NaN token, so every NaN is a
     cell the record left out.
     """
-    table = np.array(_numbers(cells), dtype=float).reshape(-1, *shape)
+    table = np.fromiter(_numbers(cells), dtype=float, count=len(cells)).reshape(-1, *shape)
     if np.isinf(table).any():
         raise ValueError(f"non-finite number for joint {np.argwhere(np.isinf(table))[0, -2]}")
     return table
@@ -231,20 +235,22 @@ def read_keypoints(path: str | Path, ids: Sequence[int], n: int) -> Iterator[tup
     frame's listed columns in file order, and their table by calibrated column, ids holding the
     calibrated camera ids in column order. A view id that ids does not hold is an error."""
     column = {view_id: v for v, view_id in enumerate(ids)}
+    unlisted = [_UNLISTED] * (len(ids) * _JOINTS * 3)  # a record's cells before its views are parsed
 
     def parse(rec: dict, cells: list) -> list[int]:  # the columns of the record's views in file order, its cells by column
         views = _objects(rec["views"], "views")
         listed: list[int] = []
         start = len(cells)
-        cells += [_UNLISTED] * (len(ids) * _JOINTS * 3)
+        cells += unlisted
         for view in views:
             view_id = _integer(view["view_id"])
-            if view_id not in column:
+            col = column.get(view_id)
+            if col is None:
                 raise ValueError(f"view {view_id} is not in the calibration")
-            if column[view_id] in listed:
+            if col in listed:
                 raise ValueError(f"view {view_id} listed twice")
-            listed.append(column[view_id])
-            at = start + column[view_id] * _JOINTS * 3
+            listed.append(col)
+            at = start + col * _JOINTS * 3
             for j in _objects(view["joints"], "joints"):
                 idx, u, v, c = _KEYPOINT_FIELDS(j)
                 if type(idx) is not int:  # as _integer checks
@@ -276,7 +282,9 @@ def _chunks(path: Path, n: int, kind: str, shape: tuple[int, ...], parse: Callab
         try:
             for lineno, raw in lines:
                 try:
-                    rec = DECODER.decode(raw)
+                    rec, end = DECODER.raw_decode(raw)
+                    if end != len(raw):  # raw is stripped, so decode finds the same value and raises json's "Extra data"
+                        DECODER.decode(raw)
                     if type(rec) is not dict:
                         raise TypeError("the record is not a JSON object")
                     frame = _integer(rec["frame"])
@@ -343,15 +351,15 @@ def read_skeletons(path: str | Path, n: int) -> Iterator[tuple[list[int], np.nda
     """The skeleton stream at path in chunks of up to n frames (see _chunks): their frame indices and positions."""
 
     def parse(rec: dict, cells: list) -> None:  # the record's (15, 3) positions, joint by joint
-        listed = [False] * len(JOINT_NAMES)
+        listed = [False] * _SKELETON_JOINTS
         at = len(cells)
-        cells += [_UNLISTED] * (len(JOINT_NAMES) * 3)
+        cells += _UNLISTED_SKELETON
         for j in _objects(rec["joints"], "joints"):
             idx, status = _SKELETON_FIELDS(j)
             if type(idx) is not int:  # as _integer checks
                 raise TypeError(f"expected an integer, got {idx!r}")
-            if not 0 <= idx < len(JOINT_NAMES):
-                raise ValueError(f"joint index {idx} outside 0-{len(JOINT_NAMES) - 1}")
+            if not 0 <= idx < _SKELETON_JOINTS:
+                raise ValueError(f"joint index {idx} outside 0-{_SKELETON_JOINTS - 1}")
             if listed[idx]:
                 raise ValueError(f"joint {idx} listed twice")
             listed[idx] = True
@@ -364,7 +372,7 @@ def read_skeletons(path: str | Path, n: int) -> Iterator[tuple[list[int], np.nda
             elif status != STATUS_NO_CONSENSUS:
                 raise ValueError(f"unknown status {status!r}")
 
-    for frames, _, positions in _chunks(Path(path), n, "skeleton", (len(JOINT_NAMES), 3), parse):
+    for frames, _, positions in _chunks(Path(path), n, "skeleton", (_SKELETON_JOINTS, 3), parse):
         yield frames, positions
 
 

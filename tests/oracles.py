@@ -35,6 +35,8 @@ as Skeleton3Ds and as JointObservationFrames, views in listed order, over
 the chunk readers of `io`. `keypoint_chunks_per_value` is the keypoint
 chunk reader written with `json.loads` and plain loops, each record laid
 out by column one cell at a time, against which `io.read_keypoints` is
+checked. `skeleton_chunks_per_value` is the skeleton chunk reader written
+the same way, one joint at a time, against which `io.read_skeletons` is
 checked. `estimate_frames` lays JointObservationFrames out in one
 keypoint table by calibrated column, as `io.read_keypoints` does, and
 estimates them with `voxel.estimate_skeletons`, one Skeleton3D per frame.
@@ -73,7 +75,7 @@ from mvmocap.retarget import (
     MIN_BONE_LENGTH, PARALLEL_TOL, STATUS_FELL_BACK, _PARENT, BoneTransformSet, _posed_frame, retarget_chunks,
 )
 from mvmocap.skeleton import (
-    BONES, DETECTED_JOINTS, FRAME_ROTATION, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, rotation_about_axis,
+    BONES, DETECTED_JOINTS, FRAME_ROTATION, JOINT_NAMES, STATUS_NO_CONSENSUS, STATUS_OK, Skeleton3D, rotation_about_axis,
 )
 from mvmocap.voxel import (
     _BOX_PAD,
@@ -536,6 +538,26 @@ def keypoint_chunks_per_value(path, ids, n):
     for start in range(0, len(records), n):
         chunk = records[start : start + n]
         yield [f for f, _, _ in chunk], [c for _, c, _ in chunk], np.array([t for _, _, t in chunk], dtype=float)
+
+
+def skeleton_chunks_per_value(path, n):
+    """The (frames, (k, 15, 3) positions) chunks of io.read_skeletons(path, n) for a well-formed
+    stream, from json.loads and plain loops: row i of a frame for joint i, NaN where the record
+    leaves the joint out or lists it as no_consensus."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            rows = [[math.nan] * 3 for _ in JOINT_NAMES]
+            for joint in rec["joints"]:
+                if joint["status"] == STATUS_OK:
+                    rows[joint["idx"]] = joint["p"]
+            records.append((rec["frame"], rows))
+    for start in range(0, len(records), n):
+        chunk = records[start : start + n]
+        yield [f for f, _ in chunk], np.array([rows for _, rows in chunk], dtype=float)
 
 
 def estimate_frames(frames, cameras, config):

@@ -783,6 +783,42 @@ def test_invalid_records_exit_2_with_line(tmp_path, capsys, stream, edit, messag
     assert f"error: {path}:2:" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        lambda lines: lines[1] + " x",
+        lambda lines: lines[1] + " " + lines[2],
+        lambda lines: lines[1][:-5],
+        lambda lines: "[]",
+        lambda lines: "\ufeff" + lines[1],
+    ],
+    ids=["trailing-text", "two-records", "truncated", "bare-array", "leading-bom"],
+)
+@pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval"])
+def test_line_that_is_not_one_json_object_exits_2_with_json_message(tmp_path, capsys, command, line):
+    """A record line is decoded as exactly one JSON value: the error is json's own
+    message for that line, or, for a value that is not an object, the reader's."""
+    scene = run_synth(tmp_path, frames=3)
+    stream = scene / ("keypoints.jsonl" if command == "reconstruct" else "truth.jsonl")
+    lines = stream.read_text(encoding="utf-8").splitlines()
+    lines[1] = line(lines)
+    path = tmp_path / f"bad_{stream.name}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        json.JSONDecoder().decode(lines[1])
+        reason = "the record is not a JSON object"
+    except ValueError as exc:
+        reason = str(exc)
+    inputs = {
+        "reconstruct": ["--calib", str(scene / "calib.json"), "--keypoints", str(path), "--delta", "100x100x100"],
+        "retarget": ["--skeleton", str(path)],
+        "eval": ["--skeleton", str(path), "--truth", str(scene / "truth.jsonl")],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    kind = "keypoint" if command == "reconstruct" else "skeleton"
+    assert capsys.readouterr().err == f"error: {path}:2: bad {kind} record: {reason}\n"
+
+
 @pytest.mark.parametrize("lineno", [2, 30])
 @pytest.mark.parametrize("command", ["reconstruct", "retarget", "eval", "render-overlay"])
 def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, lineno):

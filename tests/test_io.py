@@ -14,6 +14,7 @@ from oracles import (
     read_skeletons,
     read_transforms,
     skeleton_chunks,
+    skeleton_chunks_per_value,
     skeleton_line_per_value,
     snap_rotation,
     transform_line_per_value,
@@ -197,6 +198,37 @@ def test_skeleton_record_leaving_a_joint_out_reads_as_nan_row(tmp_path):
     assert np.isnan(np.delete(skel.positions, 2, axis=0)).all()
     joints = mio.skeleton_line(skel.frame, skel.positions).split('"joints": ')[1]
     assert joints.count('"status": "no_consensus"') == 14 and joints.count('"idx"') == 15
+
+
+@st.composite
+def skeleton_streams(draw):
+    """Records listing some joints in a shuffled order, each "ok" with a position or
+    "no_consensus" with or without one; the values, JSON integers and floats, come from a drawn seed."""
+    records = []
+    for frame in sorted(draw(st.sets(st.integers(0, 10**6), max_size=20))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        number = lambda: rng.choice((rng.randint(-2000, 2000), rng.uniform(-2000.0, 2000.0)))
+        joints = []
+        for idx in draw(st.permutations(range(len(JOINT_NAMES))))[: draw(st.integers(0, len(JOINT_NAMES)))]:
+            status = draw(st.sampled_from(("ok", "no_consensus", "no_consensus with p")))
+            joint = {"idx": idx, "status": status.split()[0]}
+            if status != "no_consensus":
+                joint["p"] = [number(), number(), number()]
+            joints.append(joint)
+        records.append({"frame": frame, "joints": joints})
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=skeleton_streams(), n=st.sampled_from((1, 3, 16)))
+def test_read_skeletons_is_the_per_value_layout(tmp_path_factory, records, n):
+    path = tmp_path_factory.getbasetemp() / "drawn_skeletons.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    chunks = list(mio.read_skeletons(path, n))
+    expected = list(skeleton_chunks_per_value(path, n))
+    assert [frames for frames, _ in chunks] == [frames for frames, _ in expected]
+    for (_, positions), (_, want) in zip(chunks, expected):
+        assert positions.shape == want.shape and np.array_equal(positions, want, equal_nan=True)
 
 
 def test_transform_round_trip(tmp_path):
